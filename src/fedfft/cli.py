@@ -34,6 +34,7 @@ from .fft_aggregator import FftStrategy, fft_aggregate
 from .tensors import (
     BadWeightDump,
     ClientUpdate,
+    ModelWeights,
     ShapeMismatch,
     load_weight_dump,
     save_weight_dump,
@@ -401,7 +402,6 @@ def _suite_ks_bruteforce() -> bool:
 
 def _suite_krum_exhaustive() -> bool:
     from .aggregators import krum_select
-    from .tensors import ClientUpdate, ModelWeights
 
     rng = np.random.default_rng(9)
     for _ in range(100):
@@ -477,6 +477,12 @@ def _suite_kde_direct() -> bool:
         est = kde_density(s, 256)
         ref = kde_density_direct(s, est.grid)
         if np.max(np.abs(est.density - ref) / ref) >= 1e-6:
+            return False
+        # the aggregator's own density sum must pick the value nearest the
+        # oracle's mode on the same grid
+        updates = [ClientUpdate(k, ModelWeights([np.array([x])]), 1) for k, x in enumerate(s)]
+        picked = fft_aggregate(updates, FftStrategy()).layers[0][0]
+        if picked != s[int(np.argmin(np.abs(s - est.grid[int(np.argmax(ref))])))]:
             return False
     return True
 

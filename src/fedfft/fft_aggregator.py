@@ -1,15 +1,22 @@
 """FFT-density aggregation: per coordinate, pick the client value the spectrum
 or the density estimate singles out.
 
-Two strategies share one interface:
+Two strategies share one interface, and each has a single implementation that
+works on a whole layer's (clients x coordinates) matrix at once; selecting
+from one coordinate vector is the one-column case of it.
 
 * ``literal`` sorts the coordinate vector, takes the FFT, and maps the argmax
   magnitude bin straight back into the sorted sample. Bin 0 holds the plain
   sum of the values, which for one-signed data dwarfs every other bin, so it
-  is excluded by default; ``include_dc=True`` keeps it in play.
-* ``kde`` computes an FFT-accelerated Gaussian KDE of the coordinate vector
+  is excluded by default; ``include_dc=True`` keeps it in play. All columns
+  of a layer go through one batched transform.
+* ``kde`` evaluates a Gaussian KDE of the coordinate vector on a uniform grid
   and returns the sample value nearest the density mode. This is the variant
   with actual outlier-rejection behavior and the default for simulations.
+  The density is a direct sum over the K client values: with K in the tens
+  and a grid of a few hundred points, that is cheaper than binning onto a
+  fine grid and convolving by FFT, which only pays off when the sample is
+  much larger than the grid.
 
 Both strategies select an existing client value, never an interpolation.
 """
@@ -17,20 +24,11 @@ Both strategies select an existing client value, never an interpolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
-from .spectral import (
-    SQRT_2PI,
-    _cubic_bin,
-    _fft_pow2,
-    _ifft_pow2,
-    _kernel_radius,
-    fft,
-    kde_density,
-    magnitudes,
-)
+from .spectral import fft, magnitudes, silverman_bandwidth
 from .tensors import (
     ClientUpdate,
     CoordinateVector,
@@ -47,18 +45,20 @@ KDE_MODE = "kde"
 class FftStrategy:
     """Selection strategy for the density aggregator.
 
-    ``grid_size``, ``kde_oversample`` and ``kde_max_fine`` only affect the
-    ``kde`` kind; ``include_dc`` only the ``literal`` kind. The kde defaults
-    trade a little smoothing accuracy for speed, which is irrelevant for mode
-    finding but matters when every model coordinate runs through the
-    estimator each round.
+    ``grid_size`` (the number of points the kde density is evaluated at)
+    only affects the ``kde`` kind; ``include_dc`` only the ``literal`` kind.
+    The kde density is summed directly over the client values at every grid
+    point, so it has no accuracy knob of its own.
     """
 
     kind: str = KDE_MODE
     include_dc: bool = False
     grid_size: int = 256
-    kde_oversample: int = 8
-    kde_max_fine: int = 1 << 15
+    # Binned-FFT settings for spectral.kde_density, which aggregation does not
+    # call. bench/workloads.py reads them for its stand-alone kde_density
+    # timing, so they stay as constants to keep that timing's inputs fixed.
+    kde_oversample: ClassVar[int] = 8
+    kde_max_fine: ClassVar[int] = 1 << 15
 
     def __post_init__(self):
         if self.kind not in (LITERAL, KDE_MODE):
@@ -83,117 +83,81 @@ def _as_values(v) -> np.ndarray:
     return values
 
 
+# Largest (coordinates x grid x clients) array the kde evaluates at once, in
+# float64 elements (2 MB); a chunk always holds at least one coordinate.
+_KDE_CHUNK = 1 << 18
+
+
+def _literal_values(cols: np.ndarray, include_dc: bool) -> np.ndarray:
+    """Literal-strategy selection for each row of an (n, K) matrix, K >= 2."""
+    sorted_cols = np.sort(cols, axis=1, kind="stable")
+    mags = magnitudes(fft(sorted_cols))
+    if include_dc:
+        bins = np.argmax(mags, axis=1)
+    else:
+        bins = 1 + np.argmax(mags[:, 1:], axis=1)
+    return sorted_cols[np.arange(cols.shape[0]), bins]
+
+
+def _kde_values(cols: np.ndarray, grid_size: int) -> np.ndarray:
+    """Density-mode selection for each row of an (n, K) matrix, K >= 2.
+
+    The grid spans [min - 3h, max + 3h] with the Silverman bandwidth h, as in
+    :func:`spectral.kde_density`. The density's normalising constant is left
+    out because it does not move the argmax.
+    """
+    k = cols.shape[1]
+    values = cols[:, 0].copy()
+    active = np.nonzero(np.any(cols != cols[:, :1], axis=1))[0]
+    sub = cols[active]
+    h = silverman_bandwidth(sub, axis=1)
+    lo = sub.min(axis=1) - 3.0 * h
+    hi = sub.max(axis=1) + 3.0 * h
+    chunk = max(1, _KDE_CHUNK // (grid_size * k))
+    for start in range(0, active.size, chunk):
+        part = slice(start, start + chunk)
+        samples = sub[part]
+        rows = np.arange(samples.shape[0])
+        grid = np.linspace(lo[part], hi[part], grid_size, axis=1)
+        z = grid[:, :, None] - samples[:, None, :]
+        z /= h[part, None, None]
+        z *= z
+        z *= -0.5
+        density = np.exp(z, out=z).sum(axis=2)
+        mode_x = grid[rows, np.argmax(density, axis=1)]
+        nearest = np.argmin(np.abs(samples - mode_x[:, None]), axis=1)
+        values[active[part]] = samples[rows, nearest]
+    return values
+
+
+def _selected_values(mat: np.ndarray, strategy: FftStrategy) -> np.ndarray:
+    """The value each strategy selects from every column of a (K, n) matrix."""
+    if mat.shape[0] == 1:
+        return mat[0].copy()
+    cols = np.ascontiguousarray(mat.T)
+    if strategy.kind == LITERAL:
+        return _literal_values(cols, strategy.include_dc)
+    return _kde_values(cols, strategy.grid_size)
+
+
 def fft_select(v, strategy: FftStrategy = FftStrategy()) -> Selection:
     """Pick one client's value from a cross-client coordinate vector.
 
     Returns the selected value and the lowest client index holding it.
-    Unanimous vectors (including length 1) short-circuit to client 0's value.
+    Unanimous vectors (including length 1) select client 0's value.
     """
     values = _as_values(v)
-    if values.size == 1 or np.all(values == values[0]):
-        return Selection(float(values[0]), 0)
-
-    if strategy.kind == LITERAL:
-        sorted_v = np.sort(values, kind="stable")
-        mags = magnitudes(fft(sorted_v))
-        if strategy.include_dc:
-            bin_index = int(np.argmax(mags))
-        else:
-            bin_index = 1 + int(np.argmax(mags[1:]))
-        picked = float(sorted_v[bin_index])
-    else:
-        est = kde_density(
-            values,
-            strategy.grid_size,
-            oversample=strategy.kde_oversample,
-            max_fine_size=strategy.kde_max_fine,
-        )
-        mode_x = est.grid[int(np.argmax(est.density))]
-        picked = float(values[int(np.argmin(np.abs(values - mode_x)))])
-
+    picked = float(_selected_values(values[:, None], strategy)[0])
     client = int(np.nonzero(values == picked)[0][0])
     return Selection(picked, client)
 
 
-def _kde_values_batch(mat: np.ndarray, strategy: FftStrategy) -> np.ndarray:
-    """Density-mode selection for all coordinates of one layer at once.
-
-    Reproduces :func:`fft_select` with the kde strategy bit-for-bit, but
-    groups coordinates whose convolutions share an FFT length and transforms
-    each group as one batch, which removes almost all of the per-coordinate
-    dispatch overhead.
-    """
-    k, n = mat.shape
-    cols = np.ascontiguousarray(mat.T)
-    values = np.empty(n)
-
-    unanimous = np.all(cols == cols[:, :1], axis=1)
-    values[unanimous] = cols[unanimous, 0]
-    active = np.nonzero(~unanimous)[0]
-    if active.size == 0:
-        return values
-    sub = cols[active]
-
-    # per-coordinate silverman profile, mirroring kde_density exactly
-    sd = sub.std(axis=1)
-    q75, q25 = np.percentile(sub, [75.0, 25.0], axis=1)
-    iqr = q75 - q25
-    spread = np.where(iqr > 0, np.minimum(sd, iqr / 1.34), sd)
-    h = 0.9 * spread * k ** (-0.2)
-    lo = sub.min(axis=1) - 3.0 * h
-    hi = sub.max(axis=1) + 3.0 * h
-    grid_size = strategy.grid_size
-    step = (hi - lo) / (grid_size - 1)
-
-    ov = np.maximum(1, np.ceil(step / (h / strategy.kde_oversample))).astype(np.intp)
-    too_big = (grid_size - 1) * ov + 1 > strategy.kde_max_fine
-    while np.any(too_big & (ov > 1)):
-        ov = np.where(too_big & (ov > 1), ov // 2, ov)
-        too_big = (grid_size - 1) * ov + 1 > strategy.kde_max_fine
-    nf = (grid_size - 1) * ov + 1
-    nb = nf + 3
-    kradius = np.array(
-        [_kernel_radius(int(nb[r]), float(h[r]), float(step[r] / ov[r])) for r in range(len(nf))],
-        dtype=np.intp,
-    )
-    conv_len = nb + 2 * kradius
-    fft_len = np.array([1 << int(c - 1).bit_length() for c in conv_len], dtype=np.intp)
-
-    for m in np.unique(fft_len):
-        rows = np.nonzero(fft_len == m)[0]
-        packed = np.zeros((rows.size, m), dtype=np.complex128)
-        for b, r in enumerate(rows):
-            delta = step[r] / ov[r]
-            binned = _cubic_bin((sub[r] - lo[r]) / delta, int(nf[r]))
-            kz = np.arange(-kradius[r], kradius[r] + 1) * (delta / h[r])
-            packed[b, : nb[r]] += binned
-            packed[b, : 2 * kradius[r] + 1] += 1j * np.exp(-0.5 * kz * kz)
-        fz = _fft_pow2(packed)
-        frev = np.conj(np.concatenate([fz[:, :1], fz[:, :0:-1]], axis=1))
-        conv = _ifft_pow2(0.5 * (fz + frev) * (-0.5j) * (fz - frev)).real
-        for b, r in enumerate(rows):
-            start = kradius[r] + 1
-            dens = conv[b, start : start + nf[r] : ov[r]][:grid_size] / (k * h[r] * SQRT_2PI)
-            grid = np.linspace(lo[r], hi[r], grid_size)
-            mode_x = grid[int(np.argmax(np.maximum(dens, 0.0)))]
-            coord = active[r]
-            values[coord] = cols[coord, int(np.argmin(np.abs(cols[coord] - mode_x)))]
-    return values
-
-
 def fft_aggregate(updates: Sequence[ClientUpdate], strategy: FftStrategy = FftStrategy()) -> ModelWeights:
-    """Apply :func:`fft_select` to every coordinate and reassemble the model."""
+    """Select a value for every coordinate, a layer at a time, and reassemble the model."""
     if len(updates) == 0:
         raise EmptyUpdateSet("no client updates")
     mats = layer_matrices(updates)
     template = updates[0].weights
-    out = []
-    for mat, layer in zip(mats, template.layers):
-        if strategy.kind == KDE_MODE:
-            flat = _kde_values_batch(mat, strategy)
-        else:
-            flat = np.empty(mat.shape[1])
-            for i in range(mat.shape[1]):
-                flat[i] = fft_select(mat[:, i], strategy).value
-        out.append(flat.reshape(layer.shape))
-    return ModelWeights(out)
+    return ModelWeights(
+        [_selected_values(mat, strategy).reshape(layer.shape) for mat, layer in zip(mats, template.layers)]
+    )

@@ -3,8 +3,9 @@
 The transform stack is self-contained: an iterative radix-2 kernel for
 power-of-two lengths, extended to every other length with Bluestein's chirp-z
 construction (the data itself is never zero-padded, which would change what
-bin an argmax lands on). ``dft_naive`` is the quadratic reference
-implementation the fast path is tested against.
+bin an argmax lands on). ``fft`` transforms along the last axis, so a batch
+of sequences of one length goes through in one call. ``dft_naive`` is the
+quadratic reference implementation the fast path is tested against.
 
 The density estimator bins the sample onto a fine uniform grid with 4-point
 (cubic Lagrange) weights and convolves with a Gaussian kernel via the FFT,
@@ -86,17 +87,19 @@ def _bluestein_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fft(x) -> np.ndarray:
-    """Discrete Fourier transform of a 1-D sequence of any length >= 1.
+    """Discrete Fourier transform along the last axis, for any length >= 1.
 
+    Leading axes are a batch: every row along the last axis is transformed
+    independently, and each row comes out bit-identical to a 1-D call on it.
     Power-of-two lengths go through the radix-2 kernel directly; all other
     lengths use Bluestein's chirp-z identity, which expresses the DFT as a
     convolution that is evaluated on a zero-padded power-of-two grid. Returns
     a complex array; agrees with :func:`dft_naive` to ~1e-12 absolute.
     """
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1:
-        raise ValueError("fft expects a 1-D sequence")
-    n = x.shape[0]
+    if x.ndim == 0:
+        raise ValueError("fft expects a sequence, not a scalar")
+    n = x.shape[-1]
     if n < 1:
         raise ValueError("fft needs at least one sample")
     if n == 1:
@@ -105,10 +108,10 @@ def fft(x) -> np.ndarray:
         return _fft_pow2(x)
     chirp, filt = _bluestein_plan(n)
     m = filt.shape[0]
-    a = np.zeros(m, dtype=np.complex128)
-    a[:n] = x * chirp
+    a = np.zeros(x.shape[:-1] + (m,), dtype=np.complex128)
+    a[..., :n] = x * chirp
     conv = _ifft_pow2(_fft_pow2(a) * filt)
-    return conv[:n] * chirp
+    return conv[..., :n] * chirp
 
 
 def dft_naive(x) -> np.ndarray:
@@ -153,14 +156,20 @@ class DensityEstimate:
     bandwidth: float
 
 
-def silverman_bandwidth(sample: np.ndarray) -> float:
-    """h = 0.9 * min(std, IQR/1.34) * n^(-1/5), falling back to std if IQR is 0."""
+def silverman_bandwidth(sample, axis: int = -1):
+    """Silverman's rule along ``axis``: h = 0.9 * min(std, IQR/1.34) * n^(-1/5).
+
+    Falls back to std where the IQR is 0. A 1-D sample gives a float; a batch
+    of samples gives one bandwidth per sample, as an array with ``axis``
+    removed.
+    """
     sample = np.asarray(sample, dtype=np.float64)
-    sd = float(np.std(sample))
-    q75, q25 = np.percentile(sample, [75.0, 25.0])
-    iqr = float(q75 - q25)
-    spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-    return 0.9 * spread * len(sample) ** (-0.2)
+    sd = np.std(sample, axis=axis)
+    q75, q25 = np.percentile(sample, [75.0, 25.0], axis=axis)
+    iqr = q75 - q25
+    spread = np.where(iqr > 0, np.minimum(sd, iqr / 1.34), sd)
+    h = 0.9 * spread * sample.shape[axis] ** (-0.2)
+    return float(h) if h.ndim == 0 else h
 
 
 def _kernel_radius(nb: int, h: float, delta: float) -> int:

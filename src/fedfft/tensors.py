@@ -266,6 +266,8 @@ def from_dump_dict(doc: dict) -> ModelWeights:
             data = np.asarray(entry["data"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise BadWeightDump(f"layer {li} is malformed: {exc}") from exc
+        if not np.all(np.isfinite(data)):
+            raise BadWeightDump(f"layer {li} contains non-finite values")
         if any(d < 1 for d in shape):
             raise BadWeightDump(f"layer {li} has non-positive extent in shape {shape}")
         if data.size != int(np.prod(shape)):

@@ -125,6 +125,14 @@ class TestAggregateCommand:
         out = str(tmp_path / "out.json")
         assert main(["aggregate", "--in", str(bad), "--out", out]) == 2
 
+    def test_non_finite_dump_exit_two(self, tmp_path):
+        # Python's json reads NaN and Infinity, so a dump can carry them
+        for token in ("NaN", "Infinity"):
+            bad = tmp_path / f"{token}.json"
+            bad.write_text('{"version": 1, "layers": [{"shape": [2], "data": [1.0, %s]}]}' % token)
+            out = str(tmp_path / "out.json")
+            assert main(["aggregate", "--in", str(bad), "--out", out]) == 2
+
     def test_fft_method(self, tmp_path):
         paths = self.make_dumps(
             tmp_path, [[[0.0, 0.0]], [[0.01, 0.02]], [[-0.01, 0.01]], [[9.0, 9.0]]]

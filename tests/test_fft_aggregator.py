@@ -80,9 +80,23 @@ class TestFftAggregate:
         rng = np.random.default_rng(2)
         mat = rng.normal(size=(6, 11))
         ups = updates_from_matrix(mat)
-        out = fft_aggregate(ups, KDE).layers[0]
-        for i in range(11):
-            assert out[i] == fft_select(mat[:, i], KDE).value
+        for strategy in (LITERAL, KDE):
+            out = fft_aggregate(ups, strategy).layers[0]
+            for i in range(11):
+                assert out[i] == fft_select(mat[:, i], strategy).value
+
+    def test_extreme_outlier_does_not_raise(self):
+        # a value near the top of the float range must not break the kde's
+        # grid arithmetic; only support is checked, not an honest pick
+        rng = np.random.default_rng(7)
+        mat = rng.normal(0.0, 0.01, size=(50, 12))
+        mat[3, 0] = 1e150
+        mat[3, 1:4] = 1e3
+        ups = updates_from_matrix(mat)
+        for strategy in (LITERAL, KDE):
+            out = fft_aggregate(ups, strategy).layers[0]
+            for i in range(12):
+                assert out[i] in mat[:, i]
 
 
 class TestKdeModeProperties:

@@ -60,6 +60,16 @@ class TestFft:
             freq_energy = np.sum(np.abs(fft(x)) ** 2) / n
             assert freq_energy == pytest.approx(time_energy, rel=1e-9)
 
+    def test_leading_axes_match_naive_and_1d(self):
+        rng = np.random.default_rng(7)
+        for n in (1, 16, 20):
+            x = rng.normal(size=(5, n))
+            out = fft(x)
+            assert out.shape == (5, n)
+            for row, got in zip(x, out):
+                assert np.max(np.abs(got - dft_naive(row))) < 1e-12
+                assert np.array_equal(got, fft(row))
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             fft(np.array([]))
