@@ -57,11 +57,8 @@ from .fft_aggregator import FftStrategy, Selection, fft_aggregate, fft_select
 from .spectral import DensityEstimate, dft_naive, fft, kde_density, magnitudes
 from .tensors import (
     ClientUpdate,
-    CoordinateVector,
     ModelWeights,
-    coordinate_views,
     load_weight_dump,
-    reassemble,
     save_weight_dump,
     validate_uniform,
 )

@@ -4,10 +4,9 @@ KS tests, and a numeric self-test.
 Config files are JSON documents with ``task``, ``train``, ``repeats`` and
 ``output_dir`` fields; every field has a default, and the fully resolved
 config is echoed into the summary for provenance. All randomness flows from
-the config seed: re-running a config byte-reproduces the rounds CSV. The
-``wall_ms`` CSV column is fixed at 0 for that reason; measured timing goes
-to the summary JSON instead. ``FEDFFT_THREADS`` caps worker threads
-(0 or unset picks a machine default).
+the config seed: re-running a config byte-reproduces the rounds CSV, whose
+``wall_ms`` column is always 0. Measured timing goes to the summary JSON.
+``FEDFFT_THREADS`` caps worker threads (0 or unset picks a machine default).
 """
 
 from __future__ import annotations
@@ -27,12 +26,19 @@ from typing import Sequence
 import numpy as np
 
 from .adversary import AttackSpec
-from .aggregators import KrumParam, TrimParam, coordinate_median, fed_avg, krum, trimmed_mean
-from .detector import DetectorConfig, ks_test
-from .fedsim import AggregatorSpec, RoundRecord, SyntheticTask, TrainConfig, run_experiment
+from .aggregators import TooFewClients, TrimTooLarge
+from .detector import DetectorConfig, SubsetTooLarge, ks_test
+from .fedsim import (
+    AGGREGATORS,
+    AggregatorSpec,
+    RoundRecord,
+    SyntheticTask,
+    TrainConfig,
+    aggregate,
+    run_experiment,
+)
 from .fft_aggregator import FftStrategy, fft_aggregate
 from .tensors import (
-    BadWeightDump,
     ClientUpdate,
     ModelWeights,
     ShapeMismatch,
@@ -76,46 +82,55 @@ class ConfigError(ValueError):
     pass
 
 
-def _build(cls, doc: dict, path: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(doc) - names
+def _build(cls, doc, path: str, **convert):
+    """Build ``cls`` from the JSON object ``doc``.
+
+    ``convert`` maps a field name to the function that turns its JSON value
+    into the field's value, such as the parser of a nested section.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must be a JSON object")
+    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"{path}: unknown fields {sorted(unknown)}")
     try:
-        return cls(**doc)
+        return cls(**{k: convert[k](v) if k in convert else v for k, v in doc.items()})
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def parse_task(doc: dict) -> SyntheticTask:
-    doc = dict(doc)
-    if doc.get("dirichlet_alpha") is None:
-        doc.pop("dirichlet_alpha", None)
-    return _build(SyntheticTask, doc, "task")
+def parse_task(doc) -> SyntheticTask:
+    return _build(
+        SyntheticTask, doc, "task", dirichlet_alpha=lambda v: math.inf if v is None else v
+    )
 
 
-def parse_aggregator(doc: dict) -> AggregatorSpec:
-    doc = dict(doc)
-    if "strategy" in doc:
-        doc["strategy"] = _build(FftStrategy, doc["strategy"], "aggregator.strategy")
-    if "detector" in doc:
-        doc["detector"] = _build(DetectorConfig, doc["detector"], "aggregator.detector")
-    return _build(AggregatorSpec, doc, "aggregator")
+def parse_aggregator(doc) -> AggregatorSpec:
+    return _build(
+        AggregatorSpec,
+        doc,
+        "aggregator",
+        strategy=lambda d: _build(FftStrategy, d, "aggregator.strategy"),
+        detector=lambda d: _build(DetectorConfig, d, "aggregator.detector"),
+    )
 
 
-def parse_train(doc: dict) -> TrainConfig:
-    doc = dict(doc)
-    if "aggregator" in doc:
-        doc["aggregator"] = parse_aggregator(doc["aggregator"])
-    if "attack" in doc:
-        doc["attack"] = _build(AttackSpec, doc["attack"], "train.attack")
-    return _build(TrainConfig, doc, "train")
+def parse_train(doc) -> TrainConfig:
+    return _build(
+        TrainConfig,
+        doc,
+        "train",
+        aggregator=parse_aggregator,
+        attack=lambda d: _build(AttackSpec, d, "train.attack"),
+    )
 
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    task: SyntheticTask
-    train: TrainConfig
+    task: SyntheticTask = dataclasses.field(default_factory=SyntheticTask)
+    train: TrainConfig = dataclasses.field(default_factory=TrainConfig)
     repeats: int = 5
     output_dir: str = "out"
 
@@ -135,14 +150,17 @@ def load_config(path: str) -> tuple[ExperimentConfig, dict]:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    extras = {k: v for k, v in doc.items() if k not in ("task", "train", "repeats", "output_dir")}
-    cfg = ExperimentConfig(
-        task=parse_task(doc.get("task", {})),
-        train=parse_train(doc.get("train", {})),
-        repeats=int(doc.get("repeats", 5)),
-        output_dir=str(doc.get("output_dir", "out")),
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    cfg = _build(
+        ExperimentConfig,
+        {k: v for k, v in doc.items() if k in names},
+        "config",
+        task=parse_task,
+        train=parse_train,
+        repeats=int,
+        output_dir=str,
     )
-    return cfg, extras
+    return cfg, {k: v for k, v in doc.items() if k not in names}
 
 
 def _jsonable(obj):
@@ -155,19 +173,11 @@ def _jsonable(obj):
     return obj
 
 
-def aggregator_label(spec: AggregatorSpec) -> str:
-    if spec.kind == "fft":
-        return f"fft:{spec.strategy.kind}"
-    if spec.kind == "dynamic":
-        return f"dynamic:{spec.strategy.kind}"
-    return spec.kind
-
-
 def _record_row(rec: RoundRecord, repeat: int, train: TrainConfig) -> list[str]:
     return [
         str(rec.round),
         str(repeat),
-        aggregator_label(train.aggregator),
+        train.aggregator.label,
         train.attack.kind,
         f"{train.attack.attacker_fraction:.6f}",
         rec.decision,
@@ -244,7 +254,7 @@ def _sweep_aggregators(extras: dict, base: TrainConfig) -> dict[str, AggregatorS
     doc = extras.get("aggregators")
     if doc is None:
         spec = base.aggregator
-        return {aggregator_label(spec): spec}
+        return {spec.label: spec}
     if not isinstance(doc, dict) or not doc:
         raise ConfigError("'aggregators' must be a non-empty object of name -> spec")
     return {name: parse_aggregator(spec) for name, spec in doc.items()}
@@ -318,11 +328,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
     try:
+        spec = AggregatorSpec(
+            kind=args.method,
+            trim_n=args.trim_n,
+            krum_f=args.krum_f,
+            strategy=FftStrategy(kind=args.fft_strategy),
+        )
         updates = [
             ClientUpdate(client_id=i, weights=load_weight_dump(p), dataset_size=1)
             for i, p in enumerate(args.inputs)
         ]
-    except (BadWeightDump, OSError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     try:
@@ -331,23 +347,17 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE_MISMATCH
     try:
-        method = args.method
-        if method == "fedavg":
-            result = fed_avg(updates)
-        elif method == "median":
-            result = coordinate_median(updates)
-        elif method == "trimmed_mean":
-            result = trimmed_mean(updates, TrimParam(args.trim_n))
-        elif method == "krum":
-            result = krum(updates, KrumParam(args.krum_f))
-        else:
-            result = fft_aggregate(updates, FftStrategy(kind=args.fft_strategy))
+        result, _, _ = aggregate(spec, updates, 0, 0)
         save_weight_dump(result, args.out)
-        print(f"wrote {args.out}")
-        return EXIT_OK
+    except (TrimTooLarge, TooFewClients, SubsetTooLarge) as exc:
+        # the rule's parameters do not fit the number of dumps given
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    print(f"wrote {args.out}")
+    return EXIT_OK
 
 
 def cmd_ks_test(args: argparse.Namespace) -> int:
@@ -532,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_agg.add_argument("--in", dest="inputs", nargs="+", required=True)
     p_agg.add_argument(
         "--method",
-        choices=["fedavg", "median", "trimmed_mean", "krum", "fft"],
+        choices=list(AGGREGATORS),
         default="fedavg",
     )
     p_agg.add_argument("--trim-n", type=int, default=0)

@@ -37,9 +37,6 @@ from .tensors import ClientUpdate, ModelWeights, layer_matrices
 DECISION_FEDAVG = "fedavg"
 DECISION_FFT = "fft"
 
-DEVIATION_FREQUENCY = "deviation_frequency"
-MEAN_P_VALUE = "mean_p_value"
-
 _COORD_SUBSET_SALT = 0x5EED
 
 
@@ -140,7 +137,6 @@ class DetectorConfig:
     subset_size: int = 5
     reject_level: float = 0.05
     threshold: float = 0.02
-    score_mode: str = DEVIATION_FREQUENCY
     coordinate_fraction: float = 1.0
 
     def __post_init__(self):
@@ -152,8 +148,6 @@ class DetectorConfig:
             raise ValueError("reject_level must lie in (0, 1)")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        if self.score_mode not in (DEVIATION_FREQUENCY, MEAN_P_VALUE):
-            raise ValueError(f"unknown score_mode {self.score_mode!r}")
         if not 0.0 < self.coordinate_fraction <= 1.0:
             raise ValueError("coordinate_fraction must lie in (0, 1]")
 
@@ -172,9 +166,7 @@ def _coordinate_score(values: np.ndarray, cfg: DetectorConfig, rng: np.random.Ge
             continue
         d = gaussian_ks_statistic(retained, mu, sigma)
         pvals[c] = _pvalue_from_effective_size(d, float(retained.size))
-    if cfg.score_mode == DEVIATION_FREQUENCY:
-        return float(np.mean(pvals < cfg.reject_level))
-    return float(np.mean(pvals))
+    return float(np.mean(pvals < cfg.reject_level))
 
 
 def mal_test(

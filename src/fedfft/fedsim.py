@@ -10,7 +10,6 @@ so results do not depend on scheduling or worker counts.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -245,9 +244,8 @@ def _sim_detector_default() -> DetectorConfig:
 class AggregatorSpec:
     """Server-side aggregation rule for a run.
 
-    kind: one of fedavg, median, trimmed_mean, krum, fft, dynamic.
-    ``trim_n`` / ``krum_f`` of None mean "match the attacker count", the
-    best-case tuning for those baselines.
+    kind: a key of :data:`AGGREGATORS`. ``trim_n`` / ``krum_f`` of None mean
+    "match the attacker count", the best-case tuning for those baselines.
     """
 
     kind: str = "fedavg"
@@ -257,8 +255,17 @@ class AggregatorSpec:
     detector: DetectorConfig = field(default_factory=_sim_detector_default)
 
     def __post_init__(self):
-        if self.kind not in ("fedavg", "median", "trimmed_mean", "krum", "fft", "dynamic"):
+        if self.kind not in AGGREGATORS:
             raise ValueError(f"unknown aggregator kind {self.kind!r}")
+        if min(self.trim_n or 0, self.krum_f or 0) < 0:
+            raise ValueError("trim_n and krum_f must be non-negative")
+
+    @property
+    def label(self) -> str:
+        """The kind, with the density strategy for the rules that use one."""
+        if self.kind in ("fft", "dynamic"):
+            return f"{self.kind}:{self.strategy.kind}"
+        return self.kind
 
 
 @dataclass(frozen=True)
@@ -286,29 +293,38 @@ class RoundRecord:
     detector_score: float | None
     global_accuracy: float
     global_loss: float
-    wall_ms: int
 
 
-def _aggregate(
+# Every aggregator kind and its rule, called as (spec, updates, attacker
+# count, seed). Each entry looks its callee up in this module's globals at
+# call time, so rebinding e.g. ``fedsim.krum`` reaches table dispatch too.
+AGGREGATORS: dict[str, Callable[..., tuple[ModelWeights, str, float | None]]] = {
+    "fedavg": lambda s, u, f, seed: (fed_avg(u), DECISION_NA, None),
+    "median": lambda s, u, f, seed: (coordinate_median(u), DECISION_NA, None),
+    "trimmed_mean": lambda s, u, f, seed: (
+        trimmed_mean(u, TrimParam(f if s.trim_n is None else s.trim_n)), DECISION_NA, None
+    ),
+    "krum": lambda s, u, f, seed: (
+        krum(u, KrumParam(f if s.krum_f is None else s.krum_f)), DECISION_NA, None
+    ),
+    "fft": lambda s, u, f, seed: (fft_aggregate(u, s.strategy), DECISION_NA, None),
+    "dynamic": lambda s, u, f, seed: dynamic_aggregate(u, s.detector, s.strategy, seed),
+}
+
+
+def aggregate(
     spec: AggregatorSpec,
     updates: Sequence[ClientUpdate],
     attacker_count: int,
     seed: int,
 ) -> tuple[ModelWeights, str, float | None]:
-    if spec.kind == "fedavg":
-        return fed_avg(updates), DECISION_NA, None
-    if spec.kind == "median":
-        return coordinate_median(updates), DECISION_NA, None
-    if spec.kind == "trimmed_mean":
-        n = spec.trim_n if spec.trim_n is not None else attacker_count
-        return trimmed_mean(updates, TrimParam(n)), DECISION_NA, None
-    if spec.kind == "krum":
-        f = spec.krum_f if spec.krum_f is not None else attacker_count
-        return krum(updates, KrumParam(f)), DECISION_NA, None
-    if spec.kind == "fft":
-        return fft_aggregate(updates, spec.strategy), DECISION_NA, None
-    weights, decision, score = dynamic_aggregate(updates, spec.detector, spec.strategy, seed)
-    return weights, decision, score
+    """Apply the spec's rule: ``(weights, decision, detector score)``.
+
+    ``attacker_count`` stands in for an unset ``trim_n`` / ``krum_f``; ``seed``
+    keys the detector's draws. Only ``dynamic`` makes a decision and a score;
+    the other kinds return ``"n/a"`` and None.
+    """
+    return AGGREGATORS[spec.kind](spec, updates, attacker_count, seed)
 
 
 def attacker_ids_for(cfg: TrainConfig, task: SyntheticTask) -> set[int]:
@@ -341,7 +357,6 @@ def run_experiment(
 
     records: list[RoundRecord] = []
     for rnd in range(1, cfg.rounds + 1):
-        started = time.perf_counter()
         updates = [
             local_update(
                 model,
@@ -362,7 +377,7 @@ def run_experiment(
                 attacker_ids,
                 np.random.default_rng([cfg.seed, rnd, _SALT_ATTACK_RNG]),
             )
-        weights, decision, score = _aggregate(
+        weights, decision, score = aggregate(
             cfg.aggregator, updates, attacker_count, seed=cfg.seed * 100003 + rnd
         )
         accuracy, loss = model.evaluate(weights, data.global_test_x, data.global_test_y)
@@ -375,7 +390,6 @@ def run_experiment(
                 detector_score=score,
                 global_accuracy=accuracy,
                 global_loss=loss,
-                wall_ms=int((time.perf_counter() - started) * 1000.0),
             )
         )
     return records

@@ -29,13 +29,7 @@ from typing import ClassVar, NamedTuple, Sequence
 import numpy as np
 
 from .spectral import fft, magnitudes, silverman_bandwidth
-from .tensors import (
-    ClientUpdate,
-    CoordinateVector,
-    EmptyUpdateSet,
-    ModelWeights,
-    layer_matrices,
-)
+from .tensors import ClientUpdate, EmptyUpdateSet, ModelWeights, layer_matrices
 
 LITERAL = "literal"
 KDE_MODE = "kde"
@@ -74,13 +68,6 @@ class Selection(NamedTuple):
 
 class EmptyVector(ValueError):
     """A coordinate vector with no entries cannot be aggregated."""
-
-
-def _as_values(v) -> np.ndarray:
-    values = v.values if isinstance(v, CoordinateVector) else np.asarray(v, dtype=np.float64)
-    if values.size == 0:
-        raise EmptyVector("coordinate vector is empty")
-    return values
 
 
 # Largest (coordinates x grid x clients) array the kde evaluates at once, in
@@ -146,7 +133,9 @@ def fft_select(v, strategy: FftStrategy = FftStrategy()) -> Selection:
     Returns the selected value and the lowest client index holding it.
     Unanimous vectors (including length 1) select client 0's value.
     """
-    values = _as_values(v)
+    values = np.asarray(v, dtype=np.float64)
+    if values.size == 0:
+        raise EmptyVector("coordinate vector is empty")
     picked = float(_selected_values(values[:, None], strategy)[0])
     client = int(np.nonzero(values == picked)[0][0])
     return Selection(picked, client)

@@ -1,4 +1,4 @@
-"""Layered weight containers, coordinate-wise views, and the weight-dump file format.
+"""Layered weight containers, a per-layer client matrix, and the weight-dump file format.
 
 Everything downstream (aggregators, attacks, the simulation loop) works on
 :class:`ModelWeights`: an ordered list of layer tensors stored as float64
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -30,14 +30,6 @@ class ShapeMismatch(ValueError):
         super().__init__(message)
         self.client_id = client_id
         self.layer_index = layer_index
-
-
-class MissingCoordinate(ValueError):
-    """A reassembly map does not cover every coordinate of the template."""
-
-
-class ExtraCoordinate(ValueError):
-    """A reassembly map addresses a coordinate outside the template."""
 
 
 class BadWeightDump(ValueError):
@@ -113,18 +105,6 @@ class ClientUpdate:
             raise ValueError("dataset_size must be >= 1")
 
 
-@dataclass(frozen=True)
-class CoordinateVector:
-    """The cross-client values at one weight coordinate, in client order."""
-
-    layer_index: int
-    coord_index: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _freeze(self.values))
-
-
 def validate_uniform(updates: Sequence[ClientUpdate]) -> None:
     """Check that all updates share one layer structure.
 
@@ -157,47 +137,14 @@ def validate_uniform(updates: Sequence[ClientUpdate]) -> None:
 def layer_matrices(updates: Sequence[ClientUpdate]) -> list[np.ndarray]:
     """Per layer, a (K, n_layer) matrix of all clients' flattened values.
 
-    Row order is the caller-supplied client order. This is the bulk view the
-    aggregators use; `coordinate_views` streams the same data one column at a
-    time.
+    Row order is the caller-supplied client order; column i of layer li holds
+    every client's value at coordinate ``(layer, i)``.
     """
     validate_uniform(updates)
     return [
         np.stack([u.weights.layers[li].ravel(order="C") for u in updates])
         for li in range(len(updates[0].weights.layers))
     ]
-
-
-def coordinate_views(updates: Sequence[ClientUpdate]) -> Iterator[CoordinateVector]:
-    """Yield one CoordinateVector per (layer, i), layer-major then index order.
-
-    Values follow the caller-supplied client order; nothing is sorted here.
-    """
-    for li, mat in enumerate(layer_matrices(updates)):
-        for i in range(mat.shape[1]):
-            yield CoordinateVector(layer_index=li, coord_index=i, values=mat[:, i])
-
-
-def reassemble(template: ModelWeights, selected: Mapping[tuple[int, int], float]) -> ModelWeights:
-    """Place per-coordinate scalars back into the template's layer structure.
-
-    ``selected`` must map every (layer, i) coordinate of the template exactly
-    once; anything missing raises MissingCoordinate, anything outside raises
-    ExtraCoordinate.
-    """
-    sizes = [a.size for a in template.layers]
-    flats = [np.full(n, np.nan) for n in sizes]
-    seen = 0
-    for (li, i), val in selected.items():
-        if li < 0 or li >= len(sizes) or i < 0 or i >= sizes[li]:
-            raise ExtraCoordinate(f"coordinate ({li}, {i}) outside template")
-        flats[li][i] = val
-        seen += 1
-    if seen < sum(sizes) or any(np.any(np.isnan(f)) for f in flats):
-        raise MissingCoordinate("selection does not cover every template coordinate")
-    return ModelWeights(
-        f.reshape(a.shape) for f, a in zip(flats, template.layers)
-    )
 
 
 def _check_same_shapes(a: ModelWeights, b: ModelWeights) -> None:
@@ -210,30 +157,9 @@ def l2_norm(w: ModelWeights) -> float:
     return float(np.sqrt(sum(float(np.sum(a * a)) for a in w.layers)))
 
 
-def scale(w: ModelWeights, c: float) -> ModelWeights:
-    return ModelWeights(a * c for a in w.layers)
-
-
-def add(a: ModelWeights, b: ModelWeights) -> ModelWeights:
-    _check_same_shapes(a, b)
-    return ModelWeights(x + y for x, y in zip(a.layers, b.layers))
-
-
 def sub(a: ModelWeights, b: ModelWeights) -> ModelWeights:
     _check_same_shapes(a, b)
     return ModelWeights(x - y for x, y in zip(a.layers, b.layers))
-
-
-def mean_weights(weights: Sequence[ModelWeights]) -> ModelWeights:
-    """Unweighted coordinate-wise mean of several weight sets."""
-    if not weights:
-        raise EmptyUpdateSet("no weights to average")
-    for w in weights[1:]:
-        _check_same_shapes(weights[0], w)
-    return ModelWeights(
-        np.mean([w.layers[li] for w in weights], axis=0)
-        for li in range(len(weights[0].layers))
-    )
 
 
 # ---------------------------------------------------------------------------

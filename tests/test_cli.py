@@ -4,8 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from fedfft.aggregators import KrumParam, TrimParam, coordinate_median, fed_avg, krum, trimmed_mean
 from fedfft.cli import main
-from fedfft.tensors import ModelWeights, save_weight_dump, load_weight_dump
+from fedfft.detector import dynamic_aggregate
+from fedfft.fedsim import AGGREGATORS, AggregatorSpec
+from fedfft.fft_aggregator import FftStrategy, fft_aggregate
+from fedfft.tensors import ClientUpdate, ModelWeights, save_weight_dump, load_weight_dump
 
 
 SMALL_CONFIG = {
@@ -41,11 +45,26 @@ class TestRun:
         path = tmp_path / "bad.json"
         path.write_text("{ not json")
         assert main(["run", str(path)]) == 2
+        # valid JSON whose values do not fit the config's fields
+        for command, doc in [
+            ("run", {"repeats": "x"}),
+            ("run", {"repeats": 0}),
+            ("run", {"train": 5}),
+            ("run", {"train": {"aggregator": {"strategy": 3}}}),
+            ("sweep", dict(SMALL_CONFIG, aggregators={"x": 5})),
+        ]:
+            argv = [command, write_config(tmp_path, doc), "--out-dir", str(tmp_path / "out")]
+            if command == "sweep":
+                argv += ["--fractions", "0"]
+            assert main(argv) == 2, doc
 
     def test_unknown_field_exit_two(self, tmp_path):
-        cfg = dict(SMALL_CONFIG)
-        cfg["task"] = dict(cfg["task"], nope=1)
-        assert main(["run", write_config(tmp_path, cfg)]) == 2
+        for section, doc in [
+            ("task", dict(SMALL_CONFIG["task"], nope=1)),
+            ("train", {"aggregator": {"detector": {"score_mode": "mean_p_value"}}}),
+        ]:
+            cfg = dict(SMALL_CONFIG, **{section: doc})
+            assert main(["run", write_config(tmp_path, cfg)]) == 2, doc
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = dict(SMALL_CONFIG)
@@ -132,6 +151,50 @@ class TestAggregateCommand:
             bad.write_text('{"version": 1, "layers": [{"shape": [2], "data": [1.0, %s]}]}' % token)
             out = str(tmp_path / "out.json")
             assert main(["aggregate", "--in", str(bad), "--out", out]) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--method", "trimmed_mean", "--trim-n", "2"],
+            ["--method", "trimmed_mean", "--trim-n", "-1"],
+            ["--method", "krum", "--krum-f", "1"],
+            ["--method", "dynamic"],
+        ],
+    )
+    def test_bad_rule_parameters_exit_two(self, tmp_path, args):
+        # three dumps: too few for these parameters (and for dynamic's subset of 5)
+        paths = self.make_dumps(tmp_path, [[[1.0]], [[2.0]], [[3.0]]])
+        out = str(tmp_path / "out.json")
+        assert main(["aggregate", "--in", *paths, *args, "--out", out]) == 2
+
+    @pytest.mark.parametrize(
+        "kind,strategy",
+        [
+            (k, s)
+            for k in AGGREGATORS
+            for s in (("kde", "literal") if k in ("fft", "dynamic") else ("kde",))
+        ],
+    )
+    def test_every_method_matches_library(self, tmp_path, kind, strategy):
+        rng = np.random.default_rng(3)
+        rows = rng.normal(0.0, 0.1, (8, 2, 3))
+        rows[7] += 5.0  # one far client, so the robust rules have work to do
+        paths = self.make_dumps(tmp_path, [[row[0], row[1]] for row in rows])
+        updates = [ClientUpdate(i, load_weight_dump(p), 1) for i, p in enumerate(paths)]
+        density = FftStrategy(kind=strategy)
+        expected = {
+            "fedavg": lambda: fed_avg(updates),
+            "median": lambda: coordinate_median(updates),
+            "trimmed_mean": lambda: trimmed_mean(updates, TrimParam(1)),
+            "krum": lambda: krum(updates, KrumParam(1)),
+            "fft": lambda: fft_aggregate(updates, density),
+            "dynamic": lambda: dynamic_aggregate(updates, AggregatorSpec().detector, density, 0)[0],
+        }[kind]()
+        out = str(tmp_path / "out.json")
+        argv = ["aggregate", "--in", *paths, "--method", kind, "--out", out]
+        argv += ["--trim-n", "1", "--krum-f", "1", "--fft-strategy", strategy]
+        assert main(argv) == 0
+        assert load_weight_dump(out) == expected
 
     def test_fft_method(self, tmp_path):
         paths = self.make_dumps(

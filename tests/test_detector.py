@@ -5,7 +5,6 @@ from fedfft.adversary import ATTACK_RANDOM_WEIGHTS, AttackSpec, apply_attack
 from fedfft.detector import (
     DECISION_FEDAVG,
     DECISION_FFT,
-    MEAN_P_VALUE,
     DetectorConfig,
     EmptySample,
     SubsetTooLarge,
@@ -144,14 +143,6 @@ class TestMalTest:
         ups = self.make_updates(rng)
         scores = mal_test(ups, DetectorConfig(coordinate_fraction=0.25), seed=3)
         assert scores.shape == (25,)
-
-    def test_mean_p_value_mode(self):
-        rng = np.random.default_rng(14)
-        benign = mal_test(
-            self.make_updates(rng), DetectorConfig(score_mode=MEAN_P_VALUE), seed=4
-        )
-        # clean data fits its own gaussian well: mean p-values sit high
-        assert float(np.mean(benign)) > 0.5
 
 
 class TestDynamicAggregate:

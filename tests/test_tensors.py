@@ -7,19 +7,13 @@ from fedfft.tensors import (
     BadWeightDump,
     ClientUpdate,
     EmptyUpdateSet,
-    ExtraCoordinate,
-    MissingCoordinate,
     ModelWeights,
     ShapeMismatch,
-    add,
-    coordinate_views,
     from_dump_dict,
     l2_norm,
+    layer_matrices,
     load_weight_dump,
-    mean_weights,
-    reassemble,
     save_weight_dump,
-    scale,
     sub,
     to_dump_dict,
     validate_uniform,
@@ -66,22 +60,23 @@ class TestValidateUniform:
 
 
 class TestCoordinateViews:
+    # layer_matrices' column i of layer li is coordinate (li, i) across clients
     def test_two_clients_one_layer(self):
-        views = list(coordinate_views([update(0, [1.0, 2.0]), update(1, [3.0, 4.0])]))
-        assert [(v.layer_index, v.coord_index) for v in views] == [(0, 0), (0, 1)]
-        assert views[0].values.tolist() == [1.0, 3.0]
-        assert views[1].values.tolist() == [2.0, 4.0]
+        (mat,) = layer_matrices([update(0, [1.0, 2.0]), update(1, [3.0, 4.0])])
+        assert mat[:, 0].tolist() == [1.0, 3.0]
+        assert mat[:, 1].tolist() == [2.0, 4.0]
 
     def test_single_client(self):
-        views = list(coordinate_views([update(0, [7.0, 8.0])]))
-        assert all(v.values.shape == (1,) for v in views)
+        mats = layer_matrices([update(0, [7.0, 8.0], [[1.0], [2.0]])])
+        assert [m.shape for m in mats] == [(1, 2), (1, 2)]
 
     def test_count_matches_parameter_count(self):
-        # three clients, layers of sizes 2 and 1 -> exactly 3 vectors of length 3
+        # three clients, layers of sizes 2 and 1 -> exactly 3 columns of length 3
         ups = [update(k, [k, k + 1], [k * 10]) for k in range(3)]
-        views = list(coordinate_views(ups))
-        assert len(views) == 3
-        assert all(v.values.shape == (3,) for v in views)
+        mats = layer_matrices(ups)
+        assert sum(m.shape[1] for m in mats) == 3
+        assert all(m.shape[0] == 3 for m in mats)
+        assert mats[1][:, 0].tolist() == [0.0, 10.0, 20.0]
 
     def test_count_property_random_shapes(self):
         rng = np.random.default_rng(0)
@@ -95,42 +90,15 @@ class TestCoordinateViews:
                 ClientUpdate(i, ModelWeights([rng.normal(size=s) for s in shapes]), 1)
                 for i in range(k)
             ]
-            total = ups[0].weights.num_params
-            assert sum(1 for _ in coordinate_views(ups)) == total
-
-
-class TestReassemble:
-    def test_identity_round_trip(self):
-        template = mw([[1.0, 2.0], [3.0, 4.0]], [5.0, 6.0])
-        picked = {
-            (v.layer_index, v.coord_index): float(v.values[0])
-            for v in coordinate_views([ClientUpdate(0, template, 1)])
-        }
-        assert reassemble(template, picked) == template
-
-    def test_zero_selection(self):
-        template = mw([[1.0, 2.0]], [3.0])
-        zeros = {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0}
-        assert reassemble(template, zeros) == mw([[0.0, 0.0]], [0.0])
-
-    def test_missing_coordinate(self):
-        template = mw([1.0, 2.0])
-        with pytest.raises(MissingCoordinate):
-            reassemble(template, {(0, 0): 1.0})
-
-    def test_extra_coordinate(self):
-        template = mw([1.0])
-        with pytest.raises(ExtraCoordinate):
-            reassemble(template, {(0, 0): 1.0, (0, 5): 2.0})
+            mats = layer_matrices(ups)
+            assert sum(m.shape[1] for m in mats) == ups[0].weights.num_params
+            for i, u in enumerate(ups):
+                assert np.array_equal(np.concatenate([m[i] for m in mats]), u.weights.flat())
 
 
 class TestAlgebra:
     def test_zero_norm(self):
         assert l2_norm(mw([0.0, 0.0], [0.0])) == 0.0
-
-    def test_scale_identity(self):
-        w = mw([1.5, -2.0])
-        assert scale(w, 1.0) == w
 
     def test_hand_norm(self):
         assert l2_norm(mw([3.0, 4.0])) == pytest.approx(5.0, abs=1e-15)
@@ -140,20 +108,13 @@ class TestAlgebra:
         for _ in range(30):
             a = mw(rng.normal(size=4), rng.normal(size=(2, 2)))
             b = mw(rng.normal(size=4), rng.normal(size=(2, 2)))
-            c = float(rng.normal())
-            lhs = scale(add(a, b), c)
-            rhs = add(scale(a, c), scale(b, c))
-            diff = sub(lhs, rhs)
-            assert l2_norm(diff) <= 1e-12 * (1.0 + l2_norm(lhs))
-            assert add(a, sub(b, b)) == a
+            assert sub(a, b) == ModelWeights(x - y for x, y in zip(a.layers, b.layers))
+            assert sub(a, sub(b, b)) == a
+            assert l2_norm(sub(a, a)) == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            add(mw([1.0]), mw([1.0, 2.0]))
-
-    def test_mean_weights(self):
-        m = mean_weights([mw([0.0, 2.0]), mw([4.0, 6.0])])
-        assert m == mw([2.0, 4.0])
+            sub(mw([1.0]), mw([1.0, 2.0]))
 
 
 class TestWeightDump:
