@@ -135,6 +135,8 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        if isinstance(self.repeats, bool) or not isinstance(self.repeats, int):
+            raise TypeError(f"repeats must be an integer, not {self.repeats!r}")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
 
@@ -157,10 +159,26 @@ def load_config(path: str) -> tuple[ExperimentConfig, dict]:
         "config",
         task=parse_task,
         train=parse_train,
-        repeats=int,
         output_dir=str,
     )
     return cfg, {k: v for k, v in doc.items() if k not in names}
+
+
+# a rule's parameters do not fit the number of client updates
+_FIT_ERRORS = (TrimTooLarge, TooFewClients, SubsetTooLarge)
+
+
+def _check_fit(train: TrainConfig, task: SyntheticTask) -> None:
+    """Refuse a run whose rule cannot fit its client count, before round 1.
+
+    The rule runs once on as many identical one-parameter updates as the
+    run has clients, so the fit is decided by the checks a real round makes.
+    """
+    probe = [ClientUpdate(k, ModelWeights([np.zeros(1)]), 1) for k in range(task.clients)]
+    try:
+        aggregate(train.aggregator, probe, train.attack.attacker_count(task.clients), 0)
+    except _FIT_ERRORS as exc:
+        raise ConfigError(f"aggregator {train.aggregator.label}: {exc}") from exc
 
 
 def _jsonable(obj):
@@ -212,6 +230,7 @@ def _write_rounds_csv(path: Path, cfg: ExperimentConfig, results: list[list[Roun
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg, _ = load_config(args.config)
+        _check_fit(cfg.train, cfg.task)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -270,14 +289,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             grid_name, grid = "threshold", _parse_grid(args.thresholds, "thresholds")
         aggregators = _sweep_aggregators(extras, cfg.train)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-
-    try:
-        out_dir = Path(args.out_dir or cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-
         points = []
         for value in grid:
             for name, agg in aggregators.items():
@@ -291,7 +302,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     train = dataclasses.replace(
                         train, aggregator=dataclasses.replace(agg, detector=detector)
                     )
+                _check_fit(train, cfg.task)
                 points.append((value, name, dataclasses.replace(cfg, train=train)))
+    except ValueError as exc:  # a ConfigError, or a grid value its field refuses
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+
+    try:
+        out_dir = Path(args.out_dir or cfg.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
 
         workers = min(_worker_count(), len(points))
         def run_point(point):
@@ -349,8 +368,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     try:
         result, _, _ = aggregate(spec, updates, 0, 0)
         save_weight_dump(result, args.out)
-    except (TrimTooLarge, TooFewClients, SubsetTooLarge) as exc:
-        # the rule's parameters do not fit the number of dumps given
+    except _FIT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary
@@ -395,7 +413,7 @@ def _suite_fft_vs_dft() -> bool:
 
 
 def _suite_ks_bruteforce() -> bool:
-    from .detector import ks_statistic
+    from .detector import gaussian_ks_statistic, ks_statistic
 
     rng = np.random.default_rng(8)
     for _ in range(200):
@@ -407,6 +425,20 @@ def _suite_ks_bruteforce() -> bool:
         )
         if ks_statistic(a, b) != brute:
             return False
+    # the one-sample distance the detector scores with, on (rows x n)
+    # batches: the sup is reached at a sample point, from either side
+    for _ in range(20):
+        n = int(rng.integers(1, 21))
+        batch = np.round(rng.normal(size=(8, n)), 1)
+        mu = rng.normal(0.0, 0.3, 8)
+        sigma = rng.uniform(0.5, 2.0, 8)
+        got = gaussian_ks_statistic(batch, mu, sigma)
+        for s, m, sd, d in zip(batch, mu, sigma, got):
+            cdf = 0.5 * (1.0 + np.array([math.erf((x - m) / sd / math.sqrt(2.0)) for x in s]))
+            below = np.array([np.mean(s < x) for x in s])
+            upto = np.array([np.mean(s <= x) for x in s])
+            if abs(d - max(np.max(np.abs(cdf - below)), np.max(np.abs(cdf - upto)))) > 1e-15:
+                return False
     return True
 
 

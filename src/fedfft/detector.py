@@ -9,7 +9,9 @@ are usable on their own.
 The contamination score behind the dynamic switch works per coordinate: C
 times, hold out a random subset of size S and ask how well the retained
 values fit a Gaussian law fitted on those same retained values, measured by
-the one-sample KS distance and the same asymptotic tail law. Fitting and
+the one-sample KS distance and the same asymptotic tail law. Every
+coordinate of a layer is scored in one batched pass whose held-out subsets
+come from one random stream keyed by ``(seed, layer)``. Fitting and
 testing on the same values makes the check strongly conservative on clean
 unimodal data (rejections are far rarer than the nominal level), while
 cross-client contamination (planted constants, off-cluster weights) inflates
@@ -37,7 +39,8 @@ from .tensors import ClientUpdate, ModelWeights, layer_matrices
 DECISION_FEDAVG = "fedavg"
 DECISION_FFT = "fft"
 
-_COORD_SUBSET_SALT = 0x5EED
+# most (coordinates x repetitions x clients) elements one scoring chunk holds
+_SCORE_CHUNK = 1 << 16
 
 
 class EmptySample(ValueError):
@@ -69,20 +72,25 @@ def ks_statistic(a, b) -> float:
     return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
-def _kolmogorov_sf(lam: float) -> float:
-    """Q(lambda) = 2 * sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2), clamped to [0, 1]."""
-    if lam < 1e-3:
-        return 1.0
-    total = 0.0
+def _kolmogorov_sf(lam):
+    """Q(lambda) = 2 * sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2), clamped to [0, 1].
+
+    Elementwise over an array of lambdas; each element stops adding terms
+    once a term falls below 1e-12. A scalar gives a scalar.
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    total = np.zeros(lam.shape)
+    active = lam >= 1e-3
     for j in range(1, 1001):
-        term = math.exp(-2.0 * j * j * lam * lam)
-        total += term if j % 2 else -term
-        if term < 1e-12:
+        if not active.any():
             break
-    return min(1.0, max(0.0, 2.0 * total))
+        term = np.exp(-2.0 * j * j * lam * lam)
+        total += np.where(active, term if j % 2 else -term, 0.0)
+        active &= term >= 1e-12
+    return np.where(lam < 1e-3, 1.0, np.clip(2.0 * total, 0.0, 1.0))[()]
 
 
-def _pvalue_from_effective_size(d: float, ne: float) -> float:
+def _pvalue_from_effective_size(d, ne: float):
     sq = math.sqrt(ne)
     return _kolmogorov_sf((sq + 0.12 + 0.11 / sq) * d)
 
@@ -97,7 +105,7 @@ def ks_pvalue(d: float, n: int, m: int) -> float:
         raise EmptySample("sample sizes must be >= 1")
     if not 0.0 <= d <= 1.0:
         raise ValueError("KS distance must lie in [0, 1]")
-    return _pvalue_from_effective_size(d, n * m / (n + m))
+    return float(_pvalue_from_effective_size(d, n * m / (n + m)))
 
 
 def ks_test(a, b) -> KsResult:
@@ -109,35 +117,40 @@ def ks_test(a, b) -> KsResult:
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
-def gaussian_ks_statistic(sample: np.ndarray, mu: float, sigma: float) -> float:
-    """One-sample KS distance between a sample's ECDF and Normal(mu, sigma)."""
-    s = np.sort(np.asarray(sample, dtype=np.float64).ravel())
-    n = s.size
+def gaussian_ks_statistic(sample, mu, sigma):
+    """One-sample KS distance between a sample's ECDF and Normal(mu, sigma).
+
+    Works along the last axis of ``sample``; ``mu`` and ``sigma`` broadcast
+    against its leading axes, and the result has their shape (a 1-D sample
+    gives a scalar). A row with ``sigma <= 0`` scores 0 when every value
+    equals ``mu`` and 1 otherwise.
+    """
+    s = np.sort(np.asarray(sample, dtype=np.float64), axis=-1)
+    n = s.shape[-1]
     if n == 0:
         raise EmptySample("sample must be non-empty")
-    if sigma <= 0:
-        return 0.0 if np.all(s == mu) else 1.0
-    cdf = 0.5 * (1.0 + np.array([math.erf((x - mu) / sigma * _INV_SQRT2) for x in s]))
-    below = np.max(np.abs(cdf - np.arange(n) / n))
-    above = np.max(np.abs(cdf - np.arange(1, n + 1) / n))
-    return float(max(below, above))
+    mu = np.asarray(mu, dtype=np.float64)[..., None]
+    sigma = np.asarray(sigma, dtype=np.float64)[..., None]
+    degenerate = sigma <= 0
+    z = (s - mu) / np.where(degenerate, 1.0, sigma) * _INV_SQRT2
+    cdf = 0.5 * (1.0 + _erf(z).astype(np.float64))
+    below = np.max(np.abs(cdf - np.arange(n) / n), axis=-1)
+    above = np.max(np.abs(cdf - np.arange(1, n + 1) / n), axis=-1)
+    flat = np.where(np.all(s == mu, axis=-1), 0.0, 1.0)
+    return np.where(degenerate[..., 0], flat, np.maximum(below, above))[()]
 
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Knobs of the contamination test and the switch.
-
-    ``coordinate_fraction`` < 1 scores only a uniformly sampled fixed subset
-    of coordinates, a speed knob for large models; 1.0 scores all of them.
-    """
+    """Knobs of the contamination test and the switch."""
 
     repetitions: int = 10
     subset_size: int = 5
     reject_level: float = 0.05
     threshold: float = 0.02
-    coordinate_fraction: float = 1.0
 
     def __post_init__(self):
         if self.repetitions < 1:
@@ -148,25 +161,27 @@ class DetectorConfig:
             raise ValueError("reject_level must lie in (0, 1)")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        if not 0.0 < self.coordinate_fraction <= 1.0:
-            raise ValueError("coordinate_fraction must lie in (0, 1]")
 
 
-def _coordinate_score(values: np.ndarray, cfg: DetectorConfig, rng: np.random.Generator) -> float:
-    """Contamination score of one coordinate vector."""
-    k = values.size
-    pvals = np.empty(cfg.repetitions)
-    for c in range(cfg.repetitions):
-        held_out = rng.choice(k, size=cfg.subset_size, replace=False)
-        retained = np.delete(values, held_out)
-        mu = float(retained.mean())
-        sigma = float(retained.std())
-        if sigma == 0.0:
-            pvals[c] = 1.0 if np.all(retained == retained[0]) else 0.0
-            continue
+def _layer_scores(mat: np.ndarray, cfg: DetectorConfig, rng: np.random.Generator) -> np.ndarray:
+    """Contamination score of every coordinate (column) of a (K, n) matrix."""
+    K, n = mat.shape
+    reps = cfg.repetitions
+    step = max(1, _SCORE_CHUNK // (reps * K))
+    scores = np.empty(n)
+    for lo in range(0, n, step):
+        values = mat[:, lo : lo + step].T[:, None, :]
+        # rows of the argsort are uniform permutations; the first S are held out
+        order = rng.random((values.shape[0], reps, K)).argsort(axis=-1)
+        retained = np.take_along_axis(values, order[..., cfg.subset_size :], axis=-1)
+        mu = retained.mean(axis=-1)
+        sigma = retained.std(axis=-1)
         d = gaussian_ks_statistic(retained, mu, sigma)
-        pvals[c] = _pvalue_from_effective_size(d, float(retained.size))
-    return float(np.mean(pvals < cfg.reject_level))
+        pvals = _pvalue_from_effective_size(d, float(K - cfg.subset_size))
+        flat = np.all(retained == retained[..., :1], axis=-1)
+        pvals = np.where(sigma == 0.0, flat, pvals)
+        scores[lo : lo + step] = np.mean(pvals < cfg.reject_level, axis=-1)
+    return scores
 
 
 def mal_test(
@@ -176,30 +191,18 @@ def mal_test(
 ) -> np.ndarray:
     """Per-coordinate contamination scores for one round of client updates.
 
-    Each scored coordinate draws its own random stream from
-    ``(seed, layer, index)``, so results are identical no matter how the
-    coordinates are scheduled or parallelized. With ``coordinate_fraction``
-    below 1, the scored subset is itself drawn deterministically from the
-    seed, and only those scores are returned.
+    Every coordinate is scored, layer by layer in flattened order. Each
+    layer's held-out subsets are drawn in coordinate order from one random
+    stream keyed by ``(seed, layer)``; coordinates are processed in chunks,
+    and the scores do not depend on the chunk size.
     """
     mats = layer_matrices(updates)
     K = len(updates)
     if cfg.subset_size >= K:
         raise SubsetTooLarge(f"subset_size {cfg.subset_size} must be < K={K}")
-
-    coords = [(li, i) for li, mat in enumerate(mats) for i in range(mat.shape[1])]
-    if cfg.coordinate_fraction < 1.0:
-        count = max(1, int(math.ceil(cfg.coordinate_fraction * len(coords))))
-        picker = np.random.default_rng([seed, _COORD_SUBSET_SALT])
-        chosen = picker.choice(len(coords), size=count, replace=False)
-        chosen.sort()
-        coords = [coords[j] for j in chosen]
-
-    scores = np.empty(len(coords))
-    for out_idx, (li, i) in enumerate(coords):
-        rng = np.random.default_rng([seed, li, i])
-        scores[out_idx] = _coordinate_score(mats[li][:, i], cfg, rng)
-    return scores
+    return np.concatenate(
+        [_layer_scores(mat, cfg, np.random.default_rng([seed, li])) for li, mat in enumerate(mats)]
+    )
 
 
 def dynamic_aggregate(

@@ -234,12 +234,6 @@ def grad_check(
 # round loop
 # ---------------------------------------------------------------------------
 
-def _sim_detector_default() -> DetectorConfig:
-    # simulation runs score a quarter of the coordinates per round; plenty
-    # for the decision and cheaper on wide models (full scoring via config)
-    return DetectorConfig(coordinate_fraction=0.25)
-
-
 @dataclass(frozen=True)
 class AggregatorSpec:
     """Server-side aggregation rule for a run.
@@ -252,7 +246,7 @@ class AggregatorSpec:
     trim_n: int | None = None
     krum_f: int | None = None
     strategy: FftStrategy = field(default_factory=FftStrategy)
-    detector: DetectorConfig = field(default_factory=_sim_detector_default)
+    detector: DetectorConfig = field(default_factory=DetectorConfig)
 
     def __post_init__(self):
         if self.kind not in AGGREGATORS:

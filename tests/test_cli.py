@@ -19,6 +19,29 @@ SMALL_CONFIG = {
 }
 
 
+# (task, train) overrides of SMALL_CONFIG whose rule cannot fit the clients
+UNFIT_RULES = [
+    ({}, {"aggregator": {"kind": "trimmed_mean", "trim_n": 3}}),  # 2*3 >= 5
+    ({}, {"aggregator": {"kind": "krum", "krum_f": 3}}),  # 5 - 3 - 2 < 1
+    (  # 3 - 1 - 2 < 1, with f the attacker count
+        {"clients": 3},
+        {
+            "aggregator": {"kind": "krum"},
+            "attack": {"kind": "random_weights", "attacker_fraction": 0.4},
+        },
+    ),
+    ({}, {"aggregator": {"kind": "dynamic"}}),  # subset_size 5 >= 5
+]
+
+
+def unfit_config(task, train):
+    return dict(
+        SMALL_CONFIG,
+        task=dict(SMALL_CONFIG["task"], **task),
+        train=dict(SMALL_CONFIG["train"], **train),
+    )
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -49,6 +72,8 @@ class TestRun:
         for command, doc in [
             ("run", {"repeats": "x"}),
             ("run", {"repeats": 0}),
+            ("run", {"repeats": 2.7}),
+            ("run", {"repeats": True}),
             ("run", {"train": 5}),
             ("run", {"train": {"aggregator": {"strategy": 3}}}),
             ("sweep", dict(SMALL_CONFIG, aggregators={"x": 5})),
@@ -62,9 +87,17 @@ class TestRun:
         for section, doc in [
             ("task", dict(SMALL_CONFIG["task"], nope=1)),
             ("train", {"aggregator": {"detector": {"score_mode": "mean_p_value"}}}),
+            ("train", {"aggregator": {"detector": {"coordinate_fraction": 0.25}}}),
         ]:
             cfg = dict(SMALL_CONFIG, **{section: doc})
             assert main(["run", write_config(tmp_path, cfg)]) == 2, doc
+
+    @pytest.mark.parametrize("task,train", UNFIT_RULES)
+    def test_rule_that_cannot_fit_exit_two(self, tmp_path, task, train):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, unfit_config(task, train))
+        assert main(["run", path, "--out-dir", str(out)]) == 2
+        assert not out.exists()  # refused before round 1
 
     def test_rerun_byte_identical(self, tmp_path):
         cfg = dict(SMALL_CONFIG)
@@ -97,6 +130,14 @@ class TestSweep:
         config_path = write_config(tmp_path, SMALL_CONFIG)
         assert main(["sweep", config_path]) == 2
         assert main(["sweep", config_path, "--fractions", "0", "--thresholds", "0.1"]) == 2
+
+    @pytest.mark.parametrize("task,train", UNFIT_RULES)
+    def test_rule_that_cannot_fit_exit_two(self, tmp_path, task, train):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, unfit_config(task, train))
+        # the last fraction gives the attacker count that breaks krum's fit
+        assert main(["sweep", path, "--fractions", "0,0.4", "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
     def test_threshold_sweep_over_named_aggregators(self, tmp_path):
         cfg = dict(SMALL_CONFIG)

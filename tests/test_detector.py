@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from fedfft import detector
 from fedfft.adversary import ATTACK_RANDOM_WEIGHTS, AttackSpec, apply_attack
 from fedfft.detector import (
     DECISION_FEDAVG,
@@ -101,6 +104,52 @@ class TestGaussianKs:
     def test_degenerate_sigma(self):
         assert gaussian_ks_statistic(np.array([2.0, 2.0]), 2.0, 0.0) == 0.0
         assert gaussian_ks_statistic(np.array([2.0, 3.0]), 2.0, 0.0) == 1.0
+        # the same rows inside a batch, next to a regular one
+        batch = np.array([[2.0, 2.0], [2.0, 3.0], [2.0, 3.0]])
+        got = gaussian_ks_statistic(batch, np.array([2.0, 2.0, 2.5]), np.array([0.0, -1.0, 0.5]))
+        assert got[0] == 0.0 and got[1] == 1.0
+        assert got[2] == gaussian_ks_statistic(batch[2], 2.5, 0.5)
+
+    def test_batch_matches_brute_force_sup(self):
+        # sup over x of |ECDF(x) - F(x)| is reached at a sample point, from
+        # the left or from the right; ties come from rounding to one decimal
+        rng = np.random.default_rng(4)
+        for rows, n in [(1, 1), (7, 3), (40, 15), (5, 60)]:
+            batch = np.round(rng.normal(0.0, 1.0, (rows, n)), 1)
+            mu = rng.normal(0.0, 0.3, rows)
+            sigma = rng.uniform(0.5, 2.0, rows)
+            got = gaussian_ks_statistic(batch, mu, sigma)
+            assert got.shape == (rows,)
+            for r in range(rows):
+                brute = 0.0
+                for x in batch[r]:
+                    cdf = 0.5 * (1.0 + math.erf((x - mu[r]) / sigma[r] * (1.0 / math.sqrt(2.0))))
+                    below = np.sum(batch[r] < x) / n
+                    upto = np.sum(batch[r] <= x) / n
+                    brute = max(brute, abs(cdf - below), abs(cdf - upto))
+                assert got[r] == brute
+
+    def test_batch_rows_match_1d_call(self):
+        rng = np.random.default_rng(5)
+        batch = rng.normal(0.0, 1.0, (6, 4, 15))
+        mu = batch.mean(axis=-1)
+        sigma = batch.std(axis=-1)
+        got = gaussian_ks_statistic(batch, mu, sigma)
+        assert got.shape == (6, 4)
+        for idx in np.ndindex(6, 4):
+            assert got[idx] == gaussian_ks_statistic(batch[idx], mu[idx], sigma[idx])
+
+
+class TestKolmogorovSf:
+    def test_array_matches_scalar_calls(self):
+        lams = np.concatenate(
+            [[0.0, 1e-4, 9.99e-4, 1e-3, 0.01, 0.3, 1.358, 3.0, 10.0], np.linspace(0.0, 2.5, 60)]
+        )
+        got = _kolmogorov_sf(lams)
+        assert got.shape == lams.shape
+        for lam, q in zip(lams, got):
+            assert q == _kolmogorov_sf(float(lam))
+        assert np.all(got[lams < 1e-3] == 1.0)
 
 
 class TestMalTest:
@@ -138,11 +187,19 @@ class TestMalTest:
         with pytest.raises(SubsetTooLarge):
             mal_test(ups, DetectorConfig(subset_size=4), seed=0)
 
-    def test_coordinate_fraction_subsampling(self):
+    def test_scores_do_not_depend_on_chunk_size(self, monkeypatch):
         rng = np.random.default_rng(13)
-        ups = self.make_updates(rng)
-        scores = mal_test(ups, DetectorConfig(coordinate_fraction=0.25), seed=3)
-        assert scores.shape == (25,)
+        mat = rng.normal(0.0, 1.0, size=(20, 100))
+        mat[:6, ::3] = 50.0  # some contaminated coordinates, so scores vary
+        ups = [
+            ClientUpdate(k, ModelWeights([row[:60].reshape(6, 10), row[60:]]), 1)
+            for k, row in enumerate(mat)
+        ]
+        default = mal_test(ups, DetectorConfig(), seed=3)
+        assert default.shape == (100,) and np.ptp(default) > 0
+        for chunk in (1, 1 << 40):
+            monkeypatch.setattr(detector, "_SCORE_CHUNK", chunk)
+            assert np.array_equal(mal_test(ups, DetectorConfig(), seed=3), default)
 
 
 class TestDynamicAggregate:
