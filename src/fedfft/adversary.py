@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensors import ClientUpdate, ModelWeights
+from .tensors import ClientUpdate, ModelWeights, pairwise_sq_distances
 
 ATTACK_NONE = "none"
 ATTACK_RANDOM_WEIGHTS = "random_weights"
@@ -123,20 +123,26 @@ def min_max_craft(malicious: Sequence[ModelWeights], kind: str = INVERSE_UNIT_VE
     2^60), then bisects 60 times; if the cap is reached without a violation
     (a degenerate near-zero perturbation direction) the cap is returned with
     a warning.
+
+    Every probe reads the expansion ||mean - W^m + gamma * p||^2 =
+    c_m + 2 gamma b_m + gamma^2 q, whose terms (c_m = ||mean - W^m||^2,
+    b_m = <mean - W^m, p>, q = ||p||^2) are computed once per craft, so a
+    probe costs O(M) rather than O(M * P). The diameter is the square root of
+    the largest exact pairwise squared distance.
     """
     pert = perturbation_vector(malicious, kind)
     stack = np.stack([w.flat() for w in malicious])
     mean = stack.mean(axis=0)
     pvec = pert.flat()
 
-    diameter = 0.0
-    for i in range(len(stack)):
-        for j in range(i + 1, len(stack)):
-            diameter = max(diameter, float(np.linalg.norm(stack[i] - stack[j])))
+    diameter = float(np.sqrt(pairwise_sq_distances(stack).max()))
+    offs = mean - stack
+    c = np.einsum("ij,ij->i", offs, offs)
+    b = offs @ pvec
+    q = float(pvec @ pvec)
 
     def feasible(gamma: float) -> bool:
-        crafted = mean + gamma * pvec
-        worst = max(float(np.linalg.norm(crafted - row)) for row in stack)
+        worst = float(np.sqrt(np.max(c + 2.0 * gamma * b + gamma * gamma * q)))
         return worst <= diameter
 
     if diameter == 0.0:

@@ -12,7 +12,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensors import ClientUpdate, ModelWeights, layer_matrices, validate_uniform
+from .tensors import (
+    ClientUpdate,
+    ModelWeights,
+    layer_matrices,
+    pairwise_sq_distances,
+    validate_uniform,
+)
 
 
 class TrimTooLarge(ValueError):
@@ -105,7 +111,8 @@ def krum_select(updates: Sequence[ClientUpdate], param: KrumParam | int) -> int:
 
     score(k) = sum of the K-f-2 smallest squared L2 distances ||W^k - W^j||^2
     over j != k, all layers flattened jointly; the minimal score wins and ties
-    go to the lowest index.
+    go to the lowest index. The distances are exact (one difference per pair,
+    :func:`~fedfft.tensors.pairwise_sq_distances`) and need O(K * P) memory.
     """
     f = param.f if isinstance(param, KrumParam) else int(param)
     validate_uniform(updates)
@@ -113,9 +120,7 @@ def krum_select(updates: Sequence[ClientUpdate], param: KrumParam | int) -> int:
     neighbors = K - f - 2
     if neighbors < 1:
         raise TooFewClients(f"K - f - 2 = {neighbors} < 1 (K={K}, f={f})")
-    flat = np.stack([u.weights.flat() for u in updates])
-    diffs = flat[:, None, :] - flat[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
+    d2 = pairwise_sq_distances(np.stack([u.weights.flat() for u in updates]))
     scores = np.empty(K)
     for k in range(K):
         others = np.delete(d2[k], k)

@@ -444,6 +444,7 @@ def _suite_ks_bruteforce() -> bool:
 
 def _suite_krum_exhaustive() -> bool:
     from .aggregators import krum_select
+    from .tensors import pairwise_sq_distances
 
     rng = np.random.default_rng(9)
     for _ in range(100):
@@ -459,6 +460,14 @@ def _suite_krum_exhaustive() -> bool:
             d2 = sorted(float(np.sum((flat[i] - flat[j]) ** 2)) for j in range(K) if j != i)
             scores.append(sum(d2[:nn]))
         if krum_select(updates, f) != int(np.argmin(scores)):
+            return False
+    # Krum's distance kernel against the broadcast (K, K, P) tensor, duplicates
+    # included; 9000 values pass numpy's 8192-element einsum buffer
+    for K, P in ((1, 40), (2, 40), (3, 9000), (6, 9000)):
+        rows = rng.normal(size=(K, P))
+        rows[K // 2] = rows[0]
+        diffs = rows[:, None, :] - rows[None, :, :]
+        if not np.array_equal(pairwise_sq_distances(rows), np.einsum("ijk,ijk->ij", diffs, diffs)):
             return False
     return True
 

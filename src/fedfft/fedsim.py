@@ -137,7 +137,18 @@ class MlpModel:
 
     def forward(self, weights: ModelWeights, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Hidden activations and softmax probabilities for a batch."""
-        w1, b1, w2, b2 = weights.layers
+        return self._forward(weights.layers, x)
+
+    def gradients(self, weights: ModelWeights, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+        """Mean cross-entropy gradients for a batch, in layer order."""
+        return self._gradients(weights.layers, x, y)
+
+    # The layer-list forms below are the one implementation; local SGD steps
+    # plain arrays through them without wrapping each step in ModelWeights.
+
+    @staticmethod
+    def _forward(layers: Sequence[np.ndarray], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w1, b1, w2, b2 = layers
         hidden = np.maximum(x @ w1 + b1, 0.0)
         logits = hidden @ w2 + b2
         logits = logits - logits.max(axis=1, keepdims=True)
@@ -145,11 +156,10 @@ class MlpModel:
         probs = expl / expl.sum(axis=1, keepdims=True)
         return hidden, probs
 
-    def gradients(self, weights: ModelWeights, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-        """Mean cross-entropy gradients for a batch, in layer order."""
-        w1, b1, w2, b2 = weights.layers
+    def _gradients(self, layers: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+        w1, b1, w2, b2 = layers
         n = x.shape[0]
-        hidden, probs = self.forward(weights, x)
+        hidden, probs = self._forward(layers, x)
         dlogits = probs.copy()
         dlogits[np.arange(n), y] -= 1.0
         dlogits /= n
@@ -184,15 +194,18 @@ def local_update(
     rng: np.random.Generator,
     client_id: int = 0,
 ) -> ClientUpdate:
-    """Mini-batch SGD on the client's training shard; shuffling comes from rng."""
+    """Mini-batch SGD on the client's training shard; shuffling comes from rng.
+
+    The layers are stepped as plain arrays and wrapped in ModelWeights once,
+    at the end, so weights that diverged raise ValueError there.
+    """
     params = [a.copy() for a in weights.layers]
     n = data.train_x.shape[0]
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            current = ModelWeights(params)
-            grads = model.gradients(current, data.train_x[idx], data.train_y[idx])
+            grads = model._gradients(params, data.train_x[idx], data.train_y[idx])
             for p, g in zip(params, grads):
                 p -= learning_rate * g
     return ClientUpdate(client_id=client_id, weights=ModelWeights(params), dataset_size=n)

@@ -147,6 +147,29 @@ def layer_matrices(updates: Sequence[ClientUpdate]) -> list[np.ndarray]:
     ]
 
 
+def pairwise_sq_distances(rows: np.ndarray) -> np.ndarray:
+    """(K, K) squared Euclidean distances between the rows of a (K, P) matrix.
+
+    Exact differences, one row against itself and the rows after it, in one
+    reused (K, P) buffer, so memory is O(K * P) rather than the O(K^2 * P) of
+    a broadcast difference tensor. Each entry equals that tensor's
+    ``einsum("ijk,ijk->ij")`` bit for bit; the result is exactly symmetric
+    with a zero diagonal.
+    """
+    K = rows.shape[0]
+    d2 = np.zeros((K, K))
+    buf = np.empty_like(rows)
+    for k in range(K - 1):
+        # The zero self-difference keeps every einsum at two rows or more:
+        # numpy sums a lone row of more than 8192 values in one pass, but
+        # operands of several rows, like the broadcast tensor, in buffered
+        # chunks of 8192, and the two orders round differently.
+        diff = np.subtract(rows[k:], rows[k], out=buf[: K - k])
+        d2[k, k:] = np.einsum("ij,ij->i", diff, diff)
+        d2[k:, k] = d2[k, k:]
+    return d2
+
+
 def _check_same_shapes(a: ModelWeights, b: ModelWeights) -> None:
     if a.shapes != b.shapes:
         raise ShapeMismatch(f"shapes {a.shapes} vs {b.shapes}")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from fedfft.adversary import (
     INVERSE_UNIT_VECTOR,
     AttackSpec,
     UnknownClientId,
+    _GAMMA_CAP,
     ZeroNorm,
     apply_attack,
     min_max_craft,
@@ -134,6 +137,54 @@ class TestMinMaxCraft:
             )
             best = float(grid[np.nonzero(worst <= diameter)[0][-1]])
             assert res.gamma == pytest.approx(best, rel=1e-4, abs=1e-4)
+
+    @staticmethod
+    def _direct_bisection(pts, pvec):
+        """The gamma search on direct norms: doubling from 1, cap, 60 halvings."""
+        mean = pts.mean(axis=0)
+        m = len(pts)
+        diameter = 0.0
+        for i in range(m):
+            for j in range(i + 1, m):
+                diameter = max(diameter, float(np.linalg.norm(pts[i] - pts[j])))
+
+        def feasible(gamma):
+            crafted = mean + gamma * pvec
+            return max(float(np.linalg.norm(crafted - row)) for row in pts) <= diameter
+
+        def bisect(lo, hi):
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+            return lo
+
+        if diameter == 0.0:
+            return 0.0, diameter
+        if not feasible(1.0):
+            return bisect(0.0, 1.0), diameter
+        gamma = 1.0
+        while feasible(gamma * 2.0) and gamma * 2.0 <= _GAMMA_CAP:
+            gamma *= 2.0
+        if gamma * 2.0 > _GAMMA_CAP:
+            return _GAMMA_CAP, diameter
+        return bisect(gamma, gamma * 2.0), diameter
+
+    @pytest.mark.parametrize(
+        "seed, kind", enumerate([INVERSE_UNIT_VECTOR, INVERSE_STD, INVERSE_SIGN])
+    )
+    def test_matches_direct_norm_bisection(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            m = int(rng.integers(2, 21))
+            p = int(rng.integers(1, 501))
+            pts = rng.normal(rng.normal(0.0, 2.0), rng.uniform(0.05, 5.0), size=(m, p))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a capped search warns; both sides must cap
+                res = min_max_craft([mw(row) for row in pts], kind)
+            want, diameter = self._direct_bisection(pts, res.perturbation_vec.flat())
+            assert abs(res.gamma - want) <= 1e-12 * want
+            worst = max(float(np.linalg.norm(res.crafted.flat() - row)) for row in pts)
+            assert worst <= diameter * (1.0 + 1e-12)
 
 
 class TestApplyAttack:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,20 @@ class TestKrum:
                 )
                 scores.append(sum(d2[:nn]))
             assert krum_select(ups, f) == int(np.argmin(scores))
+
+    def test_memory_linear_in_client_count(self):
+        # a (K, K, P) difference tensor alone would take K * K * P * 8 bytes
+        k, p = 50, 20_000
+        rng = np.random.default_rng(5)
+        ups = [update(i, rng.normal(size=p)) for i in range(k)]
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            krum_select(ups, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * k * p * 8
 
 
 class TestSharedProperties:

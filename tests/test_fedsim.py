@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from fedfft.adversary import AttackSpec
 from fedfft.detector import DetectorConfig
@@ -114,6 +115,15 @@ class TestLocalUpdate:
         out = local_update(model, w, shard, 1, len(shard.train_x), 0.01, np.random.default_rng(0))
         after = model.loss(out.weights, shard.train_x, shard.train_y)
         assert after <= before
+
+    def test_diverged_update_raises_non_finite(self):
+        task = SyntheticTask()
+        data = gen_task(task)
+        model = MlpModel(dim=task.dim, classes=task.classes)
+        w = model.init_weights(0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                local_update(model, w, data.clients[0], 2, 32, 1e300, np.random.default_rng(0))
 
 
 class TestModel:

@@ -13,6 +13,7 @@ from fedfft.tensors import (
     l2_norm,
     layer_matrices,
     load_weight_dump,
+    pairwise_sq_distances,
     save_weight_dump,
     sub,
     to_dump_dict,
@@ -115,6 +116,34 @@ class TestAlgebra:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             sub(mw([1.0]), mw([1.0, 2.0]))
+
+
+class TestPairwiseSqDistances:
+    @staticmethod
+    def broadcast_oracle(rows, block=10):
+        # the (K, K, P) difference tensor, built `block` rows of i at a time
+        out = []
+        for i in range(0, len(rows), block):
+            d = rows[i : i + block, None, :] - rows[None, :, :]
+            out.append(np.einsum("ijk,ijk->ij", d, d))
+        return np.concatenate(out)
+
+    # 9001 values pass numpy's 8192-element buffer, where einsum's summation
+    # order depends on how many rows an operand has
+    @pytest.mark.parametrize("p", [301, 9001])
+    @pytest.mark.parametrize("k", [1, 2, 3, 50])
+    def test_matches_broadcast_tensor_bit_for_bit(self, k, p):
+        rng = np.random.default_rng(k * p)
+        rows = rng.normal(size=(k, p)) * rng.uniform(0.1, 100.0, size=(k, 1))
+        if k >= 3:
+            rows[k - 1] = rows[0]  # duplicate rows give exact zeros off the diagonal
+        if k == 50:
+            rows[20:40] = rows[5]
+        got = pairwise_sq_distances(rows)
+        assert got.shape == (k, k)
+        assert np.array_equal(got, self.broadcast_oracle(rows))
+        assert np.array_equal(got, got.T)
+        assert np.all(np.diag(got) == 0.0)
 
 
 class TestWeightDump:
