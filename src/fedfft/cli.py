@@ -413,7 +413,7 @@ def _suite_fft_vs_dft() -> bool:
 
 
 def _suite_ks_bruteforce() -> bool:
-    from .detector import gaussian_ks_statistic, ks_statistic
+    from .detector import _ERF_SCREEN_ERROR, _erf_screen, gaussian_ks_statistic, ks_statistic
 
     rng = np.random.default_rng(8)
     for _ in range(200):
@@ -439,7 +439,11 @@ def _suite_ks_bruteforce() -> bool:
             upto = np.array([np.mean(s <= x) for x in s])
             if abs(d - max(np.max(np.abs(cdf - below)), np.max(np.abs(cdf - upto)))) > 1e-15:
                 return False
-    return True
+    # the distance is exact because its screen erf stays within its declared
+    # bound of math.erf
+    x = np.concatenate([np.linspace(-8.0, 8.0, 20_001), rng.normal(size=200) * 1e3])
+    ref = np.array([math.erf(v) for v in x])
+    return bool(np.max(np.abs(_erf_screen(x) - ref)) <= _ERF_SCREEN_ERROR)
 
 
 def _suite_krum_exhaustive() -> bool:
@@ -517,7 +521,7 @@ def _suite_grad_check() -> bool:
 
 
 def _suite_kde_direct() -> bool:
-    from .spectral import kde_density, kde_density_direct
+    from .spectral import kde_density, kde_density_direct, silverman_bandwidth
 
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -535,6 +539,29 @@ def _suite_kde_direct() -> bool:
         picked = fft_aggregate(updates, FftStrategy()).layers[0][0]
         if picked != s[int(np.argmin(np.abs(s - est.grid[int(np.argmax(ref))])))]:
             return False
+    # the pruned mode search against the argmax over every grid point, on
+    # tie-heavy columns: repeated integers, mirrored clusters, one odd value
+    for k in range(2, 51, 3):
+        cols = np.stack(
+            [
+                rng.integers(-3, 4, k).astype(float),
+                np.resize(np.concatenate([[-1.5, 1.5], np.round(rng.normal(0.0, 0.1, 4), 1)]), k),
+                np.concatenate([np.full(k - 1, rng.normal()), [rng.normal(0.0, 5.0)]]),
+                np.concatenate([-np.abs(rng.normal(2.0, 0.2, k // 2)), np.abs(rng.normal(2.0, 0.2, k - k // 2))]),
+            ],
+            axis=1,
+        )
+        updates = [ClientUpdate(i, ModelWeights([row]), 1) for i, row in enumerate(cols)]
+        picked = fft_aggregate(updates, FftStrategy()).layers[0]
+        for col, got in zip(cols.T, picked):
+            if np.all(col == col[0]):
+                continue
+            h = silverman_bandwidth(col)
+            grid = np.linspace(col.min() - 3.0 * h, col.max() + 3.0 * h, 256)
+            z = (grid[:, None] - col[None, :]) / h
+            mode = grid[int(np.argmax(np.exp(-0.5 * (z * z)).sum(axis=1)))]
+            if got != col[int(np.argmin(np.abs(col - mode)))]:
+                return False
     return True
 
 

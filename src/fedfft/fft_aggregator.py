@@ -18,6 +18,15 @@ from one coordinate vector is the one-column case of it.
   fine grid and convolving by FFT, which only pays off when the sample is
   much larger than the grid.
 
+The kde mode is found by an exact pruned search (branch and bound on kernel
+sums, after Gray & Moore, SDM 2003). It evaluates every 8th grid point and
+the last one, bounds each gap between them from above, and evaluates only
+the gaps whose bound reaches the best density seen. Every evaluated point
+gets the same expression, summed the same way, as a search over the whole
+grid, so densities, the first-maximum tie rule of ``argmax`` and therefore
+the picks are bit-identical to it. Rows whose grid or bandwidth is not
+finite and positive are evaluated at every grid point.
+
 Both strategies select an existing client value, never an interpolation.
 """
 
@@ -39,10 +48,14 @@ KDE_MODE = "kde"
 class FftStrategy:
     """Selection strategy for the density aggregator.
 
-    ``grid_size`` (the number of points the kde density is evaluated at)
-    only affects the ``kde`` kind; ``include_dc`` only the ``literal`` kind.
-    The kde density is summed directly over the client values at every grid
-    point, so it has no accuracy knob of its own.
+    ``grid_size`` (the number of points the kde density is defined on) only
+    affects the ``kde`` kind; ``include_dc`` only the ``literal`` kind. The
+    kde density is summed directly over the client values, so it has no
+    accuracy knob of its own. The kde picks the sample nearest the first
+    grid point of highest density. The search skips grid points whose
+    density provably falls below a density already found, and keeps every
+    point whose upper bound only ties it, so its pick is the one a search
+    over all ``grid_size`` points makes.
     """
 
     kind: str = KDE_MODE
@@ -70,9 +83,16 @@ class EmptyVector(ValueError):
     """A coordinate vector with no entries cannot be aggregated."""
 
 
-# Largest (coordinates x grid x clients) array the kde evaluates at once, in
-# float64 elements (2 MB); a chunk always holds at least one coordinate.
+# Budget, in float64 elements (2 MB), for the kde's (coordinates x points x
+# clients) temporaries: a chunk's coarse terms, gap bounds, masks and grid
+# together, and each batch of fine-pass gaps. A chunk always holds at least
+# one coordinate.
 _KDE_CHUNK = 1 << 18
+# The kde's coarse pass evaluates every _KDE_STRIDE-th grid point; gap bounds
+# are inflated by _KDE_BOUND_SLACK, far above the rounding error of a K-term
+# sum of exponentials, so a bound never falls below a density it covers.
+_KDE_STRIDE = 8
+_KDE_BOUND_SLACK = 1.0 + 1e-9
 
 
 def _literal_values(cols: np.ndarray, include_dc: bool) -> np.ndarray:
@@ -86,12 +106,94 @@ def _literal_values(cols: np.ndarray, include_dc: bool) -> np.ndarray:
     return sorted_cols[np.arange(cols.shape[0]), bins]
 
 
+def _kernel_terms(diff: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """exp(-(diff / h)^2 / 2) in place, for differences g - x of shape (r, m, K).
+
+    ``h`` holds one bandwidth per row. Sums of the result over its last axis
+    are the unnormalised densities at the m points g of each row. Every kde
+    density is this expression summed the same way, so a point keeps its
+    value bit for bit whichever pass evaluates it.
+    """
+    diff /= h[:, None, None]
+    diff *= diff
+    diff *= -0.5
+    return np.exp(diff, out=diff)
+
+
+def _kde_pruned_density(
+    grid: np.ndarray, samples: np.ndarray, h: np.ndarray, coarse: np.ndarray
+) -> np.ndarray:
+    """Densities at every grid point that can hold its row's maximum, -inf elsewhere.
+
+    Coarse pass: the grid indices ``coarse``, ascending, first and last
+    included. Each gap between neighbouring coarse points is bounded from
+    above by taking, per sample, 1 if the sample lies inside the gap and
+    otherwise the larger of its terms at the gap's two ends, one of which is
+    the gap's nearest point to it. Fine pass: the interior of every gap
+    whose bound reaches the best coarse density. A pruned point's density is
+    below that value, so ``argmax`` over the result, which returns the first
+    maximum, picks the same point as over the full grid. Rows with a
+    bandwidth that is not positive, a non-finite grid, or non-finite coarse
+    densities or bounds are evaluated at every point.
+    """
+    n, size = grid.shape
+    terms = grid[:, coarse, None] - samples[:, None, :]
+    # x is inside gap i when it lies right of coarse point i and not right of
+    # point i + 1; an x on the right end has a term of 1 there anyway
+    right_of = terms < 0
+    inside = np.greater(right_of[:, :-1], right_of[:, 1:])
+    del right_of
+    _kernel_terms(terms, h)
+    density = np.full((n, size), -np.inf)
+    density[:, coarse] = terms.sum(axis=2)
+    bound = np.maximum(terms[:, :-1], terms[:, 1:])
+    del terms
+    np.copyto(bound, 1.0, where=inside)
+    bound = bound.sum(axis=2) * _KDE_BOUND_SLACK
+    best = density[:, coarse].max(axis=1)
+    keep = bound >= best[:, None]
+    exhaustive = ~((h > 0) & np.isfinite(best) & np.all(np.isfinite(grid), axis=1))
+    exhaustive |= ~np.all(np.isfinite(bound), axis=1)
+    keep[exhaustive] = True
+    # interior grid indices of each gap, padded by repeating its last one; a
+    # gap without interior points is never kept
+    gap_sizes = np.diff(coarse) - 1
+    width = max(int(gap_sizes.max()), 1)
+    interior = np.minimum(coarse[:-1, None] + 1 + np.arange(width), coarse[1:, None] - 1)
+    keep &= gap_sizes > 0
+    rows, gaps = np.nonzero(keep)
+    step = max(1, _KDE_CHUNK // (width * samples.shape[1]))
+    for start in range(0, rows.size, step):
+        r = rows[start : start + step, None]
+        g = interior[gaps[start : start + step]]
+        diff = grid[r, g][:, :, None] - samples[r]
+        density[r, g] = _kernel_terms(diff, h[r[:, 0]]).sum(axis=2)
+    return density
+
+
+def _kde_grid(lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
+    """``np.linspace(lo[i], hi[i], size)`` for every row i, each row on its own.
+
+    A batched ``np.linspace`` switches every row to its zero-step formula
+    when any one row's step underflows to 0, which would make a row's grid
+    depend on the other coordinates in its chunk.
+    """
+    delta = (hi - lo)[:, None]
+    step = delta / (size - 1)
+    j = np.arange(size, dtype=np.float64)
+    grid = np.where(step == 0, j / (size - 1) * delta, j * step)
+    grid += lo[:, None]
+    grid[:, -1] = hi
+    return grid
+
+
 def _kde_values(cols: np.ndarray, grid_size: int) -> np.ndarray:
     """Density-mode selection for each row of an (n, K) matrix, K >= 2.
 
     The grid spans [min - 3h, max + 3h] with the Silverman bandwidth h, as in
     :func:`spectral.kde_density`. The density's normalising constant is left
-    out because it does not move the argmax.
+    out because it does not move the argmax. The mode is found by the exact
+    pruned search of :func:`_kde_pruned_density`.
     """
     k = cols.shape[1]
     values = cols[:, 0].copy()
@@ -100,17 +202,14 @@ def _kde_values(cols: np.ndarray, grid_size: int) -> np.ndarray:
     h = silverman_bandwidth(sub, axis=1)
     lo = sub.min(axis=1) - 3.0 * h
     hi = sub.max(axis=1) + 3.0 * h
-    chunk = max(1, _KDE_CHUNK // (grid_size * k))
+    coarse = np.unique(np.r_[np.arange(0, grid_size, _KDE_STRIDE), grid_size - 1])
+    chunk = max(1, _KDE_CHUNK // (3 * coarse.size * k))
     for start in range(0, active.size, chunk):
         part = slice(start, start + chunk)
         samples = sub[part]
         rows = np.arange(samples.shape[0])
-        grid = np.linspace(lo[part], hi[part], grid_size, axis=1)
-        z = grid[:, :, None] - samples[:, None, :]
-        z /= h[part, None, None]
-        z *= z
-        z *= -0.5
-        density = np.exp(z, out=z).sum(axis=2)
+        grid = _kde_grid(lo[part], hi[part], grid_size)
+        density = _kde_pruned_density(grid, samples, h[part], coarse)
         mode_x = grid[rows, np.argmax(density, axis=1)]
         nearest = np.argmin(np.abs(samples - mode_x[:, None]), axis=1)
         values[active[part]] = samples[rows, nearest]

@@ -140,6 +140,83 @@ class TestGaussianKs:
             assert got[idx] == gaussian_ks_statistic(batch[idx], mu[idx], sigma[idx])
 
 
+def all_math_erf_statistic(sample, mu, sigma):
+    """The one-sample KS distance with math.erf at every position: the oracle for the screen."""
+    s = np.sort(np.asarray(sample, dtype=np.float64))
+    n = s.size
+    cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in (s - mu) / sigma * (1.0 / math.sqrt(2.0))]))
+    below = np.max(np.abs(cdf - np.arange(n) / n))
+    above = np.max(np.abs(cdf - np.arange(1, n + 1) / n))
+    return max(below, above)
+
+
+class TestScreenedStatistic:
+    def test_screen_erf_within_declared_bound(self):
+        rng = np.random.default_rng(30)
+        dense = np.linspace(-8.0, 8.0, 200_001)
+        magnitudes = rng.normal(size=20_000) * 10.0 ** rng.uniform(-300.0, 300.0, 20_000)
+        for x in (dense, magnitudes, np.array([0.0, -0.0, 5e-324, 1e308, -1e308, np.inf, -np.inf])):
+            ref = np.array([math.erf(v) for v in x])
+            assert np.max(np.abs(detector._erf_screen(x) - ref)) <= detector._ERF_SCREEN_ERROR
+        assert np.isnan(detector._erf_screen(np.array([np.nan]))[0])
+        assert detector._KS_REFINE_MARGIN >= 100.0 * detector._ERF_SCREEN_ERROR
+
+    def test_tied_deviations_match_1d_call_and_math_erf(self):
+        # repeated values and mirrored samples give rows whose largest
+        # deviation is reached at several positions
+        rng = np.random.default_rng(31)
+        rows = []
+        for n in (2, 5, 12, 45):
+            half = rng.normal(size=(n + 1) // 2)
+            rows.append(np.concatenate([half, -half])[:n])
+            rows.append(np.round(rng.normal(size=n)))
+            rows.append(np.repeat(rng.normal(size=2), (n + 1) // 2)[:n])
+            rows.append(np.where(np.arange(n) % 2 == 0, -1.0, 1.0))
+        for row in rows:
+            batch = np.stack([row, row[::-1], -row])
+            mu = np.array([row.mean(), 0.0, -row.mean()])
+            sigma = np.array([row.std(), 1.0, row.std()])
+            got = gaussian_ks_statistic(batch, mu, sigma)
+            for r in range(3):
+                assert got[r] == gaussian_ks_statistic(batch[r], mu[r], sigma[r])
+                assert got[r] == all_math_erf_statistic(batch[r], mu[r], sigma[r])
+
+    def test_exact_under_screen_noise_below_margin(self, monkeypatch):
+        # a screen that is off by up to 0.45 of the margin moves each screened
+        # deviation by under a quarter of it, so the refine step still covers
+        # the maximum and the distance stays the all-math.erf one
+        # mirrored rows about mu = 0 reach their largest deviation at both
+        # ends, equal up to rounding, so a screen that ranks them by noise
+        # alone would return the wrong one of two near-tied values
+        rng = np.random.default_rng(32)
+        half = rng.normal(0.0, 1.0, (300, 23))
+        batch = np.concatenate([half, -half], axis=1)
+        batch[150:] = np.round(batch[150:], 1)
+        mu = np.zeros(300)
+        sigma = batch.std(axis=-1)
+        clean = gaussian_ks_statistic(batch, mu, sigma)
+        screen = detector._erf_screen
+        noise = np.random.default_rng(33)
+        monkeypatch.setattr(
+            detector,
+            "_erf_screen",
+            lambda x: screen(x) + noise.uniform(-0.45, 0.45, x.shape) * detector._KS_REFINE_MARGIN,
+        )
+        noisy = gaussian_ks_statistic(batch, mu, sigma)
+        assert np.array_equal(noisy, clean)
+        for r in range(0, 300, 30):
+            assert noisy[r] == all_math_erf_statistic(batch[r], mu[r], sigma[r])
+
+
+def alternating_series(lam):
+    return 2.0 * math.fsum((-1) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam) for j in range(1, 200))
+
+
+def theta_series(lam):
+    total = math.fsum(math.exp(-((2 * j - 1) ** 2) * math.pi**2 / (8.0 * lam * lam)) for j in range(1, 30))
+    return 1.0 - math.sqrt(2.0 * math.pi) / lam * total
+
+
 class TestKolmogorovSf:
     def test_array_matches_scalar_calls(self):
         lams = np.concatenate(
@@ -150,6 +227,28 @@ class TestKolmogorovSf:
         for lam, q in zip(lams, got):
             assert q == _kolmogorov_sf(float(lam))
         assert np.all(got[lams < 1e-3] == 1.0)
+
+    def test_small_lambda_uses_theta_series(self):
+        # the alternating series needs thousands of terms here; the old
+        # 1,000-term cap gave 0.9113 at 0.0011 and 0.99967 at 0.002
+        assert abs(_kolmogorov_sf(0.0011) - 1.0) <= 1e-15
+        assert abs(_kolmogorov_sf(0.002) - 1.0) <= 1e-15
+        for lam in np.concatenate([np.geomspace(1e-3, 0.49, 40), [0.499999]]):
+            assert abs(_kolmogorov_sf(float(lam)) - theta_series(float(lam))) <= 2e-16
+
+    def test_large_lambda_uses_alternating_series(self):
+        for lam in np.concatenate([[0.5], np.linspace(0.5, 3.0, 60)]):
+            assert abs(_kolmogorov_sf(float(lam)) - max(0.0, alternating_series(float(lam)))) <= 2e-16
+
+    def test_series_agree_at_and_above_crossover(self):
+        assert detector._KOLMOGOROV_CROSSOVER <= 0.5
+        for lam in np.linspace(0.5, 1.5, 101):
+            lam = float(lam)
+            assert abs(alternating_series(lam) - theta_series(lam)) <= 1e-15
+            assert abs(_kolmogorov_sf(lam) - theta_series(lam)) <= 1e-15
+
+    def test_nan_lambda_gives_zero(self):
+        assert _kolmogorov_sf(float("nan")) == 0.0
 
 
 class TestMalTest:

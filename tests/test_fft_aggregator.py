@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedfft import fft_aggregator
 from fedfft.fft_aggregator import EmptyVector, FftStrategy, fft_aggregate, fft_select
 from fedfft.spectral import kde_density_direct, silverman_bandwidth
 from fedfft.tensors import ClientUpdate, ModelWeights
@@ -142,3 +143,113 @@ class TestKdeModeProperties:
             grid = np.linspace(v.min() - 3 * h, v.max() + 3 * h, KDE.grid_size)
             direct_mode = grid[int(np.argmax(kde_density_direct(v, grid)))]
             assert value == v[int(np.argmin(np.abs(v - direct_mode)))]
+
+
+def exhaustive_kde_values(cols, grid_size=256):
+    """The kde selection evaluated at every grid point: the oracle for the pruned search."""
+    k = cols.shape[1]
+    values = cols[:, 0].copy()
+    active = np.nonzero(np.any(cols != cols[:, :1], axis=1))[0]
+    sub = cols[active]
+    h = silverman_bandwidth(sub, axis=1)
+    lo = sub.min(axis=1) - 3.0 * h
+    hi = sub.max(axis=1) + 3.0 * h
+    chunk = max(1, (1 << 18) // (grid_size * k))
+    for start in range(0, active.size, chunk):
+        part = slice(start, start + chunk)
+        samples = sub[part]
+        rows = np.arange(samples.shape[0])
+        grid = np.linspace(lo[part], hi[part], grid_size, axis=1)
+        z = grid[:, :, None] - samples[:, None, :]
+        z /= h[part, None, None]
+        z *= z
+        z *= -0.5
+        density = np.exp(z, out=z).sum(axis=2)
+        mode_x = grid[rows, np.argmax(density, axis=1)]
+        nearest = np.argmin(np.abs(samples - mode_x[:, None]), axis=1)
+        values[active[part]] = samples[rows, nearest]
+    return values
+
+
+COLUMN_KINDS = ("random", "duplicates", "all_but_one_equal", "two_clusters", "integers")
+
+
+def _columns(kind, rng, k, n=30):
+    """(n, k) coordinate columns of one family, for the pruned-search oracle tests."""
+    if kind == "random":
+        return rng.normal(0.0, rng.uniform(0.01, 3.0), (n, k)) + rng.normal(0.0, 5.0, (n, 1))
+    if kind == "duplicates":
+        return rng.integers(0, 3, (n, k)).astype(float) * rng.uniform(0.1, 2.0)
+    if kind == "all_but_one_equal":
+        cols = np.repeat(rng.normal(size=(n, 1)), k, axis=1)
+        cols[np.arange(n), rng.integers(0, k, n)] += rng.normal(0.0, 3.0, n)
+        return cols
+    if kind == "two_clusters":
+        half = np.round(rng.normal(0.0, 0.2, (n, (k + 1) // 2)), 2)
+        return np.concatenate([half - 2.0, 2.0 - half], axis=1)[:, :k]
+    if kind == "integers":
+        return rng.integers(-4, 5, (n, k)).astype(float)
+    raise ValueError(kind)
+
+
+class TestPrunedKdeSearch:
+    """The pruned mode search picks what a full-grid argmax picks, bit for bit."""
+
+    @pytest.mark.parametrize("kind", COLUMN_KINDS)
+    def test_matches_exhaustive_search(self, kind):
+        rng = np.random.default_rng(COLUMN_KINDS.index(kind))
+        for k in range(2, 51):
+            cols = _columns(kind, rng, k)
+            assert np.array_equal(fft_aggregator._kde_values(cols, 256), exhaustive_kde_values(cols))
+
+    @pytest.mark.parametrize("grid_size", [2, 3, 9, 17, 1000])
+    def test_matches_exhaustive_search_at_other_grid_sizes(self, grid_size):
+        rng = np.random.default_rng(grid_size)
+        for k in (2, 7, 30):
+            cols = np.round(rng.normal(size=(20, k)), 1)
+            got = fft_aggregator._kde_values(cols, grid_size)
+            assert np.array_equal(got, exhaustive_kde_values(cols, grid_size))
+
+    @pytest.mark.parametrize("v", [1e4, 1e16, 1e150, 1e300, 1.7e308])
+    def test_one_far_client(self, v):
+        rng = np.random.default_rng(8)
+        for k in (2, 3, 10, 50):
+            cols = rng.normal(0.0, 0.01, (20, k))
+            cols[np.arange(20), rng.integers(0, k, 20)] = v * rng.choice([-1.0, 1.0], 20)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = fft_aggregator._kde_values(cols, 256)
+                want = exhaustive_kde_values(cols)
+            assert np.array_equal(got, want)
+
+    def test_interior_point_tying_a_later_coarse_point_wins(self):
+        # isolated clients sit exactly on grid points 11 (inside a gap) and 24
+        # (a coarse point), each with density 1; the first maximum is 11, so
+        # the gap holding it must survive although its bound only ties
+        k = 51
+        col = np.concatenate([np.linspace(-0.01, 0.01, k - 4), [-1e4, 1e4, -5e3, -5e3]])
+        h = silverman_bandwidth(col)
+        grid = np.linspace(col.min() - 3.0 * h, col.max() + 3.0 * h, 256)
+        col[-2:] = grid[11], grid[24]
+        assert silverman_bandwidth(col) == h
+        cols = col[None, :]
+        assert fft_aggregator._kde_values(cols, 256)[0] == grid[11]
+        assert np.array_equal(fft_aggregator._kde_values(cols, 256), exhaustive_kde_values(cols))
+
+    def test_grid_rows_do_not_depend_on_each_other(self):
+        # the second row's step underflows to 0; a batched np.linspace would
+        # then move the other rows' grid points in their last bits
+        lo = np.array([-1.3, 0.0, -1e300, 2.0])
+        hi = np.array([2.7, 5e-324, 1e300, 2.0 + 1e-12])
+        grid = fft_aggregator._kde_grid(lo, hi, 256)
+        for i in range(4):
+            assert np.array_equal(grid[i], np.linspace(lo[i], hi[i], 256))
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 40])
+    def test_picks_do_not_depend_on_chunk_size(self, chunk, monkeypatch):
+        rng = np.random.default_rng(9)
+        cols = np.concatenate(
+            [_columns(kind, rng, 12, n=8) for kind in ("random", "duplicates", "two_clusters", "integers")]
+        )
+        want = exhaustive_kde_values(cols)
+        monkeypatch.setattr(fft_aggregator, "_KDE_CHUNK", chunk)
+        assert np.array_equal(fft_aggregator._kde_values(cols, 256), want)
