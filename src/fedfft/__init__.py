@@ -51,6 +51,7 @@ from .fedsim import (
     gen_task,
     grad_check,
     local_update,
+    local_updates,
     run_experiment,
 )
 from .fft_aggregator import FftStrategy, Selection, fft_aggregate, fft_select

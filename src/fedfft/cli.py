@@ -181,6 +181,31 @@ def _check_fit(train: TrainConfig, task: SyntheticTask) -> None:
         raise ConfigError(f"aggregator {train.aggregator.label}: {exc}") from exc
 
 
+# the contamination test cannot reject on this many retained values or fewer
+# (see DetectorConfig)
+_BLIND_RETAINED = 6
+
+
+def _warn_blind_dynamic(trains: Sequence[TrainConfig], task: SyntheticTask) -> None:
+    """One stderr warning if a ``dynamic`` rule retains too few values to reject."""
+    blind = sorted(
+        {
+            t.aggregator.detector.subset_size
+            for t in trains
+            if t.aggregator.kind == "dynamic"
+            and task.clients - t.aggregator.detector.subset_size <= _BLIND_RETAINED
+        }
+    )
+    if blind:
+        sizes = ", ".join(str(b) for b in blind)
+        print(
+            f"warning: dynamic with {task.clients} clients and subset_size {sizes} retains "
+            f"{_BLIND_RETAINED} or fewer values per coordinate, where its contamination "
+            "test cannot reject: it runs as plain FedAvg whatever the attack",
+            file=sys.stderr,
+        )
+
+
 def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
@@ -234,6 +259,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    _warn_blind_dynamic([cfg.train], cfg.task)
     try:
         started = time.perf_counter()
         results = _run_repeats(cfg)
@@ -307,6 +333,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:  # a ConfigError, or a grid value its field refuses
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    _warn_blind_dynamic([point_cfg.train for _, _, point_cfg in points], cfg.task)
 
     try:
         out_dir = Path(args.out_dir or cfg.output_dir)
@@ -520,6 +547,37 @@ def _suite_grad_check() -> bool:
     return True
 
 
+def _suite_local_sgd_loop() -> bool:
+    from .fedsim import MlpModel, gen_task, local_updates
+
+    # 23 training rows per shard: batches of 8, 8 and a short 7
+    epochs, batch, lr = 2, 8, 0.1
+    for clients in (1, 3, 7):
+        task = SyntheticTask(dim=3, classes=3, per_client=29, clients=clients, seed=clients)
+        data = gen_task(task)
+        model = MlpModel(dim=3, hidden=4, classes=3)
+        start = model.init_weights(clients)
+        rngs = lambda: [np.random.default_rng([clients, k]) for k in range(clients)]  # noqa: E731
+        batched = local_updates(
+            model, start, data.train_x, data.train_y, epochs, batch, lr, rngs(), range(clients)
+        )
+        # the oracle: each client alone, stepped batch by batch
+        for k, (shard, rng) in enumerate(zip(data.clients, rngs())):
+            params = [a.copy() for a in start.layers]
+            n = shard.train_x.shape[0]
+            for _ in range(epochs):
+                order = rng.permutation(n)
+                for i in range(0, n, batch):
+                    idx = order[i : i + batch]
+                    grads = model.gradients(ModelWeights(params), shard.train_x[idx], shard.train_y[idx])
+                    for p, g in zip(params, grads):
+                        p -= lr * g
+            got = batched[k].weights.layers
+            if batched[k].client_id != k or any(a.tobytes() != b.tobytes() for a, b in zip(got, params)):
+                return False
+    return True
+
+
 def _suite_kde_direct() -> bool:
     from .spectral import kde_density, kde_density_direct, silverman_bandwidth
 
@@ -572,6 +630,7 @@ def cmd_selftest(_: argparse.Namespace) -> int:
         ("krum-exhaustive", _suite_krum_exhaustive),
         ("minmax-gamma-grid", _suite_minmax_gamma),
         ("gradient-finite-difference", _suite_grad_check),
+        ("local-sgd-loop", _suite_local_sgd_loop),
         ("kde-direct-sum", _suite_kde_direct),
     ]
     started = time.perf_counter()

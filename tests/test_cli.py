@@ -153,6 +153,62 @@ class TestSweep:
         assert len(rows) == 3
 
 
+def dynamic_config(clients, subset_size):
+    return dict(
+        SMALL_CONFIG,
+        task=dict(SMALL_CONFIG["task"], clients=clients),
+        train=dict(
+            SMALL_CONFIG["train"],
+            aggregator={"kind": "dynamic", "detector": {"subset_size": subset_size}},
+            attack={"kind": "random_weights", "attacker_fraction": 0.3},
+        ),
+    )
+
+
+class TestSmallKWarning:
+    """dynamic warns once when K - subset_size <= 6, and runs as before."""
+
+    @pytest.mark.parametrize(
+        "clients,subset_size,warned", [(3, 2, True), (8, 2, True), (9, 2, False), (11, 5, True), (12, 5, False)]
+    )
+    def test_run_warns_once_at_six_or_fewer_retained(self, tmp_path, capsys, clients, subset_size, warned):
+        path = write_config(tmp_path, dynamic_config(clients, subset_size))
+        assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == (1 if warned else 0)
+        if warned:
+            assert "cannot reject" in err and f"subset_size {subset_size}" in err
+
+    def test_warning_leaves_rounds_csv_unchanged(self, tmp_path, capsys):
+        from fedfft.cli import _run_repeats, _write_rounds_csv, load_config
+
+        path = write_config(tmp_path, dynamic_config(8, 2))
+        assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err.count("warning:") == 1
+        cfg, _ = load_config(path)
+        _write_rounds_csv(tmp_path / "direct.csv", cfg, _run_repeats(cfg))
+        assert (tmp_path / "out" / "rounds.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+
+    def test_sweep_warns_once_over_all_points(self, tmp_path, capsys):
+        cfg = dynamic_config(8, 2)
+        cfg["aggregators"] = {
+            "a": {"kind": "dynamic", "detector": {"subset_size": 2}},
+            "b": {"kind": "dynamic", "detector": {"subset_size": 3}},
+            "c": {"kind": "fedavg"},
+        }
+        path = write_config(tmp_path, cfg)
+        assert main(["sweep", path, "--fractions", "0,0.3", "--out-dir", str(tmp_path / "s")]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert "subset_size 2, 3" in err
+
+    def test_other_rules_never_warn(self, tmp_path, capsys):
+        path = write_config(tmp_path, SMALL_CONFIG)
+        assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 0
+        assert main(["sweep", path, "--fractions", "0", "--out-dir", str(tmp_path / "s")]) == 0
+        assert "warning:" not in capsys.readouterr().err
+
+
 class TestAggregateCommand:
     def make_dumps(self, tmp_path, layers_list):
         paths = []
@@ -269,4 +325,5 @@ class TestSelftestCommand:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") >= 5
+        assert "PASS local-sgd-loop" in out
         assert "FAIL" not in out

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from fedfft import fedsim
 from fedfft.adversary import AttackSpec
 from fedfft.detector import DetectorConfig
 from fedfft.fedsim import (
@@ -11,6 +14,7 @@ from fedfft.fedsim import (
     gen_task,
     grad_check,
     local_update,
+    local_updates,
     run_experiment,
 )
 from fedfft.tensors import ModelWeights
@@ -59,6 +63,61 @@ class TestGenTask:
         assert data.clients[0].train_x.shape[0] == 40
         assert data.clients[0].test_x.shape[0] == 10
         assert data.global_test_x.shape == (1000, task.dim)
+
+
+def shards_one_by_one(task):
+    """Each client's (train_x, train_y, test_x, test_y), drawn and split on
+    its own: gen_task's shards before they were stacked."""
+    rng = np.random.default_rng([task.seed, fedsim._SALT_CENTERS])
+    dirs = rng.normal(size=(task.classes, task.dim))
+    centers = fedsim.CENTER_RADIUS * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+    n_train = int(fedsim.TRAIN_SPLIT * task.per_client)
+    out = []
+    for k in range(task.clients):
+        crng = np.random.default_rng([task.seed, fedsim._SALT_CLIENT_DATA, k])
+        if math.isinf(task.dirichlet_alpha):
+            labels = crng.integers(0, task.classes, task.per_client)
+        else:
+            mix = crng.dirichlet(np.full(task.classes, task.dirichlet_alpha))
+            labels = crng.choice(task.classes, size=task.per_client, p=mix)
+        x = centers[labels] + crng.normal(0.0, task.noise_sigma, (task.per_client, task.dim))
+        out.append((x[:n_train], labels[:n_train], x[n_train:], labels[n_train:]))
+    return out
+
+
+class TestGenTaskStack:
+    @pytest.mark.parametrize(
+        "task",
+        [
+            SyntheticTask(seed=3),
+            SyntheticTask(dim=5, classes=3, per_client=37, clients=7, dirichlet_alpha=0.3, seed=8),
+        ],
+    )
+    def test_stack_equals_one_by_one_shards_bytes(self, task):
+        data = gen_task(task)
+        want = shards_one_by_one(task)
+        assert data.train_x.shape == (task.clients, want[0][0].shape[0], task.dim)
+        assert data.train_y.shape == data.train_x.shape[:2]
+        for k, (tx, ty, vx, vy) in enumerate(want):
+            assert data.train_x[k].tobytes() == tx.tobytes()
+            assert data.train_y[k].dtype == ty.dtype
+            assert data.train_y[k].tobytes() == ty.tobytes()
+            shard = data.clients[k]
+            for got, ref in ((shard.train_x, tx), (shard.train_y, ty), (shard.test_x, vx), (shard.test_y, vy)):
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+    def test_client_shards_are_views_of_the_stack(self):
+        data = gen_task(SyntheticTask(clients=4, seed=2))
+        for k, shard in enumerate(data.clients):
+            assert np.shares_memory(shard.train_x, data.train_x)
+            assert np.shares_memory(shard.train_y, data.train_y)
+            assert np.shares_memory(shard.train_x, data.train_x[k])
+
+    def test_stack_deterministic_per_seed(self):
+        a, b = gen_task(SyntheticTask(seed=9)), gen_task(SyntheticTask(seed=9))
+        assert a.train_x.tobytes() == b.train_x.tobytes()
+        assert a.train_y.tobytes() == b.train_y.tobytes()
+        assert a.train_x.tobytes() != gen_task(SyntheticTask(seed=10)).train_x.tobytes()
 
 
 class TestLocalUpdate:
@@ -124,6 +183,122 @@ class TestLocalUpdate:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError, match="non-finite"):
                 local_update(model, w, data.clients[0], 2, 32, 1e300, np.random.default_rng(0))
+
+
+def loop_local_update(weights, x_train, y_train, epochs, batch_size, learning_rate, rng):
+    """One client's SGD as a plain loop over its batches, with a one-model
+    kernel of its own: the oracle for the batched step."""
+    params = [a.copy() for a in weights.layers]
+    n = x_train.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            x, y = x_train[idx], y_train[idx]
+            w1, b1, w2, b2 = params
+            hidden = np.maximum(x @ w1 + b1, 0.0)
+            logits = hidden @ w2 + b2
+            logits = logits - logits.max(axis=1, keepdims=True)
+            expl = np.exp(logits)
+            dlogits = expl / expl.sum(axis=1, keepdims=True)
+            dlogits[np.arange(x.shape[0]), y] -= 1.0
+            dlogits /= x.shape[0]
+            gw2 = hidden.T @ dlogits
+            gb2 = dlogits.sum(axis=0)
+            dhidden = dlogits @ w2.T
+            dhidden[hidden <= 0.0] = 0.0
+            gw1 = x.T @ dhidden
+            gb1 = dhidden.sum(axis=0)
+            for p, g in zip(params, [gw1, gb1, gw2, gb2]):
+                p -= learning_rate * g
+    return params
+
+
+def assert_matches_loop(task, hidden, epochs, batch_size=32, learning_rate=0.05, seed=0):
+    data = gen_task(task)
+    model = MlpModel(dim=task.dim, hidden=hidden, classes=task.classes)
+    w = model.init_weights(seed)
+    key = lambda k: np.random.default_rng([seed, 1, k])  # noqa: E731
+    got = local_updates(
+        model, w, data.train_x, data.train_y, epochs, batch_size, learning_rate,
+        [key(k) for k in range(task.clients)], range(task.clients),
+    )
+    assert [u.client_id for u in got] == list(range(task.clients))
+    for k, shard in enumerate(data.clients):
+        want = loop_local_update(w, shard.train_x, shard.train_y, epochs, batch_size, learning_rate, key(k))
+        assert got[k].dataset_size == shard.train_x.shape[0]
+        for li, (a, b) in enumerate(zip(got[k].weights.layers, want)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), (k, li)
+
+
+class TestBatchedSgd:
+    """The batched step is bit-identical to training each client alone."""
+
+    @pytest.mark.parametrize("clients", [1, 2, 20, 50])
+    @pytest.mark.parametrize("hidden", [16, 256])
+    @pytest.mark.parametrize("epochs", [1, 2, 3])
+    def test_bit_identical_to_per_client_loop(self, clients, hidden, epochs):
+        task = SyntheticTask(dim=8, per_client=40, clients=clients, seed=clients + hidden)
+        assert_matches_loop(task, hidden, epochs)
+
+    def test_short_last_batch(self):
+        # 75 training rows: batches of 32, 32 and 11
+        task = SyntheticTask(per_client=94, clients=6, seed=1)
+        assert gen_task(task).train_x.shape[1] % 32 == 11
+        assert_matches_loop(task, 16, 2)
+
+    def test_batch_of_one_and_batch_past_the_shard(self):
+        task = SyntheticTask(per_client=10, clients=3, seed=2)
+        assert_matches_loop(task, 16, 1, batch_size=1)
+        assert_matches_loop(task, 16, 2, batch_size=100)
+
+    def test_dirichlet_shards(self):
+        task = SyntheticTask(dim=6, classes=5, per_client=60, clients=9, dirichlet_alpha=0.2, seed=4)
+        assert_matches_loop(task, 16, 2)
+
+    @pytest.mark.parametrize("budget", [1, 2**40])
+    def test_block_budget_does_not_change_the_result(self, monkeypatch, budget):
+        monkeypatch.setattr(fedsim, "_SGD_BLOCK_BYTES", budget)
+        assert_matches_loop(SyntheticTask(dim=8, per_client=40, clients=7, seed=5), 256, 2)
+        assert_matches_loop(SyntheticTask(per_client=94, clients=5, seed=6), 16, 1)
+
+    def test_blocks_split_a_wide_model(self):
+        model = MlpModel(dim=64, hidden=256, classes=4)
+        block = fedsim._sgd_block_clients(model, model.init_weights(0).num_params, 32)
+        assert 1 < block < 50
+        assert fedsim._sgd_block_clients(MlpModel(dim=8), 212, 32) >= 50
+
+    def test_one_diverging_client_raises_non_finite(self):
+        task = SyntheticTask(clients=5, per_client=40, seed=7)
+        data = gen_task(task)
+        model = MlpModel(dim=task.dim, classes=task.classes)
+        x = data.train_x.copy()
+        x[3] *= 1e200
+        rngs = [np.random.default_rng(k) for k in range(task.clients)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                local_updates(model, model.init_weights(0), x, data.train_y, 2, 32, 0.05, rngs, range(5))
+
+    def test_unequal_shards_raise(self):
+        model = MlpModel(dim=2, classes=2)
+        w = model.init_weights(0)
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        with pytest.raises(ValueError, match="one length"):
+            local_updates(model, w, np.zeros((2, 5, 2)), np.zeros((2, 4), dtype=int), 1, 2, 0.1, rngs, [0, 1])
+        with pytest.raises(ValueError, match="one rng"):
+            local_updates(model, w, np.zeros((2, 5, 2)), np.zeros((2, 5), dtype=int), 1, 2, 0.1, rngs[:1], [0, 1])
+
+    def test_local_update_is_the_one_client_case(self):
+        task = SyntheticTask(clients=3, per_client=50, seed=8)
+        data = gen_task(task)
+        model = MlpModel(dim=task.dim, classes=task.classes)
+        w = model.init_weights(1)
+        one = local_update(model, w, data.clients[2], 2, 16, 0.05, np.random.default_rng(4), client_id=2)
+        many = local_updates(
+            model, w, data.train_x, data.train_y, 2, 16, 0.05,
+            [np.random.default_rng(k + 2) for k in range(3)], [0, 1, 2],
+        )
+        assert one == many[2]
 
 
 class TestModel:
