@@ -6,18 +6,16 @@ Config files are JSON documents with ``task``, ``train``, ``repeats`` and
 config is echoed into the summary for provenance. All randomness flows from
 the config seed: re-running a config byte-reproduces the rounds CSV, whose
 ``wall_ms`` column is always 0. Measured timing goes to the summary JSON.
-``FEDFFT_THREADS`` caps worker threads (0 or unset picks a machine default).
+Repeats and sweep points run one after another.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -65,17 +63,6 @@ EXIT_SELFTEST_FAIL = 1
 EXIT_BAD_CONFIG = 2
 EXIT_RUNTIME = 3
 EXIT_SHAPE_MISMATCH = 4
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("FEDFFT_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(8, os.cpu_count() or 1)
-    return n
 
 
 class ConfigError(ValueError):
@@ -233,14 +220,10 @@ def _record_row(rec: RoundRecord, repeat: int, train: TrainConfig) -> list[str]:
 
 def _run_repeats(cfg: ExperimentConfig) -> list[list[RoundRecord]]:
     """One run per repeat, seeds train.seed + 0 .. repeats-1, in repeat order."""
-    trains = [
-        dataclasses.replace(cfg.train, seed=cfg.train.seed + r) for r in range(cfg.repeats)
+    return [
+        run_experiment(dataclasses.replace(cfg.train, seed=cfg.train.seed + r), cfg.task)
+        for r in range(cfg.repeats)
     ]
-    workers = min(_worker_count(), cfg.repeats)
-    if workers <= 1:
-        return [run_experiment(t, cfg.task) for t in trains]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda t: run_experiment(t, cfg.task), trains))
 
 
 def _write_rounds_csv(path: Path, cfg: ExperimentConfig, results: list[list[RoundRecord]]) -> None:
@@ -338,25 +321,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         out_dir = Path(args.out_dir or cfg.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-
-        workers = min(_worker_count(), len(points))
-        def run_point(point):
-            value, name, point_cfg = point
+        table: dict[float, dict[str, float]] = {}
+        for value, name, point_cfg in points:
             results = _run_repeats(point_cfg)
             tag = f"{name}_{grid_name}{value:g}".replace("/", "-").replace(":", "-")
             _write_rounds_csv(out_dir / f"rounds_{tag}.csv", point_cfg, results)
             finals = [records[-1].global_accuracy for records in results]
-            return value, name, float(np.mean(finals))
-
-        if workers <= 1:
-            outcomes = [run_point(p) for p in points]
-        else:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(run_point, points))
-
-        table: dict[float, dict[str, float]] = {}
-        for value, name, acc in outcomes:
-            table.setdefault(value, {})[name] = acc
+            table.setdefault(value, {})[name] = float(np.mean(finals))
         matrix_path = out_dir / "matrix.csv"
         with open(matrix_path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -410,10 +381,12 @@ def cmd_ks_test(args: argparse.Namespace) -> int:
         samples = []
         for path in (args.sample_a, args.sample_b):
             with open(path) as fh:
-                values = [float(line) for line in fh if line.strip()]
-            if not values:
+                values = np.array([float(line) for line in fh if line.strip()])
+            if not values.size:
                 raise ValueError(f"{path} holds no numbers")
-            samples.append(np.array(values))
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{path} holds non-finite values")
+            samples.append(values)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

@@ -194,9 +194,7 @@ class MlpModel:
         return [gw1, gb1, gw2, gb2]
 
     def loss(self, weights: ModelWeights, x: np.ndarray, y: np.ndarray) -> float:
-        _, probs = self.forward(weights, x)
-        picked = probs[np.arange(x.shape[0]), y]
-        return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+        return self.evaluate(weights, x, y)[1]
 
     def evaluate(self, weights: ModelWeights, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         """(accuracy, mean cross-entropy) on a labeled set."""

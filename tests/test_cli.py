@@ -100,13 +100,26 @@ class TestRun:
         assert not out.exists()  # refused before round 1
 
     def test_rerun_byte_identical(self, tmp_path):
-        cfg = dict(SMALL_CONFIG)
-        config_path = write_config(tmp_path, cfg)
-        main(["run", config_path, "--out-dir", str(tmp_path / "a")])
-        main(["run", config_path, "--out-dir", str(tmp_path / "b")])
-        a = (tmp_path / "a" / "rounds.csv").read_bytes()
-        b = (tmp_path / "b" / "rounds.csv").read_bytes()
-        assert a == b
+        # the dynamic config decides fft in every row, so the density rule reruns too
+        detecting = dict(
+            SMALL_CONFIG,
+            task={"clients": 12, "per_client": 25, "dim": 4, "classes": 2, "seed": 1},
+            train=dict(
+                SMALL_CONFIG["train"],
+                aggregator={"kind": "dynamic"},
+                attack={"kind": "random_weights", "attacker_fraction": 0.34},
+            ),
+        )
+        for name, cfg in [("small", SMALL_CONFIG), ("detecting", detecting)]:
+            config_path = write_config(tmp_path, cfg, f"{name}.json")
+            blobs = []
+            for attempt in ("a", "b"):
+                out = tmp_path / f"{name}_{attempt}"
+                assert main(["run", config_path, "--out-dir", str(out)]) == 0
+                blobs.append((out / "rounds.csv").read_bytes())
+            assert blobs[0] == blobs[1], name
+        with open(tmp_path / "detecting_a" / "rounds.csv") as fh:
+            assert "fft" in [row["decision"] for row in csv.DictReader(fh)]
 
 
 class TestSweep:
@@ -125,6 +138,25 @@ class TestSweep:
         assert float(rows[1][1]) == pytest.approx(
             summary["final_accuracy"]["mean"], abs=1e-6
         )
+
+    def test_point_csvs_match_run(self, tmp_path):
+        task = {"clients": 12, "per_client": 25, "dim": 4, "classes": 2, "seed": 1}
+        aggregators = {"fedavg": {"kind": "fedavg"}, "dynamic": {"kind": "dynamic"}}
+        train = dict(SMALL_CONFIG["train"], attack={"kind": "random_weights"})
+        cfg = dict(SMALL_CONFIG, task=task, train=train, aggregators=aggregators)
+        out = tmp_path / "sweep"
+        argv = ["sweep", write_config(tmp_path, cfg), "--fractions", "0,0.34", "--out-dir", str(out)]
+        assert main(argv) == 0
+        assert len(list(out.glob("rounds_*.csv"))) == 4
+        for fraction in (0, 0.34):
+            for name, spec in aggregators.items():
+                attack = {"kind": "random_weights", "attacker_fraction": fraction}
+                point = dict(SMALL_CONFIG, task=task, train=dict(train, aggregator=spec, attack=attack))
+                tag = f"{name}_fraction{fraction:g}"
+                path = write_config(tmp_path, point, f"{tag}.json")
+                assert main(["run", path, "--out-dir", str(tmp_path / tag)]) == 0
+                run_csv = (tmp_path / tag / "rounds.csv").read_bytes()
+                assert (out / f"rounds_{tag}.csv").read_bytes() == run_csv, tag
 
     def test_requires_exactly_one_grid(self, tmp_path):
         config_path = write_config(tmp_path, SMALL_CONFIG)
@@ -313,6 +345,17 @@ class TestKsTestCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "statistic 0.250000"
         assert out[1].startswith("p-value 0.") and len(out[1].split()[1].split(".")[1]) == 6
+
+    def test_non_finite_exit_two(self, tmp_path, capsys):
+        for a_text, b_text in [("1\n2\nnan\n", "1\n5\ninf\n"), ("nan\nnan\n", "nan\n")]:
+            a = tmp_path / "a.txt"
+            b = tmp_path / "b.txt"
+            a.write_text(a_text)
+            b.write_text(b_text)
+            assert main(["ks-test", str(a), str(b)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert str(a) in captured.err and "non-finite" in captured.err
 
     def test_missing_file(self, tmp_path):
         a = tmp_path / "a.txt"
