@@ -72,17 +72,8 @@ def coordinate_median(updates: Sequence[ClientUpdate]) -> ModelWeights:
     )
 
 
-def trimmed_mean(
-    updates: Sequence[ClientUpdate],
-    trim: TrimParam | int,
-    *,
-    size_weighted: bool = False,
-) -> ModelWeights:
-    """Per coordinate: sort, drop the n smallest and n largest, mean the rest.
-
-    ``size_weighted=True`` weights the retained values by their clients'
-    dataset sizes instead of taking the plain mean.
-    """
+def trimmed_mean(updates: Sequence[ClientUpdate], trim: TrimParam | int) -> ModelWeights:
+    """Per coordinate: sort, drop the n smallest and n largest, mean the rest."""
     n = trim.n if isinstance(trim, TrimParam) else int(trim)
     if n < 0:
         raise TrimTooLarge("trim count must be non-negative")
@@ -96,13 +87,7 @@ def trimmed_mean(
         order = np.argsort(mat, axis=0, kind="stable")
         kept = order[n : K - n, :]
         vals = np.take_along_axis(mat, kept, axis=0)
-        if size_weighted:
-            sizes = np.array([float(u.dataset_size) for u in updates])
-            w = sizes[kept]
-            agg = (vals * w).sum(axis=0) / w.sum(axis=0)
-        else:
-            agg = vals.mean(axis=0)
-        out.append(agg.reshape(layer.shape))
+        out.append(vals.mean(axis=0).reshape(layer.shape))
     return ModelWeights(out)
 
 

@@ -5,11 +5,15 @@ Two strategies share one interface, and each has a single implementation that
 works on a whole layer's (clients x coordinates) matrix at once; selecting
 from one coordinate vector is the one-column case of it.
 
-* ``literal`` sorts the coordinate vector, takes the FFT, and maps the argmax
-  magnitude bin straight back into the sorted sample. Bin 0 holds the plain
-  sum of the values, which for one-signed data dwarfs every other bin, so it
-  is excluded by default; ``include_dc=True`` keeps it in play. All columns
-  of a layer go through one batched transform.
+* ``literal`` sorts the coordinate vector of K values, takes the FFT, and
+  maps the argmax magnitude bin straight back into the sorted sample. A real
+  sequence has |X_k| = |X_(K-k)|, so the argmax is read over the
+  non-redundant bins 0..K//2 only, and a tie goes to the lowest bin; over
+  the full spectrum every mirror pair would tie, and the FFT's last bit of
+  rounding would pick the side. Bin 0 holds the plain sum of the values,
+  which for one-signed data dwarfs every other bin, so it is excluded by
+  default; ``include_dc=True`` keeps it in play. All columns of a layer go
+  through one batched transform.
 * ``kde`` evaluates a Gaussian KDE of the coordinate vector on a uniform grid
   and returns the sample value nearest the density mode. This is the variant
   with actual outlier-rejection behavior and the default for simulations.
@@ -49,7 +53,9 @@ class FftStrategy:
     """Selection strategy for the density aggregator.
 
     ``grid_size`` (the number of points the kde density is defined on) only
-    affects the ``kde`` kind; ``include_dc`` only the ``literal`` kind. The
+    affects the ``kde`` kind; ``include_dc`` only the ``literal`` kind.
+    literal reads bins 1..K//2 of the sorted sample's spectrum, or 0..K//2
+    with ``include_dc``, and a tie goes to the lowest bin. The
     kde density is summed directly over the client values, so it has no
     accuracy knob of its own. The kde picks the sample nearest the first
     grid point of highest density. The search skips grid points whose
@@ -98,7 +104,7 @@ _KDE_BOUND_SLACK = 1.0 + 1e-9
 def _literal_values(cols: np.ndarray, include_dc: bool) -> np.ndarray:
     """Literal-strategy selection for each row of an (n, K) matrix, K >= 2."""
     sorted_cols = np.sort(cols, axis=1, kind="stable")
-    mags = magnitudes(fft(sorted_cols))
+    mags = magnitudes(fft(sorted_cols)[:, : cols.shape[1] // 2 + 1])
     if include_dc:
         bins = np.argmax(mags, axis=1)
     else:

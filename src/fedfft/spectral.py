@@ -1,11 +1,10 @@
-"""Arbitrary-length FFT, a naive DFT oracle, and FFT-accelerated Gaussian KDE.
+"""The FFT, a naive DFT oracle, and FFT-accelerated Gaussian KDE.
 
-The transform stack is self-contained: an iterative radix-2 kernel for
-power-of-two lengths, extended to every other length with Bluestein's chirp-z
-construction (the data itself is never zero-padded, which would change what
-bin an argmax lands on). ``fft`` transforms along the last axis, so a batch
-of sequences of one length goes through in one call. ``dft_naive`` is the
-quadratic reference implementation the fast path is tested against.
+``fft`` is numpy's transform at the sequence's own length (the data is never
+zero-padded, which would change what bin an argmax lands on). It works along
+the last axis, so a batch of sequences of one length goes through in one
+call. ``dft_naive`` is the quadratic reference implementation it is tested
+against.
 
 The density estimator bins the sample onto a fine uniform grid with 4-point
 (cubic Lagrange) weights and convolves with a Gaussian kernel via the FFT,
@@ -16,7 +15,6 @@ sum-over-samples evaluation to ~1e-7 relative at every grid point.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,86 +30,20 @@ class DegenerateSample(ValueError):
 # transforms
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)
-def _radix2_plan(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Bit-reversal permutation and per-stage twiddle factors for length n."""
-    levels = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(levels):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    twiddles = []
-    half = 1
-    while half < n:
-        twiddles.append(np.exp(-1j * np.pi * np.arange(half) / half))
-        half *= 2
-    return rev, tuple(twiddles)
-
-
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Radix-2 Cooley-Tukey on the last axis; length must be a power of two."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[-1]
-    if n == 1:
-        return x.copy()
-    lead = x.shape[:-1]
-    rev, twiddles = _radix2_plan(n)
-    x = x[..., rev].reshape(-1, n)
-    half = 1
-    for w in twiddles:
-        x = x.reshape(x.shape[0], -1, 2 * half)
-        even = x[..., :half]
-        odd = x[..., half:] * w
-        x = np.concatenate([even + odd, even - odd], axis=-1).reshape(x.shape[0], n)
-        half *= 2
-    return x.reshape(lead + (n,))
-
-
-def _ifft_pow2(x: np.ndarray) -> np.ndarray:
-    return np.conj(_fft_pow2(np.conj(x))) / x.shape[-1]
-
-
-@functools.lru_cache(maxsize=64)
-def _bluestein_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chirp sequence and the padded FFT of the chirp filter for length n."""
-    j = np.arange(n)
-    # phase computed mod 2n keeps the argument small for exactness
-    chirp = np.exp(-1j * np.pi * ((j * j) % (2 * n)) / n)
-    m = 1 << (2 * n - 2).bit_length()
-    b = np.zeros(m, dtype=np.complex128)
-    bconj = np.conj(chirp)
-    b[:n] = bconj
-    b[m - n + 1 :] = bconj[1:][::-1]
-    return chirp, _fft_pow2(b)
-
-
 def fft(x) -> np.ndarray:
     """Discrete Fourier transform along the last axis, for any length >= 1.
 
-    Leading axes are a batch: every row along the last axis is transformed
-    independently, and each row comes out bit-identical to a 1-D call on it.
-    Power-of-two lengths go through the radix-2 kernel directly; all other
-    lengths use Bluestein's chirp-z identity, which expresses the DFT as a
-    convolution that is evaluated on a zero-padded power-of-two grid. Returns
-    a complex array; agrees with :func:`dft_naive` to ~1e-12 absolute.
+    numpy's FFT on complex128 input. Leading axes are a batch: every row along
+    the last axis is transformed independently, and each row comes out
+    bit-identical to a 1-D call on it. Agrees with :func:`dft_naive` to
+    ~1e-12 absolute.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim == 0:
         raise ValueError("fft expects a sequence, not a scalar")
-    n = x.shape[-1]
-    if n < 1:
+    if x.shape[-1] < 1:
         raise ValueError("fft needs at least one sample")
-    if n == 1:
-        return x.copy()
-    if n & (n - 1) == 0:
-        return _fft_pow2(x)
-    chirp, filt = _bluestein_plan(n)
-    m = filt.shape[0]
-    a = np.zeros(x.shape[:-1] + (m,), dtype=np.complex128)
-    a[..., :n] = x * chirp
-    conv = _ifft_pow2(_fft_pow2(a) * filt)
-    return conv[..., :n] * chirp
+    return np.fft.fft(x, axis=-1)
 
 
 def dft_naive(x) -> np.ndarray:
@@ -130,17 +62,10 @@ def magnitudes(x) -> np.ndarray:
 
 
 def _convolve_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Linear convolution of two real sequences via one packed complex FFT."""
+    """Linear convolution of two real sequences via a power-of-two real FFT."""
     out_len = len(a) + len(b) - 1
     m = 1 << (out_len - 1).bit_length()
-    z = np.zeros(m, dtype=np.complex128)
-    z[: len(a)] += a
-    z[: len(b)] += 1j * b
-    fz = _fft_pow2(z)
-    frev = np.conj(np.concatenate([fz[:1], fz[:0:-1]]))
-    fa = 0.5 * (fz + frev)
-    fb = -0.5j * (fz - frev)
-    return _ifft_pow2(fa * fb).real[:out_len]
+    return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:out_len]
 
 
 # ---------------------------------------------------------------------------

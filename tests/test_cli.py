@@ -267,19 +267,30 @@ class TestAggregateCommand:
         out = str(tmp_path / "out.json")
         assert main(["aggregate", "--in", *paths, "--out", out]) == 4
 
-    def test_bad_file_exit_two(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"version": 99, "layers": []}')
+    def test_bad_file_exit_two(self, tmp_path, capsys):
+        (good,) = self.make_dumps(tmp_path, [[[1.0, 2.0, 3.0]]])
         out = str(tmp_path / "out.json")
-        assert main(["aggregate", "--in", str(bad), "--out", out]) == 2
+        for name, text in [
+            ("version.json", '{"version": 99, "layers": []}'),
+            ("shape.json", '{"version": 1, "layers": [{"shape": [3], "data": [1.0, 2.0]}]}'),
+            ("text.json", "not json"),
+        ]:
+            bad = tmp_path / name
+            bad.write_text(text)
+            assert main(["aggregate", "--in", good, str(bad), "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert str(bad) in err and good not in err
 
-    def test_non_finite_dump_exit_two(self, tmp_path):
-        # Python's json reads NaN and Infinity, so a dump can carry them
-        for token in ("NaN", "Infinity"):
+    def test_non_finite_dump_exit_two(self, tmp_path, capsys):
+        # Python's json reads NaN and Infinity, and 1e999 overflows to inf,
+        # so a dump can carry non-finite values
+        for token in ("NaN", "Infinity", "1e999"):
             bad = tmp_path / f"{token}.json"
             bad.write_text('{"version": 1, "layers": [{"shape": [2], "data": [1.0, %s]}]}' % token)
             out = str(tmp_path / "out.json")
             assert main(["aggregate", "--in", str(bad), "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert str(bad) in err and "non-finite" in err
 
     @pytest.mark.parametrize(
         "args",
@@ -356,6 +367,16 @@ class TestKsTestCommand:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert str(a) in captured.err and "non-finite" in captured.err
+
+    def test_malformed_line_names_file_and_line(self, tmp_path, capsys):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("1\n2\n")
+        b.write_text("1\n\nx\n")
+        assert main(["ks-test", str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{b}:3:" in captured.err and "'x'" in captured.err
 
     def test_missing_file(self, tmp_path):
         a = tmp_path / "a.txt"

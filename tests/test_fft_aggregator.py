@@ -3,7 +3,7 @@ import pytest
 
 from fedfft import fft_aggregator
 from fedfft.fft_aggregator import EmptyVector, FftStrategy, fft_aggregate, fft_select
-from fedfft.spectral import kde_density_direct, silverman_bandwidth
+from fedfft.spectral import dft_naive, kde_density_direct, silverman_bandwidth
 from fedfft.tensors import ClientUpdate, ModelWeights
 
 LITERAL = FftStrategy(kind="literal")
@@ -36,6 +36,35 @@ class TestFftSelect:
     def test_literal_include_dc_picks_bin_zero(self):
         value, _ = fft_select(np.array([1.0, 2.0, 3.0, 4.0]), FftStrategy(kind="literal", include_dc=True))
         assert value == 1.0  # bin 0 dominates for one-signed data
+
+    def test_literal_picks_from_the_half_spectrum(self):
+        # |X_k| = |X_(K-k)| for a real row, so only bins 0..K//2 are read; the
+        # picked value's rank in its sorted column is the bin it came from
+        rng = np.random.default_rng(11)
+        for k in (3, 7, 20, 50):
+            mat = rng.normal(size=(k, 400))
+            for include_dc, lowest in ((False, 1), (True, 0)):
+                strategy = FftStrategy(kind="literal", include_dc=include_dc)
+                out = fft_aggregate(updates_from_matrix(mat), strategy).layers[0]
+                ranks = np.argmax(np.sort(mat, axis=0) == out, axis=0)
+                assert ranks.min() >= lowest
+                assert ranks.max() <= k // 2
+
+    def test_literal_matches_naive_dft_half_spectrum(self):
+        rng = np.random.default_rng(12)
+        checked = 0
+        for k in (2, 3, 4, 7, 20, 50):
+            for _ in range(60):
+                v = rng.normal(size=k)
+                ordered = np.sort(v)
+                mags = np.abs(dft_naive(ordered))[1 : k // 2 + 1]
+                top = np.sort(mags)[-2:]
+                if mags.size > 1 and top[1] - top[0] <= 1e-9 * top[1]:
+                    continue  # a near tie: rounding may decide it either way
+                bin_ = 1 + int(np.argmax(mags))
+                assert fft_select(v, LITERAL).value == ordered[bin_]
+                checked += 1
+        assert checked > 300
 
     def test_kde_cluster_beats_outlier(self):
         v = np.concatenate([np.linspace(-0.01, 0.01, 9), [50.0]])

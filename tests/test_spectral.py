@@ -62,10 +62,10 @@ class TestFft:
 
     def test_leading_axes_match_naive_and_1d(self):
         rng = np.random.default_rng(7)
-        for n in (1, 16, 20):
-            x = rng.normal(size=(5, n))
+        for rows, n in ((5, 1), (5, 16), (5, 20), (5, 50), (5, 97), (37, 50)):
+            x = rng.normal(size=(rows, n))
             out = fft(x)
-            assert out.shape == (5, n)
+            assert out.shape == (rows, n)
             for row, got in zip(x, out):
                 assert np.max(np.abs(got - dft_naive(row))) < 1e-12
                 assert np.array_equal(got, fft(row))
