@@ -3,7 +3,7 @@ oracle, and the FFT-accelerated density estimate on a contaminated sample."""
 
 import numpy as np
 
-from fedfft import dft_naive, fft, kde_density, magnitudes
+from fedfft import dft_naive, fft, kde_density
 
 rng = np.random.default_rng(0)
 
@@ -15,7 +15,7 @@ for n in (4, 7, 97, 256, 257):
 
 # the classic hand example
 print("\ndft([1,2,3,4]) =", np.round(dft_naive([1, 2, 3, 4]), 6))
-print("magnitudes     =", np.round(magnitudes(dft_naive([1, 2, 3, 4])), 3))
+print("magnitudes     =", np.round(np.abs(dft_naive([1, 2, 3, 4])), 3))
 
 # --- density of a poisoned coordinate vector ------------------------------
 # 14 honest clients cluster near 0.3; 6 colluders sit far away at 2.0

@@ -15,9 +15,13 @@ from fedfft import (
     min_max_craft,
     perturbation_vector,
 )
-from fedfft.tensors import l2_norm, sub
 
 rng = np.random.default_rng(2)
+
+
+def distance(a, b):
+    return np.linalg.norm(a.flat() - b.flat())
+
 
 # ten clients' "trained" weights clustered around a common point
 base = rng.normal(0.0, 1.0, 8)
@@ -31,15 +35,15 @@ spec = AttackSpec(kind="random_weights", attacker_fraction=0.3)
 poisoned = apply_attack(updates, spec, {1, 4, 7}, np.random.default_rng(3))
 for k in (0, 1):
     print(f"client {k} ({'attacker' if k == 1 else 'honest  '}): "
-          f"weights moved by {l2_norm(sub(poisoned[k].weights, updates[k].weights)):.3f}")
+          f"weights moved by {distance(poisoned[k].weights, updates[k].weights):.3f}")
 
 # --- min-max craft ----------------------------------------------------------
 colluders = [updates[k].weights for k in (1, 4, 7)]
 for kind in ("inverse_unit_vector", "inverse_std", "inverse_sign"):
     res = min_max_craft(colluders, kind)
-    worst = max(l2_norm(sub(res.crafted, w)) for w in colluders)
+    worst = max(distance(res.crafted, w) for w in colluders)
     diam = max(
-        l2_norm(sub(colluders[i], colluders[j]))
+        distance(colluders[i], colluders[j])
         for i in range(3)
         for j in range(i + 1, 3)
     )

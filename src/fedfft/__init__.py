@@ -55,7 +55,7 @@ from .fedsim import (
     run_experiment,
 )
 from .fft_aggregator import FftStrategy, Selection, fft_aggregate, fft_select
-from .spectral import DensityEstimate, dft_naive, fft, kde_density, magnitudes
+from .spectral import DensityEstimate, dft_naive, fft, kde_density
 from .tensors import (
     ClientUpdate,
     ModelWeights,

@@ -114,6 +114,20 @@ def perturbation_vector(malicious: Sequence[ModelWeights], kind: str) -> ModelWe
     return malicious[0].with_flat(flat)
 
 
+def _largest_feasible(feasible) -> float:
+    """The search of :func:`min_max_craft`: bracket by doubling, then bisect."""
+    lo, hi = 0.0, 1.0
+    while feasible(hi):
+        lo, hi = hi, 2.0 * hi
+        if hi > _GAMMA_CAP:
+            warnings.warn("min-max gamma search hit its cap; perturbation is degenerate")
+            return _GAMMA_CAP
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+    return lo
+
+
 def min_max_craft(malicious: Sequence[ModelWeights], kind: str = INVERSE_UNIT_VECTOR) -> MinMaxResult:
     """Craft the common submission mean + gamma * perturbation.
 
@@ -145,28 +159,8 @@ def min_max_craft(malicious: Sequence[ModelWeights], kind: str = INVERSE_UNIT_VE
         worst = float(np.sqrt(np.max(c + 2.0 * gamma * b + gamma * gamma * q)))
         return worst <= diameter
 
-    if diameter == 0.0:
-        gamma = 0.0
-    elif not feasible(1.0):
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
-        gamma = lo
-    else:
-        gamma = 1.0
-        while feasible(gamma * 2.0) and gamma * 2.0 <= _GAMMA_CAP:
-            gamma *= 2.0
-        if gamma * 2.0 > _GAMMA_CAP:
-            warnings.warn("min-max gamma search hit its cap; perturbation is degenerate")
-            gamma = _GAMMA_CAP
-        else:
-            lo, hi = gamma, gamma * 2.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
-            gamma = lo
-
+    # coinciding colluders leave no room; a zero direction would pass every probe
+    gamma = 0.0 if diameter == 0.0 else _largest_feasible(feasible)
     crafted = malicious[0].with_flat(mean + gamma * pvec)
     return MinMaxResult(crafted=crafted, gamma=gamma, perturbation_vec=pert)
 

@@ -106,11 +106,8 @@ def krum_select(updates: Sequence[ClientUpdate], param: KrumParam | int) -> int:
     if neighbors < 1:
         raise TooFewClients(f"K - f - 2 = {neighbors} < 1 (K={K}, f={f})")
     d2 = pairwise_sq_distances(np.stack([u.weights.flat() for u in updates]))
-    scores = np.empty(K)
-    for k in range(K):
-        others = np.delete(d2[k], k)
-        others.sort()
-        scores[k] = others[:neighbors].sum()
+    # each row's own zero distance sorts first; dropping it leaves the others
+    scores = np.sort(d2, axis=1)[:, 1 : neighbors + 1].sum(axis=1)
     return int(np.argmin(scores))
 
 

@@ -69,6 +69,18 @@ class ConfigError(ValueError):
     pass
 
 
+_JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def _check_type(name: str, value, default) -> None:
+    """Refuse a value whose JSON type differs from the field default's; a float takes ints."""
+    if default is dataclasses.MISSING or default is None:  # a nested section, or no type
+        return
+    allowed = (int, float) if type(default) is float else (type(default),)
+    if type(value) not in allowed:
+        raise ConfigError(f"{name} must be {_JSON_TYPES[type(default)]}, not {json.dumps(value)}")
+
+
 def _build(cls, doc, path: str, **convert):
     """Build ``cls`` from the JSON object ``doc``.
 
@@ -77,13 +89,15 @@ def _build(cls, doc, path: str, **convert):
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must be a JSON object")
-    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = set(doc) - set(defaults)
     if unknown:
         raise ConfigError(f"{path}: unknown fields {sorted(unknown)}")
+    values = {k: convert[k](v) if k in convert else v for k, v in doc.items()}
+    for k, v in values.items():
+        _check_type(f"{path}.{k}", v, defaults[k])
     try:
-        return cls(**{k: convert[k](v) if k in convert else v for k, v in doc.items()})
-    except ConfigError:
-        raise
+        return cls(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -122,37 +136,44 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        if isinstance(self.repeats, bool) or not isinstance(self.repeats, int):
-            raise TypeError(f"repeats must be an integer, not {self.repeats!r}")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
 
 
 def load_config(path: str) -> tuple[ExperimentConfig, dict]:
-    """Parse a config file; returns the config and any extra top-level fields."""
+    """The config of a file, and its extra top-level fields; errors name the file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except OSError as exc:
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        cfg = _build(
+            ExperimentConfig,
+            {k: v for k, v in doc.items() if k in names},
+            "config",
+            task=parse_task,
+            train=parse_train,
+        )
+    except OSError as exc:  # its message names the file
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    cfg = _build(
-        ExperimentConfig,
-        {k: v for k, v in doc.items() if k in names},
-        "config",
-        task=parse_task,
-        train=parse_train,
-        output_dir=str,
-    )
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a ConfigError, or a file that is not text
+        raise ConfigError(f"{path}: {exc}") from exc
     return cfg, {k: v for k, v in doc.items() if k not in names}
 
 
 # a rule's parameters do not fit the number of client updates
 _FIT_ERRORS = (TrimTooLarge, TooFewClients, SubsetTooLarge)
+
+# The exit code of a failed command, from the most specific class of its
+# exception listed here; any other exception exits EXIT_RUNTIME.
+_EXIT_CODES = {
+    ConfigError: EXIT_BAD_CONFIG,
+    **dict.fromkeys(_FIT_ERRORS, EXIT_BAD_CONFIG),
+    ShapeMismatch: EXIT_SHAPE_MISMATCH,
+}
 
 
 def _check_fit(train: TrainConfig, task: SyntheticTask) -> None:
@@ -236,36 +257,28 @@ def _write_rounds_csv(path: Path, cfg: ExperimentConfig, results: list[list[Roun
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        cfg, _ = load_config(args.config)
-        _check_fit(cfg.train, cfg.task)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+    cfg, _ = load_config(args.config)
+    _check_fit(cfg.train, cfg.task)
     _warn_blind_dynamic([cfg.train], cfg.task)
-    try:
-        started = time.perf_counter()
-        results = _run_repeats(cfg)
-        out_dir = Path(args.out_dir or cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_rounds_csv(out_dir / "rounds.csv", cfg, results)
-        finals = [records[-1].global_accuracy for records in results]
-        summary = {
-            "config": _jsonable(cfg),
-            "final_accuracy": {
-                "mean": float(np.mean(finals)),
-                "std": float(np.std(finals)),
-                "per_repeat": finals,
-            },
-            "wall_ms_total": int((time.perf_counter() - started) * 1000.0),
-        }
-        with open(out_dir / "summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2)
-        print(f"wrote {out_dir / 'rounds.csv'} and {out_dir / 'summary.json'}")
-        return EXIT_OK
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    started = time.perf_counter()
+    results = _run_repeats(cfg)
+    out_dir = Path(args.out_dir or cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_rounds_csv(out_dir / "rounds.csv", cfg, results)
+    finals = [records[-1].global_accuracy for records in results]
+    summary = {
+        "config": _jsonable(cfg),
+        "final_accuracy": {
+            "mean": float(np.mean(finals)),
+            "std": float(np.std(finals)),
+            "per_repeat": finals,
+        },
+        "wall_ms_total": int((time.perf_counter() - started) * 1000.0),
+    }
+    with open(out_dir / "summary.json", "w") as fh:
+        json.dump(summary, fh, indent=2)
+    print(f"wrote {out_dir / 'rounds.csv'} and {out_dir / 'summary.json'}")
+    return EXIT_OK
 
 
 def _parse_grid(raw: str, name: str) -> list[float]:
@@ -289,58 +302,52 @@ def _sweep_aggregators(extras: dict, base: TrainConfig) -> dict[str, AggregatorS
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        cfg, extras = load_config(args.config)
-        if (args.fractions is None) == (args.thresholds is None):
-            raise ConfigError("exactly one of --fractions / --thresholds is required")
-        if args.fractions is not None:
-            grid_name, grid = "fraction", _parse_grid(args.fractions, "fractions")
-        else:
-            grid_name, grid = "threshold", _parse_grid(args.thresholds, "thresholds")
-        aggregators = _sweep_aggregators(extras, cfg.train)
-        points = []
-        for value in grid:
-            for name, agg in aggregators.items():
-                train = dataclasses.replace(cfg.train, aggregator=agg)
+    cfg, extras = load_config(args.config)
+    if (args.fractions is None) == (args.thresholds is None):
+        raise ConfigError("exactly one of --fractions / --thresholds is required")
+    if args.fractions is not None:
+        grid_name, grid = "fraction", _parse_grid(args.fractions, "fractions")
+    else:
+        grid_name, grid = "threshold", _parse_grid(args.thresholds, "thresholds")
+    aggregators = _sweep_aggregators(extras, cfg.train)
+    points = []
+    for value in grid:
+        for name, agg in aggregators.items():
+            train = dataclasses.replace(cfg.train, aggregator=agg)
+            try:
                 if grid_name == "fraction":
-                    train = dataclasses.replace(
-                        train, attack=dataclasses.replace(train.attack, attacker_fraction=value)
-                    )
+                    attack = dataclasses.replace(train.attack, attacker_fraction=value)
+                    train = dataclasses.replace(train, attack=attack)
                 else:
                     detector = dataclasses.replace(agg.detector, threshold=value)
                     train = dataclasses.replace(
                         train, aggregator=dataclasses.replace(agg, detector=detector)
                     )
-                _check_fit(train, cfg.task)
-                points.append((value, name, dataclasses.replace(cfg, train=train)))
-    except ValueError as exc:  # a ConfigError, or a grid value its field refuses
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+            except ValueError as exc:
+                raise ConfigError(f"--{grid_name}s value {value:g}: {exc}") from exc
+            _check_fit(train, cfg.task)
+            points.append((value, name, dataclasses.replace(cfg, train=train)))
     _warn_blind_dynamic([point_cfg.train for _, _, point_cfg in points], cfg.task)
 
-    try:
-        out_dir = Path(args.out_dir or cfg.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        table: dict[float, dict[str, float]] = {}
-        for value, name, point_cfg in points:
-            results = _run_repeats(point_cfg)
-            tag = f"{name}_{grid_name}{value:g}".replace("/", "-").replace(":", "-")
-            _write_rounds_csv(out_dir / f"rounds_{tag}.csv", point_cfg, results)
-            finals = [records[-1].global_accuracy for records in results]
-            table.setdefault(value, {})[name] = float(np.mean(finals))
-        matrix_path = out_dir / "matrix.csv"
-        with open(matrix_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([grid_name] + list(aggregators))
-            for value in grid:
-                writer.writerow(
-                    [f"{value:g}"] + [f"{table[value][name]:.6f}" for name in aggregators]
-                )
-        print(f"wrote {matrix_path}")
-        return EXIT_OK
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    out_dir = Path(args.out_dir or cfg.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    table: dict[float, dict[str, float]] = {}
+    for value, name, point_cfg in points:
+        results = _run_repeats(point_cfg)
+        tag = f"{name}_{grid_name}{value:g}".replace("/", "-").replace(":", "-")
+        _write_rounds_csv(out_dir / f"rounds_{tag}.csv", point_cfg, results)
+        finals = [records[-1].global_accuracy for records in results]
+        table.setdefault(value, {})[name] = float(np.mean(finals))
+    matrix_path = out_dir / "matrix.csv"
+    with open(matrix_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([grid_name] + list(aggregators))
+        for value in grid:
+            writer.writerow(
+                [f"{value:g}"] + [f"{table[value][name]:.6f}" for name in aggregators]
+            )
+    print(f"wrote {matrix_path}")
+    return EXIT_OK
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
@@ -351,30 +358,20 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
             krum_f=args.krum_f,
             strategy=FftStrategy(kind=args.fft_strategy),
         )
-        updates = []
-        for i, path in enumerate(args.inputs):
-            try:
-                weights = load_weight_dump(path)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
-            updates.append(ClientUpdate(client_id=i, weights=weights, dataset_size=1))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    try:
-        validate_uniform(updates)
-    except ShapeMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE_MISMATCH
-    try:
-        result, _, _ = aggregate(spec, updates, 0, 0)
-        save_weight_dump(result, args.out)
-    except _FIT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    except ValueError as exc:  # a negative --trim-n or --krum-f
+        raise ConfigError(str(exc)) from exc
+    updates = []
+    for i, path in enumerate(args.inputs):
+        try:
+            weights = load_weight_dump(path)
+        except OSError as exc:  # its message names the file
+            raise ConfigError(str(exc)) from exc
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        updates.append(ClientUpdate(client_id=i, weights=weights, dataset_size=1))
+    validate_uniform(updates)
+    result, _, _ = aggregate(spec, updates, 0, 0)
+    save_weight_dump(result, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -400,8 +397,7 @@ def cmd_ks_test(args: argparse.Namespace) -> int:
     try:
         samples = [_read_sample(path) for path in (args.sample_a, args.sample_b)]
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        raise ConfigError(str(exc)) from exc
     result = ks_test(samples[0], samples[1])
     print(f"statistic {result.statistic:.6f}")
     print(f"p-value {result.p_value:.6f}")
@@ -678,7 +674,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:  # noqa: BLE001 - CLI boundary: the one exit path of a failure
+        print(f"error: {exc}", file=sys.stderr)
+        return next((_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES), EXIT_RUNTIME)
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
-from .spectral import fft, magnitudes, silverman_bandwidth
+from .spectral import fft, silverman_bandwidth
 from .tensors import ClientUpdate, EmptyUpdateSet, ModelWeights, layer_matrices
 
 LITERAL = "literal"
@@ -104,7 +104,7 @@ _KDE_BOUND_SLACK = 1.0 + 1e-9
 def _literal_values(cols: np.ndarray, include_dc: bool) -> np.ndarray:
     """Literal-strategy selection for each row of an (n, K) matrix, K >= 2."""
     sorted_cols = np.sort(cols, axis=1, kind="stable")
-    mags = magnitudes(fft(sorted_cols)[:, : cols.shape[1] // 2 + 1])
+    mags = np.abs(fft(sorted_cols)[:, : cols.shape[1] // 2 + 1])
     if include_dc:
         bins = np.argmax(mags, axis=1)
     else:

@@ -56,11 +56,6 @@ def dft_naive(x) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(k, k) / n) @ x
 
 
-def magnitudes(x) -> np.ndarray:
-    """Elementwise modulus sqrt(re^2 + im^2) of a complex spectrum."""
-    return np.abs(np.asarray(x, dtype=np.complex128))
-
-
 def _convolve_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Linear convolution of two real sequences via a power-of-two real FFT."""
     out_len = len(a) + len(b) - 1

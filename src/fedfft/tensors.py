@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -170,21 +170,6 @@ def pairwise_sq_distances(rows: np.ndarray) -> np.ndarray:
     return d2
 
 
-def _check_same_shapes(a: ModelWeights, b: ModelWeights) -> None:
-    if a.shapes != b.shapes:
-        raise ShapeMismatch(f"shapes {a.shapes} vs {b.shapes}")
-
-
-def l2_norm(w: ModelWeights) -> float:
-    """Euclidean norm over all coordinates of all layers."""
-    return float(np.sqrt(sum(float(np.sum(a * a)) for a in w.layers)))
-
-
-def sub(a: ModelWeights, b: ModelWeights) -> ModelWeights:
-    _check_same_shapes(a, b)
-    return ModelWeights(x - y for x, y in zip(a.layers, b.layers))
-
-
 # ---------------------------------------------------------------------------
 # Weight-dump file format: {"version": 1, "layers": [{"shape": [...], "data": [...]}]}
 # ---------------------------------------------------------------------------
@@ -227,21 +212,15 @@ def from_dump_dict(doc: dict) -> ModelWeights:
     return ModelWeights(layers)
 
 
-def save_weight_dump(w: ModelWeights, fp: IO[str] | str) -> None:
-    if isinstance(fp, str):
-        with open(fp, "w") as fh:
-            json.dump(to_dump_dict(w), fh)
-    else:
-        json.dump(to_dump_dict(w), fp)
+def save_weight_dump(w: ModelWeights, path: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(to_dump_dict(w), fh)
 
 
-def load_weight_dump(fp: IO[str] | str) -> ModelWeights:
+def load_weight_dump(path: str) -> ModelWeights:
     try:
-        if isinstance(fp, str):
-            with open(fp) as fh:
-                doc = json.load(fh)
-        else:
-            doc = json.load(fp)
+        with open(path) as fh:
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise BadWeightDump(f"not valid JSON: {exc}") from exc
     return from_dump_dict(doc)

@@ -122,10 +122,19 @@ class TestKrum:
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(3)
+        cases = []
         for _ in range(300):
             k = int(rng.integers(4, 8))
             f = int(rng.integers(0, k - 3 + 1))
-            vals = rng.normal(size=(k, 4))
+            cases.append((rng.normal(size=(k, 4)), f))
+        # tie-heavy: rows repeated from three distinct ones, integer-rounded values
+        for k in (4, 20, 50):
+            for _ in range(10):
+                vals = rng.normal(size=(k, 4))
+                for tied in (vals[rng.integers(0, 3, k)], np.round(2.0 * vals)):
+                    cases.append((tied, int(rng.integers(0, k - 3 + 1))))
+        for vals, f in cases:
+            k = len(vals)
             ups = [update(i, vals[i]) for i in range(k)]
             nn = k - f - 2
             scores = []

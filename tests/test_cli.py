@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from fedfft import cli
 from fedfft.aggregators import KrumParam, TrimParam, coordinate_median, fed_avg, krum, trimmed_mean
 from fedfft.cli import main
 from fedfft.detector import dynamic_aggregate
@@ -83,6 +84,24 @@ class TestRun:
                 argv += ["--fractions", "0"]
             assert main(argv) == 2, doc
 
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            ('{"train": {"rounds": true}}', "train.rounds"),  # an int field refuses a bool
+            ('{"task": {"seed": 1.5}}', "task.seed"),
+            ("nope", "not valid JSON"),
+        ],
+        ids=["bool-for-int", "float-for-int", "not-json"],
+    )
+    def test_config_error_names_file_and_field(self, tmp_path, capsys, text, named):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err
+        assert not out.exists()
+
     def test_unknown_field_exit_two(self, tmp_path):
         for section, doc in [
             ("task", dict(SMALL_CONFIG["task"], nope=1)),
@@ -120,6 +139,15 @@ class TestRun:
             assert blobs[0] == blobs[1], name
         with open(tmp_path / "detecting_a" / "rounds.csv") as fh:
             assert "fft" in [row["decision"] for row in csv.DictReader(fh)]
+
+    def test_failing_run_exit_three(self, tmp_path, monkeypatch, capsys):
+        def crash(*_):
+            raise RuntimeError("training diverged")
+
+        monkeypatch.setattr(cli, "run_experiment", crash)
+        path = write_config(tmp_path, SMALL_CONFIG)
+        assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.splitlines() == ["error: training diverged"]
 
 
 class TestSweep:
@@ -391,3 +419,11 @@ class TestSelftestCommand:
         assert out.count("PASS") >= 5
         assert "PASS local-sgd-loop" in out
         assert "FAIL" not in out
+
+    def test_crashing_suite_exit_three(self, monkeypatch, capsys):
+        def crash():
+            raise RuntimeError("suite crashed")
+
+        monkeypatch.setattr(cli, "_suite_grad_check", crash)
+        assert main(["selftest"]) == 3
+        assert capsys.readouterr().err.splitlines() == ["error: suite crashed"]

@@ -10,12 +10,10 @@ from fedfft.tensors import (
     ModelWeights,
     ShapeMismatch,
     from_dump_dict,
-    l2_norm,
     layer_matrices,
     load_weight_dump,
     pairwise_sq_distances,
     save_weight_dump,
-    sub,
     to_dump_dict,
     validate_uniform,
 )
@@ -95,27 +93,6 @@ class TestCoordinateViews:
             assert sum(m.shape[1] for m in mats) == ups[0].weights.num_params
             for i, u in enumerate(ups):
                 assert np.array_equal(np.concatenate([m[i] for m in mats]), u.weights.flat())
-
-
-class TestAlgebra:
-    def test_zero_norm(self):
-        assert l2_norm(mw([0.0, 0.0], [0.0])) == 0.0
-
-    def test_hand_norm(self):
-        assert l2_norm(mw([3.0, 4.0])) == pytest.approx(5.0, abs=1e-15)
-
-    def test_vector_space_axioms(self):
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            a = mw(rng.normal(size=4), rng.normal(size=(2, 2)))
-            b = mw(rng.normal(size=4), rng.normal(size=(2, 2)))
-            assert sub(a, b) == ModelWeights(x - y for x, y in zip(a.layers, b.layers))
-            assert sub(a, sub(b, b)) == a
-            assert l2_norm(sub(a, a)) == 0.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            sub(mw([1.0]), mw([1.0, 2.0]))
 
 
 class TestPairwiseSqDistances:
