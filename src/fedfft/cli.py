@@ -19,13 +19,12 @@ import math
 import sys
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_args, get_type_hints
 
 import numpy as np
 
-from .adversary import AttackSpec
 from .aggregators import TooFewClients, TrimTooLarge
-from .detector import DetectorConfig, SubsetTooLarge, ks_test
+from .detector import SubsetTooLarge, ks_test
 from .fedsim import (
     AGGREGATORS,
     AggregatorSpec,
@@ -72,60 +71,36 @@ class ConfigError(ValueError):
 _JSON_TYPES = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
-def _check_type(name: str, value, default) -> None:
-    """Refuse a value whose JSON type differs from the field default's; a float takes ints."""
-    if default is dataclasses.MISSING or default is None:  # a nested section, or no type
-        return
-    allowed = (int, float) if type(default) is float else (type(default),)
-    if type(value) not in allowed:
-        raise ConfigError(f"{name} must be {_JSON_TYPES[type(default)]}, not {json.dumps(value)}")
+def _build(cls, doc, path: str = ""):
+    """Build the dataclass ``cls`` from the JSON object ``doc``, typed by its annotations.
 
-
-def _build(cls, doc, path: str, **convert):
-    """Build ``cls`` from the JSON object ``doc``.
-
-    ``convert`` maps a field name to the function that turns its JSON value
-    into the field's value, such as the parser of a nested section.
+    A dataclass-typed field is a nested section, built the same way; ``X |
+    None`` also takes null; a float field also takes integers; every other
+    field takes only its own JSON type. ``path`` is the section's dotted
+    name, empty at the top level, and every error names the section or field.
     """
+    section = path or "config"
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must be a JSON object")
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    unknown = set(doc) - set(defaults)
+        raise ConfigError(f"{section} must be a JSON object")
+    hints = get_type_hints(cls)
+    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ConfigError(f"{path}: unknown fields {sorted(unknown)}")
-    values = {k: convert[k](v) if k in convert else v for k, v in doc.items()}
-    for k, v in values.items():
-        _check_type(f"{path}.{k}", v, defaults[k])
+        raise ConfigError(f"{section}: unknown fields {sorted(unknown)}")
+    values = {}
+    for name, value in doc.items():
+        field, hint = f"{path}.{name}" if path else name, hints[name]
+        if dataclasses.is_dataclass(hint):
+            value = _build(hint, value, field)
+        elif not (value is None and type(None) in get_args(hint)):
+            want = next((t for t in get_args(hint) if t is not type(None)), hint)
+            if type(value) not in ((int, float) if want is float else (want,)):
+                null = "" if want is hint else " or null"
+                raise ConfigError(f"{field} must be {_JSON_TYPES[want]}{null}, not {json.dumps(value)}")
+        values[name] = value
     try:
         return cls(**values)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def parse_task(doc) -> SyntheticTask:
-    return _build(
-        SyntheticTask, doc, "task", dirichlet_alpha=lambda v: math.inf if v is None else v
-    )
-
-
-def parse_aggregator(doc) -> AggregatorSpec:
-    return _build(
-        AggregatorSpec,
-        doc,
-        "aggregator",
-        strategy=lambda d: _build(FftStrategy, d, "aggregator.strategy"),
-        detector=lambda d: _build(DetectorConfig, d, "aggregator.detector"),
-    )
-
-
-def parse_train(doc) -> TrainConfig:
-    return _build(
-        TrainConfig,
-        doc,
-        "train",
-        aggregator=parse_aggregator,
-        attack=lambda d: _build(AttackSpec, d, "train.attack"),
-    )
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,13 +123,7 @@ def load_config(path: str) -> tuple[ExperimentConfig, dict]:
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        cfg = _build(
-            ExperimentConfig,
-            {k: v for k, v in doc.items() if k in names},
-            "config",
-            task=parse_task,
-            train=parse_train,
-        )
+        cfg = _build(ExperimentConfig, {k: v for k, v in doc.items() if k in names})
     except OSError as exc:  # its message names the file
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -214,16 +183,6 @@ def _warn_blind_dynamic(trains: Sequence[TrainConfig], task: SyntheticTask) -> N
         )
 
 
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, float) and math.isinf(obj):
-        return None
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _record_row(rec: RoundRecord, repeat: int, train: TrainConfig) -> list[str]:
     return [
         str(rec.round),
@@ -267,7 +226,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_rounds_csv(out_dir / "rounds.csv", cfg, results)
     finals = [records[-1].global_accuracy for records in results]
     summary = {
-        "config": _jsonable(cfg),
+        "config": dataclasses.asdict(cfg),
         "final_accuracy": {
             "mean": float(np.mean(finals)),
             "std": float(np.std(finals)),
@@ -298,7 +257,7 @@ def _sweep_aggregators(extras: dict, base: TrainConfig) -> dict[str, AggregatorS
         return {spec.label: spec}
     if not isinstance(doc, dict) or not doc:
         raise ConfigError("'aggregators' must be a non-empty object of name -> spec")
-    return {name: parse_aggregator(spec) for name, spec in doc.items()}
+    return {name: _build(AggregatorSpec, spec, f"aggregators.{name}") for name, spec in doc.items()}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

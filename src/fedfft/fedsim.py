@@ -9,7 +9,6 @@ so results do not depend on scheduling or worker counts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -41,26 +40,32 @@ class SyntheticTask:
     """Gaussian-blob classification task sharded across clients.
 
     Class centers sit on a sphere of radius 3; samples are center plus
-    isotropic noise. ``dirichlet_alpha`` of infinity means IID label
-    assignment; finite values skew each client's label mix by a Dirichlet
-    draw.
+    isotropic noise. ``dirichlet_alpha`` of None means IID label
+    assignment; a finite positive value skews each client's label mix by a
+    Dirichlet draw.
     """
 
     dim: int = 8
     classes: int = 4
     per_client: int = 200
     clients: int = 20
-    dirichlet_alpha: float = math.inf
+    dirichlet_alpha: float | None = None
     noise_sigma: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError("dim must be >= 1")
         if self.classes < 2:
             raise ValueError("need at least two classes")
         if self.per_client < self.classes:
             raise ValueError("per_client must be >= classes")
         if self.clients < 1:
             raise ValueError("need at least one client")
+        if self.dirichlet_alpha is not None and not 0.0 < self.dirichlet_alpha < np.inf:
+            raise ValueError("dirichlet_alpha must be null or a finite number > 0")
+        if not self.noise_sigma >= 0.0:
+            raise ValueError("noise_sigma must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -99,7 +104,7 @@ def gen_task(task: SyntheticTask) -> TaskData:
     y = np.empty((task.clients, task.per_client), dtype=np.int64)
     for k in range(task.clients):
         crng = np.random.default_rng([task.seed, _SALT_CLIENT_DATA, k])
-        if math.isinf(task.dirichlet_alpha):
+        if task.dirichlet_alpha is None:
             y[k] = crng.integers(0, task.classes, task.per_client)
         else:
             mix = crng.dirichlet(np.full(task.classes, task.dirichlet_alpha))
@@ -371,8 +376,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.rounds < 1 or self.epochs < 1:
-            raise ValueError("rounds and epochs must be >= 1")
+        if min(self.rounds, self.epochs, self.batch_size, self.hidden) < 1:
+            raise ValueError("rounds, epochs, batch_size and hidden must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 

@@ -42,7 +42,7 @@ from typing import ClassVar, NamedTuple, Sequence
 import numpy as np
 
 from .spectral import fft, silverman_bandwidth
-from .tensors import ClientUpdate, EmptyUpdateSet, ModelWeights, layer_matrices
+from .tensors import ClientUpdate, ModelWeights, layer_matrices
 
 LITERAL = "literal"
 KDE_MODE = "kde"
@@ -248,8 +248,6 @@ def fft_select(v, strategy: FftStrategy = FftStrategy()) -> Selection:
 
 def fft_aggregate(updates: Sequence[ClientUpdate], strategy: FftStrategy = FftStrategy()) -> ModelWeights:
     """Select a value for every coordinate, a layer at a time, and reassemble the model."""
-    if len(updates) == 0:
-        raise EmptyUpdateSet("no client updates")
     mats = layer_matrices(updates)
     template = updates[0].weights
     return ModelWeights(

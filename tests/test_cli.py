@@ -6,7 +6,7 @@ import pytest
 
 from fedfft import cli
 from fedfft.aggregators import KrumParam, TrimParam, coordinate_median, fed_avg, krum, trimmed_mean
-from fedfft.cli import main
+from fedfft.cli import load_config, main
 from fedfft.detector import dynamic_aggregate
 from fedfft.fedsim import AGGREGATORS, AggregatorSpec
 from fedfft.fft_aggregator import FftStrategy, fft_aggregate
@@ -35,7 +35,8 @@ UNFIT_RULES = [
 ]
 
 
-def unfit_config(task, train):
+def small_config(task, train):
+    """SMALL_CONFIG with its task and train sections overridden."""
     return dict(
         SMALL_CONFIG,
         task=dict(SMALL_CONFIG["task"], **task),
@@ -78,11 +79,19 @@ class TestRun:
             ("run", {"train": 5}),
             ("run", {"train": {"aggregator": {"strategy": 3}}}),
             ("sweep", dict(SMALL_CONFIG, aggregators={"x": 5})),
+            # values outside their field's range, refused before round 1
+            ("run", small_config({"dirichlet_alpha": 0}, {})),
+            ("run", small_config({"dirichlet_alpha": -1}, {})),
+            ("run", small_config({}, {"batch_size": 0})),
+            ("run", small_config({}, {"hidden": 0})),
+            ("run", small_config({"dim": 0}, {})),
+            ("run", small_config({"noise_sigma": -1}, {})),
         ]:
             argv = [command, write_config(tmp_path, doc), "--out-dir", str(tmp_path / "out")]
             if command == "sweep":
                 argv += ["--fractions", "0"]
             assert main(argv) == 2, doc
+            assert not (tmp_path / "out").exists(), doc
 
     @pytest.mark.parametrize(
         "text,named",
@@ -90,8 +99,12 @@ class TestRun:
             ('{"train": {"rounds": true}}', "train.rounds"),  # an int field refuses a bool
             ('{"task": {"seed": 1.5}}', "task.seed"),
             ("nope", "not valid JSON"),
+            # int-or-null fields refuse a bool, a float and a string
+            ('{"train": {"aggregator": {"kind": "trimmed_mean", "trim_n": true}}}', "train.aggregator.trim_n"),
+            ('{"train": {"aggregator": {"kind": "trimmed_mean", "trim_n": 1.7}}}', "train.aggregator.trim_n"),
+            ('{"train": {"aggregator": {"kind": "krum", "krum_f": "2"}}}', "train.aggregator.krum_f"),
         ],
-        ids=["bool-for-int", "float-for-int", "not-json"],
+        ids=["bool-for-int", "float-for-int", "not-json", "bool-for-trim-n", "float-for-trim-n", "str-for-krum-f"],
     )
     def test_config_error_names_file_and_field(self, tmp_path, capsys, text, named):
         path = tmp_path / "config.json"
@@ -101,6 +114,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert str(path) in err and named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "task,train",
+        [({}, {"aggregator": {"kind": "trimmed_mean", "trim_n": 1}}), ({"dirichlet_alpha": 0.5}, {})],
+        ids=["iid-trim-n", "dirichlet"],
+    )
+    def test_summary_config_loads_back_equal(self, tmp_path, task, train):
+        path = write_config(tmp_path, small_config(task, train))
+        out = tmp_path / "out"
+        assert main(["run", path, "--out-dir", str(out)]) == 0
+        echoed = json.loads((out / "summary.json").read_text())["config"]
+        assert load_config(write_config(tmp_path, echoed, "echo.json")) == (load_config(path)[0], {})
 
     def test_unknown_field_exit_two(self, tmp_path):
         for section, doc in [
@@ -114,7 +139,7 @@ class TestRun:
     @pytest.mark.parametrize("task,train", UNFIT_RULES)
     def test_rule_that_cannot_fit_exit_two(self, tmp_path, task, train):
         out = tmp_path / "out"
-        path = write_config(tmp_path, unfit_config(task, train))
+        path = write_config(tmp_path, small_config(task, train))
         assert main(["run", path, "--out-dir", str(out)]) == 2
         assert not out.exists()  # refused before round 1
 
@@ -194,7 +219,7 @@ class TestSweep:
     @pytest.mark.parametrize("task,train", UNFIT_RULES)
     def test_rule_that_cannot_fit_exit_two(self, tmp_path, task, train):
         out = tmp_path / "out"
-        path = write_config(tmp_path, unfit_config(task, train))
+        path = write_config(tmp_path, small_config(task, train))
         # the last fraction gives the attacker count that breaks krum's fit
         assert main(["sweep", path, "--fractions", "0,0.4", "--out-dir", str(out)]) == 2
         assert not out.exists()

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -75,7 +73,7 @@ def shards_one_by_one(task):
     out = []
     for k in range(task.clients):
         crng = np.random.default_rng([task.seed, fedsim._SALT_CLIENT_DATA, k])
-        if math.isinf(task.dirichlet_alpha):
+        if task.dirichlet_alpha is None:
             labels = crng.integers(0, task.classes, task.per_client)
         else:
             mix = crng.dirichlet(np.full(task.classes, task.dirichlet_alpha))
