@@ -268,7 +268,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         grid_name, grid = "fraction", _parse_grid(args.fractions, "fractions")
     else:
         grid_name, grid = "threshold", _parse_grid(args.thresholds, "thresholds")
-    aggregators = _sweep_aggregators(extras, cfg.train)
+    try:
+        aggregators = _sweep_aggregators(extras, cfg.train)
+    except ConfigError as exc:  # named after the file, as load_config's errors are
+        raise ConfigError(f"{args.config}: {exc}") from exc
     points = []
     for value in grid:
         for name, agg in aggregators.items():
@@ -383,7 +386,15 @@ def _suite_fft_vs_dft() -> bool:
 
 
 def _suite_ks_bruteforce() -> bool:
-    from .detector import _ERF_SCREEN_ERROR, _erf_screen, gaussian_ks_statistic, ks_statistic
+    from .detector import (
+        _ERF_SCREEN_ERROR,
+        _band_decisions,
+        _critical_band,
+        _erf_screen,
+        _pvalue_from_effective_size,
+        gaussian_ks_statistic,
+        ks_statistic,
+    )
 
     rng = np.random.default_rng(8)
     for _ in range(200):
@@ -413,7 +424,22 @@ def _suite_ks_bruteforce() -> bool:
     # bound of math.erf
     x = np.concatenate([np.linspace(-8.0, 8.0, 20_001), rng.normal(size=200) * 1e3])
     ref = np.array([math.erf(v) for v in x])
-    return bool(np.max(np.abs(_erf_screen(x) - ref)) <= _ERF_SCREEN_ERROR)
+    if np.max(np.abs(_erf_screen(x) - ref)) > _ERF_SCREEN_ERROR:
+        return False
+    # the detector's critical band decides almost every draw, and each one
+    # as the draw's p-value does; half of the draws carry a shifted block
+    for n, level in ((45, 0.05), (15, 0.2), (7, 0.9)):
+        draws = rng.normal(size=(400, n))
+        draws[::2, : n // 3] += rng.uniform(0.0, 12.0, (200, 1))
+        mu, sigma = draws.mean(axis=-1), draws.std(axis=-1)
+        s = np.sort(draws, axis=-1)
+        reject, left_open = _band_decisions(s, mu, sigma, _critical_band(n, level))
+        exact = _pvalue_from_effective_size(gaussian_ks_statistic(s, mu, sigma), n) < level
+        if left_open.mean() > 0.01 or not 0.0 < exact.mean() < 1.0:
+            return False
+        if np.any(reject[~left_open] != exact[~left_open]):
+            return False
+    return True
 
 
 def _suite_krum_exhaustive() -> bool:

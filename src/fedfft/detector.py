@@ -29,12 +29,25 @@ deviations is the row's distance, bit-identical to evaluating ``math.erf``
 everywhere. The Kolmogorov tail below lambda = 0.5 comes from its dual
 (theta) series, which converges there in three terms.
 
+The score only asks whether each draw's p-value is below ``reject_level``,
+and most draws are answered without one. For n retained values the critical
+distance d* at which the p-value equals the level is found once per (n,
+level), by bisection. As the Gaussian CDF Phi is monotone, a draw's sorted
+standardised values z = (s - mu) / sigma lie farther than d from the fit
+exactly when some position i has z_i > Phi^-1(i/n + d) or z_i <
+Phi^-1((i+1)/n - d). Bounds at d* + 1e-9 mark the draws that surely reject,
+bounds at d* - 1e-9 those that surely do not. The rest take the exact path
+(distance, then p-value): draws between the two, draws whose sigma is not
+finite and positive or whose z is not finite, and every draw at a level
+where no such band exists. Every reject bit is therefore the exact path's.
+
 Scores aggregate to a scalar per round; at or below the threshold the server
 averages (FedAvg), above it the server switches to FFT-density aggregation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -234,24 +247,124 @@ class DetectorConfig:
             raise ValueError("threshold must lie in [0, 1]")
 
 
+# the band's two edges lie this far either side of the critical distance d*;
+# a draw between them takes the exact path
+_BAND_MARGIN = 1e-9
+_BAND_BISECTION_STEPS = 60
+
+
+def _normal_quantile(p: float) -> float:
+    """Phi^-1(p), with -inf at and below 0 and +inf at and above 1."""
+    # imported here: statistics pulls in fractions and decimal, about 4 ms
+    # that every import of the package would pay otherwise
+    from statistics import NormalDist
+
+    if p <= 0.0:
+        return -math.inf
+    if p >= 1.0:
+        return math.inf
+    return NormalDist().inv_cdf(p)
+
+
+@functools.lru_cache
+def _critical_band(n: int, level: float) -> np.ndarray | None:
+    """Bounds on n sorted standardised values that decide ``p-value < level``.
+
+    The critical distance d* solves ``_pvalue_from_effective_size(d, n) =
+    level`` by bisection (the p-value falls as d grows). As Phi is monotone,
+    a sorted row z lies farther than d from Normal(0, 1) exactly when some
+    position i has z_i < Phi^-1((i+1)/n - d) or z_i > Phi^-1(i/n + d).
+
+    Returns a read-only (4, n) array: the lower and upper bounds at d* +
+    ``_BAND_MARGIN``, which a row that surely rejects crosses, then those at
+    d* - ``_BAND_MARGIN``, within which a row surely does not reject. Returns
+    None, so that every row takes the exact path, when d* -+ the margin
+    leaves (0, 1) or the p-value does not bracket ``level`` at d* -+ half
+    the margin (a tiny level at small n, say).
+    """
+    lo, hi = 0.0, 1.0
+    for _ in range(_BAND_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if _pvalue_from_effective_size(mid, n) < level:
+            hi = mid
+        else:
+            lo = mid
+    inner, outer = hi - _BAND_MARGIN, hi + _BAND_MARGIN
+    if not (0.0 < inner and outer < 1.0):
+        return None
+    p_inner = _pvalue_from_effective_size(hi - 0.5 * _BAND_MARGIN, n)
+    p_outer = _pvalue_from_effective_size(hi + 0.5 * _BAND_MARGIN, n)
+    if not p_outer < level <= p_inner:
+        return None
+    band = np.array(
+        [
+            [_normal_quantile(bound) for bound in bounds]
+            for d in (outer, inner)
+            for bounds in (np.arange(1, n + 1) / n - d, np.arange(n) / n + d)
+        ]
+    )
+    band.flags.writeable = False
+    return band
+
+
+def _band_decisions(s: np.ndarray, mu: np.ndarray, sigma: np.ndarray, band: np.ndarray):
+    """Reject bits of sorted draws ``s``, and the mask of draws the band leaves open.
+
+    A draw is left open when it lies between the band's two edges, when its
+    sigma is not finite and positive (or so small that 1/sigma overflows),
+    or when its standardised values are not all finite. Its reject bit must
+    then come from the exact path.
+    """
+    with np.errstate(all="ignore"):
+        inv = 1.0 / sigma
+        z = s - mu[..., None]
+        z *= inv[..., None]
+    outside = z < band[0]
+    outside |= z > band[1]
+    reject = outside.any(axis=-1)
+    inside = z >= band[2]
+    inside &= z <= band[3]
+    # with 0 < 1/sigma < inf each row of z is sorted, so its two ends are
+    # finite exactly when all of it is
+    valid = np.isfinite(inv) & (inv > 0.0) & np.isfinite(z[..., 0]) & np.isfinite(z[..., -1])
+    return reject, (reject == inside.all(axis=-1)) | ~valid
+
+
 def _layer_scores(mat: np.ndarray, cfg: DetectorConfig, rng: np.random.Generator) -> np.ndarray:
-    """Contamination score of every coordinate (column) of a (K, n) matrix."""
+    """Contamination score of every coordinate (column) of a (K, n) matrix.
+
+    A draw rejects when its p-value is below ``cfg.reject_level``. The
+    critical band of :func:`_critical_band` decides almost every draw; the
+    draws it leaves open take the exact path through their p-value, so every
+    reject bit is the exact path's.
+    """
     K, n = mat.shape
     reps = cfg.repetitions
+    size = K - cfg.subset_size
+    band = _critical_band(size, cfg.reject_level)
     step = max(1, _SCORE_CHUNK // (reps * K))
     scores = np.empty(n)
     for lo in range(0, n, step):
-        values = mat[:, lo : lo + step].T[:, None, :]
-        # rows of the argsort are uniform permutations; the first S are held out
-        order = rng.random((values.shape[0], reps, K)).argsort(axis=-1)
-        retained = np.take_along_axis(values, order[..., cfg.subset_size :], axis=-1)
+        block = np.ascontiguousarray(mat[:, lo : lo + step].T)
+        # rows of the argsort are uniform permutations; the first S are held
+        # out. The offsets make them indices into the flattened block.
+        order = rng.random((block.shape[0], reps, K)).argsort(axis=-1)
+        order += (np.arange(block.shape[0]) * K)[:, None, None]
+        retained = np.take(block, order[..., cfg.subset_size :])
         mu = retained.mean(axis=-1)
         sigma = retained.std(axis=-1)
-        d = gaussian_ks_statistic(retained, mu, sigma)
-        pvals = _pvalue_from_effective_size(d, float(K - cfg.subset_size))
-        flat = np.all(retained == retained[..., :1], axis=-1)
-        pvals = np.where(sigma == 0.0, flat, pvals)
-        scores[lo : lo + step] = np.mean(pvals < cfg.reject_level, axis=-1)
+        s = np.sort(retained, axis=-1)
+        if band is None:
+            reject = np.zeros(sigma.shape, dtype=bool)
+            exact = ~reject
+        else:
+            reject, exact = _band_decisions(s, mu, sigma, band)
+        if exact.any():
+            s, mu, sigma = s[exact], mu[exact], sigma[exact]
+            pvals = _pvalue_from_effective_size(gaussian_ks_statistic(s, mu, sigma), size)
+            flat = np.all(s == s[..., :1], axis=-1)
+            reject[exact] = np.where(sigma == 0.0, flat, pvals) < cfg.reject_level
+        scores[lo : lo + step] = np.mean(reject, axis=-1)
     return scores
 
 

@@ -224,6 +224,24 @@ class TestSweep:
         assert main(["sweep", path, "--fractions", "0,0.4", "--out-dir", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "aggregators,named",
+        [
+            ({"k": {"kind": "krum", "krum_f": "2"}}, "aggregators.k.krum_f"),
+            ({"t": {"kind": "trimmed_mean", "trim_n": 1.7}}, "aggregators.t.trim_n"),
+            ({"x": {"kind": "fedavg", "nope": 1}}, "aggregators.x"),
+            ([], "'aggregators'"),
+        ],
+        ids=["str-for-krum-f", "float-for-trim-n", "unknown-field", "not-an-object"],
+    )
+    def test_aggregators_error_names_file_and_field(self, tmp_path, capsys, aggregators, named):
+        path = write_config(tmp_path, dict(SMALL_CONFIG, aggregators=aggregators))
+        out = tmp_path / "out"
+        assert main(["sweep", path, "--fractions", "0", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert path in err and named in err
+        assert not out.exists()
+
     def test_threshold_sweep_over_named_aggregators(self, tmp_path):
         cfg = dict(SMALL_CONFIG)
         cfg["aggregators"] = {

@@ -1,4 +1,6 @@
 import math
+import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -299,6 +301,127 @@ class TestMalTest:
         for chunk in (1, 1 << 40):
             monkeypatch.setattr(detector, "_SCORE_CHUNK", chunk)
             assert np.array_equal(mal_test(ups, DetectorConfig(), seed=3), default)
+
+    def test_band_matches_exact_per_draw_decisions(self):
+        rng = np.random.default_rng(40)
+        levels = (1e-6, 0.01, 0.05, 0.2, 0.5, 0.9, 0.97, 0.999)
+        for trial in range(240):
+            K = int(rng.integers(3, 61))
+            cfg = DetectorConfig(
+                repetitions=int(rng.integers(1, 9)),
+                subset_size=int(rng.integers(1, K)),
+                reject_level=levels[trial % len(levels)],
+            )
+            mat = fuzz_matrix(rng, trial % 8, K, int(rng.integers(1, 30)))
+            seed = int(rng.integers(1 << 30))
+            with np.errstate(over="ignore", invalid="ignore"):  # std at the 1e300 scales
+                got = detector._layer_scores(mat, cfg, np.random.default_rng(seed))
+                want = exact_layer_scores(mat, cfg, np.random.default_rng(seed))
+            assert np.array_equal(got, want), (trial, K, cfg)
+        # the grid holds levels with no band: the p-value of 6 retained values
+        # never falls to 1e-6
+        assert detector._critical_band(6, 1e-6) is None
+        assert detector._critical_band(45, 0.05) is not None
+
+    def test_band_leaves_degenerate_draws_open(self):
+        band = detector._critical_band(10, 0.05)
+        row = np.array([NormalDist().inv_cdf((i + 0.5) / 10) for i in range(10)])
+        far = np.concatenate([row[:-1], [np.inf]])
+        s = np.stack([row, row, row, row, far])
+        mu = np.zeros(5)
+        sigma = np.array([1.0, 0.0, np.inf, np.nan, 1.0])
+        reject, exact = detector._band_decisions(s, mu, sigma, band)
+        assert exact.tolist() == [False, True, True, True, True]
+        assert not reject[0]
+
+    def test_band_decides_default_draws(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        mat = rng.normal(0.0, 1.0, size=(50, 200))
+        mat[:10, 100:] = rng.normal(0.0, 30.0, size=(10, 100))
+        seen = spy_exact_path(monkeypatch)
+        scores = mal_test(updates_from_matrix(mat), DetectorConfig(), seed=2)
+        assert seen == []
+        assert np.all(scores[100:] == 1.0)
+
+    @pytest.mark.parametrize("margin", [0.02, 1.0])
+    def test_exact_when_band_margin_widened(self, monkeypatch, margin):
+        # a wide margin leaves many draws (0.02) or every draw (1.0, no band)
+        # to the exact path, which must give the same scores
+        rng = np.random.default_rng(42)
+        mat = rng.normal(0.0, 1.0, size=(30, 120))
+        mat[:8, 40:80] = 3.0
+        mat[:, 80:] = np.round(mat[:, 80:], 1)
+        cfg = DetectorConfig(subset_size=4)
+        default = detector._layer_scores(mat, cfg, np.random.default_rng(5))
+        seen = spy_exact_path(monkeypatch)
+        monkeypatch.setattr(detector, "_BAND_MARGIN", margin)
+        detector._critical_band.cache_clear()
+        try:
+            widened = detector._layer_scores(mat, cfg, np.random.default_rng(5))
+        finally:
+            detector._critical_band.cache_clear()
+        assert np.array_equal(widened, default)
+        assert sum(seen) >= (120 * cfg.repetitions if margin == 1.0 else 1)
+
+    def test_no_warnings_on_degenerate_columns(self):
+        rng = np.random.default_rng(43)
+        mat = rng.normal(size=(12, 40))
+        mat[:, :10] = rng.normal(size=10)  # unanimous, the mean often an ulp off
+        mat[:, 10:20] = 0.0  # sigma exactly 0
+        mat[:, 20:30] = np.round(mat[:, 20:30])  # ties
+        mat[:6, 30:] = 1e-300  # tied with a tiny scale
+        mat[6:, 30:] = -1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = mal_test(updates_from_matrix(mat), DetectorConfig(subset_size=3), seed=4)
+        assert np.all(scores[10:20] == 0.0)
+
+
+def spy_exact_path(monkeypatch):
+    """A list that records the draw count of every exact-path batch."""
+    seen = []
+    statistic = detector.gaussian_ks_statistic
+
+    def spied(s, mu, sigma):
+        seen.append(np.size(mu))
+        return statistic(s, mu, sigma)
+
+    monkeypatch.setattr(detector, "gaussian_ks_statistic", spied)
+    return seen
+
+
+def fuzz_matrix(rng, kind, K, P):
+    """A (K, P) matrix of one of eight shapes: plain, ties, unanimous columns,
+    huge and tiny scales, a planted block, small integers or a far client."""
+    mat = rng.normal(size=(K, P))
+    if kind == 1:
+        mat = np.round(mat, 1)
+    elif kind == 2:
+        mat[:, ::2] = rng.normal(size=(P + 1) // 2)
+    elif kind == 3:
+        mat *= 1e300
+    elif kind == 4:
+        mat *= 1e-300
+    elif kind == 5:
+        mat[: K // 3] = 50.0
+    elif kind == 6:
+        mat = rng.integers(0, 3, size=(K, P)).astype(float)
+    elif kind == 7:
+        mat[0] = 1.7e308 * np.sign(rng.normal(size=P))
+    return mat
+
+
+def exact_layer_scores(mat, cfg, rng):
+    """Scores with every draw decided by its p-value: the oracle for the band."""
+    K, n = mat.shape
+    order = rng.random((n, cfg.repetitions, K)).argsort(axis=-1)
+    retained = np.take_along_axis(mat.T[:, None, :], order[..., cfg.subset_size :], axis=-1)
+    mu = retained.mean(axis=-1)
+    sigma = retained.std(axis=-1)
+    d = gaussian_ks_statistic(retained, mu, sigma)
+    reject = detector._pvalue_from_effective_size(d, K - cfg.subset_size) < cfg.reject_level
+    flat = np.all(retained == retained[..., :1], axis=-1)
+    return np.mean(np.where(sigma == 0.0, ~flat, reject), axis=-1)
 
 
 class TestDynamicAggregate:
