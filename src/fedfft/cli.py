@@ -387,10 +387,10 @@ def _suite_fft_vs_dft() -> bool:
 
 def _suite_ks_bruteforce() -> bool:
     from .detector import (
-        _ERF_SCREEN_ERROR,
+        DetectorConfig,
         _band_decisions,
         _critical_band,
-        _erf_screen,
+        _layer_scores,
         _pvalue_from_effective_size,
         gaussian_ks_statistic,
         ks_statistic,
@@ -420,12 +420,16 @@ def _suite_ks_bruteforce() -> bool:
             upto = np.array([np.mean(s <= x) for x in s])
             if abs(d - max(np.max(np.abs(cdf - below)), np.max(np.abs(cdf - upto)))) > 1e-15:
                 return False
-    # the distance is exact because its screen erf stays within its declared
-    # bound of math.erf
-    x = np.concatenate([np.linspace(-8.0, 8.0, 20_001), rng.normal(size=200) * 1e3])
-    ref = np.array([math.erf(v) for v in x])
-    if np.max(np.abs(_erf_screen(x) - ref)) > _ERF_SCREEN_ERROR:
-        return False
+    # the detector scores each draw at unit scale, so a power-of-two factor
+    # on every client, even one whose squares overflow or underflow, moves
+    # no score bit
+    mat = rng.normal(size=(30, 40))
+    mat[:8, ::2] += 4.0
+    cfg = DetectorConfig()
+    scores = _layer_scores(mat, cfg, np.random.default_rng(1))
+    for factor in (2.0**600, 2.0**-600):
+        if not np.array_equal(_layer_scores(mat * factor, cfg, np.random.default_rng(1)), scores):
+            return False
     # the detector's critical band decides almost every draw, and each one
     # as the draw's p-value does; half of the draws carry a shifted block
     for n, level in ((45, 0.05), (15, 0.2), (7, 0.9)):

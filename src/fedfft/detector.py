@@ -20,13 +20,16 @@ random subset and its complement cannot do this job: its statistic depends
 only on the subset's ranks, whose distribution is identical with and without
 contamination, so its rejection rate never moves off the null rate.
 
-The one-sample distance is computed by screen and refine. A vectorised
-float64 erf (Abramowitz & Stegun 7.1.26, error below 2e-7) gives every
-Gaussian CDF value; only the positions whose deviation from the ECDF lies
-within a margin of 100 times that error of their row's largest are
-recomputed with ``math.erf``, about one per row. The largest of the exact
-deviations is the row's distance, bit-identical to evaluating ``math.erf``
-everywhere. The Kolmogorov tail below lambda = 0.5 comes from its dual
+Each draw is first multiplied by 2^-e, with e the binary exponent of its
+largest magnitude (clipped to [-1021, 1021], so that the factor is a normal
+float). A KS test against a Gaussian fitted on the draw itself does not
+depend on the draw's scale, and scaling by a power of two is exact, so a
+draw whose mean, sigma and standardised values stay in the normal range
+scores bit for bit as it would unscaled. Yet no draw's squares overflow or
+underflow: every draw of finite values that are not all equal has a finite
+positive sigma and finite standardised values, whatever the clients sent.
+The one-sample distance evaluates the Gaussian CDF with ``math.erf`` at
+every position. Its Kolmogorov tail below lambda = 0.5 comes from the dual
 (theta) series, which converges there in three terms.
 
 The score only asks whether each draw's p-value is below ``reject_level``,
@@ -38,7 +41,8 @@ exactly when some position i has z_i > Phi^-1(i/n + d) or z_i <
 Phi^-1((i+1)/n - d). Bounds at d* + 1e-9 mark the draws that surely reject,
 bounds at d* - 1e-9 those that surely do not. The rest take the exact path
 (distance, then p-value): draws between the two, draws whose sigma is not
-finite and positive or whose z is not finite, and every draw at a level
+finite and positive or whose z is not finite (after the scaling, only draws
+whose values are all equal or not all finite), and every draw at a level
 where no such band exists. Every reject bit is therefore the exact path's.
 
 Scores aggregate to a scalar per round; at or below the threshold the server
@@ -63,6 +67,8 @@ DECISION_FFT = "fft"
 
 # most (coordinates x repetitions x clients) elements one scoring chunk holds
 _SCORE_CHUNK = 1 << 16
+# a draw is scaled by 2^-e with |e| at most this, so that 2^-e is a normal float
+_SCALE_EXPONENT = 1021
 
 
 class EmptySample(ValueError):
@@ -155,28 +161,6 @@ def ks_test(a, b) -> KsResult:
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _erf = np.frompyfunc(math.erf, 1, 1)
-# the screen erf is Abramowitz & Stegun 7.1.26, whose error is below 1.5e-7;
-# _ERF_SCREEN_ERROR is the bound test_detector checks it against
-_ERF_SCREEN_P = 0.3275911
-_ERF_SCREEN_A = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
-_ERF_SCREEN_ERROR = 2e-7
-# screened deviations within this of their row's maximum are recomputed exactly
-_KS_REFINE_MARGIN = 100.0 * _ERF_SCREEN_ERROR
-
-
-def _erf_screen(x: np.ndarray) -> np.ndarray:
-    """Vectorised float64 erf, within ``_ERF_SCREEN_ERROR`` of ``math.erf``."""
-    y = np.abs(x)
-    t = 1.0 / (1.0 + _ERF_SCREEN_P * y)
-    poly = _ERF_SCREEN_A[4] * t
-    for a in _ERF_SCREEN_A[3::-1]:
-        poly += a
-        poly *= t
-    with np.errstate(over="ignore"):
-        y *= y
-    y *= -1.0
-    poly *= np.exp(y, out=y)
-    return np.copysign(1.0 - poly, x)
 
 
 def gaussian_ks_statistic(sample, mu, sigma):
@@ -188,13 +172,8 @@ def gaussian_ks_statistic(sample, mu, sigma):
     equals ``mu`` and 1 otherwise.
 
     The distance is the largest deviation max(F - i/n, (i+1)/n - F) over
-    sorted positions i, with F the Gaussian CDF there. Every F is first
-    screened with :func:`_erf_screen`; the positions whose screened deviation
-    lies within ``_KS_REFINE_MARGIN`` of the row's largest, and every
-    position of a row that screens to a non-finite value, are recomputed with
-    ``math.erf`` on the same standardised values. The margin exceeds twice
-    what the screen can be off, so the largest deviation is among them and
-    the result equals the all-``math.erf`` distance bit for bit.
+    sorted positions i, with F the Gaussian CDF there, evaluated with
+    ``math.erf`` at every position.
     """
     s = np.sort(np.asarray(sample, dtype=np.float64), axis=-1)
     n = s.shape[-1]
@@ -204,17 +183,12 @@ def gaussian_ks_statistic(sample, mu, sigma):
     sigma = np.asarray(sigma, dtype=np.float64)[..., None]
     degenerate = sigma <= 0
     z = (s - mu) / np.where(degenerate, 1.0, sigma) * _INV_SQRT2
-    lower = np.arange(n) / n
-    upper = np.arange(1, n + 1) / n
+    # rows with sigma <= 0 score by the flat rule below, so they need no CDF
+    live = np.broadcast_to(~degenerate, z.shape)
+    cdf = np.zeros(z.shape)
+    cdf[live] = 0.5 * (1.0 + _erf(z[live]).astype(np.float64))
     # max(|F - l|, |F - u|) for l < u, the same value as max(F - l, u - F)
-    cdf = 0.5 * (1.0 + _erf_screen(z))
-    dev = np.maximum(cdf - lower, upper - cdf)
-    top = dev.max(axis=-1, keepdims=True)
-    refine = (dev >= top - _KS_REFINE_MARGIN) | ~np.isfinite(top)
-    refine &= ~degenerate
-    cdf = 0.5 * (1.0 + _erf(z[refine]).astype(np.float64))
-    pos = np.nonzero(refine)[-1]
-    dev[refine] = np.maximum(cdf - lower[pos], upper[pos] - cdf)
+    dev = np.maximum(cdf - np.arange(n) / n, np.arange(1, n + 1) / n - cdf)
     flat = np.where(np.all(s == mu, axis=-1), 0.0, 1.0)
     return np.where(degenerate[..., 0], flat, dev.max(axis=-1))[()]
 
@@ -333,10 +307,11 @@ def _band_decisions(s: np.ndarray, mu: np.ndarray, sigma: np.ndarray, band: np.n
 def _layer_scores(mat: np.ndarray, cfg: DetectorConfig, rng: np.random.Generator) -> np.ndarray:
     """Contamination score of every coordinate (column) of a (K, n) matrix.
 
-    A draw rejects when its p-value is below ``cfg.reject_level``. The
-    critical band of :func:`_critical_band` decides almost every draw; the
-    draws it leaves open take the exact path through their p-value, so every
-    reject bit is the exact path's.
+    A draw rejects when its p-value is below ``cfg.reject_level``. Each draw
+    is scored at unit scale (see the module notes). The critical band of
+    :func:`_critical_band` decides almost every draw; the draws it leaves
+    open take the exact path through their p-value, so every reject bit is
+    the exact path's.
     """
     K, n = mat.shape
     reps = cfg.repetitions
@@ -351,9 +326,17 @@ def _layer_scores(mat: np.ndarray, cfg: DetectorConfig, rng: np.random.Generator
         order = rng.random((block.shape[0], reps, K)).argsort(axis=-1)
         order += (np.arange(block.shape[0]) * K)[:, None, None]
         retained = np.take(block, order[..., cfg.subset_size :])
+        s = np.sort(retained, axis=-1)
+        # 2^-e, e the exponent of the draw's largest magnitude, brings every
+        # draw near unit scale exactly; e is clipped so that 2^-e stays normal
+        # (with minimum and maximum, as np.clip costs several times more here)
+        _, e = np.frexp(np.maximum(-s[..., :1], s[..., -1:]))
+        e = np.minimum(np.maximum(e, -_SCALE_EXPONENT), _SCALE_EXPONENT)
+        scale = np.ldexp(1.0, -e)
+        retained *= scale
+        s *= scale
         mu = retained.mean(axis=-1)
         sigma = retained.std(axis=-1)
-        s = np.sort(retained, axis=-1)
         if band is None:
             reject = np.zeros(sigma.shape, dtype=bool)
             exact = ~reject

@@ -91,6 +91,16 @@ class TestKsPvalue:
         assert res.p_value == ks_pvalue(0.25, 4, 4)
 
 
+def all_math_erf_statistic(sample, mu, sigma):
+    """The one-sample KS distance with math.erf at every position: the batch's oracle."""
+    s = np.sort(np.asarray(sample, dtype=np.float64))
+    n = s.size
+    cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in (s - mu) / sigma * (1.0 / math.sqrt(2.0))]))
+    below = np.max(np.abs(cdf - np.arange(n) / n))
+    above = np.max(np.abs(cdf - np.arange(1, n + 1) / n))
+    return max(below, above)
+
+
 class TestGaussianKs:
     def test_clean_sample_close_to_own_fit(self):
         rng = np.random.default_rng(2)
@@ -111,6 +121,19 @@ class TestGaussianKs:
         got = gaussian_ks_statistic(batch, np.array([2.0, 2.0, 2.5]), np.array([0.0, -1.0, 0.5]))
         assert got[0] == 0.0 and got[1] == 1.0
         assert got[2] == gaussian_ks_statistic(batch[2], 2.5, 0.5)
+
+    def test_degenerate_rows_evaluate_no_cdf(self, monkeypatch):
+        # math.erf runs once per value, so flat draws (all clients equal)
+        # must not pay for a CDF their score does not read
+        calls = []
+        erf = detector._erf
+        monkeypatch.setattr(detector, "_erf", lambda z: calls.append(z.size) or erf(z))
+        batch = np.zeros((5, 40))
+        batch[4] = np.arange(40.0)
+        sigma = np.array([0.0, 0.0, -1.0, 0.0, 1.0])
+        got = gaussian_ks_statistic(batch, batch.mean(axis=-1), sigma)
+        assert sum(calls) == 40
+        assert np.array_equal(got[:4], np.zeros(4))
 
     def test_batch_matches_brute_force_sup(self):
         # sup over x of |ECDF(x) - F(x)| is reached at a sample point, from
@@ -141,28 +164,6 @@ class TestGaussianKs:
         for idx in np.ndindex(6, 4):
             assert got[idx] == gaussian_ks_statistic(batch[idx], mu[idx], sigma[idx])
 
-
-def all_math_erf_statistic(sample, mu, sigma):
-    """The one-sample KS distance with math.erf at every position: the oracle for the screen."""
-    s = np.sort(np.asarray(sample, dtype=np.float64))
-    n = s.size
-    cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in (s - mu) / sigma * (1.0 / math.sqrt(2.0))]))
-    below = np.max(np.abs(cdf - np.arange(n) / n))
-    above = np.max(np.abs(cdf - np.arange(1, n + 1) / n))
-    return max(below, above)
-
-
-class TestScreenedStatistic:
-    def test_screen_erf_within_declared_bound(self):
-        rng = np.random.default_rng(30)
-        dense = np.linspace(-8.0, 8.0, 200_001)
-        magnitudes = rng.normal(size=20_000) * 10.0 ** rng.uniform(-300.0, 300.0, 20_000)
-        for x in (dense, magnitudes, np.array([0.0, -0.0, 5e-324, 1e308, -1e308, np.inf, -np.inf])):
-            ref = np.array([math.erf(v) for v in x])
-            assert np.max(np.abs(detector._erf_screen(x) - ref)) <= detector._ERF_SCREEN_ERROR
-        assert np.isnan(detector._erf_screen(np.array([np.nan]))[0])
-        assert detector._KS_REFINE_MARGIN >= 100.0 * detector._ERF_SCREEN_ERROR
-
     def test_tied_deviations_match_1d_call_and_math_erf(self):
         # repeated values and mirrored samples give rows whose largest
         # deviation is reached at several positions
@@ -182,32 +183,6 @@ class TestScreenedStatistic:
             for r in range(3):
                 assert got[r] == gaussian_ks_statistic(batch[r], mu[r], sigma[r])
                 assert got[r] == all_math_erf_statistic(batch[r], mu[r], sigma[r])
-
-    def test_exact_under_screen_noise_below_margin(self, monkeypatch):
-        # a screen that is off by up to 0.45 of the margin moves each screened
-        # deviation by under a quarter of it, so the refine step still covers
-        # the maximum and the distance stays the all-math.erf one
-        # mirrored rows about mu = 0 reach their largest deviation at both
-        # ends, equal up to rounding, so a screen that ranks them by noise
-        # alone would return the wrong one of two near-tied values
-        rng = np.random.default_rng(32)
-        half = rng.normal(0.0, 1.0, (300, 23))
-        batch = np.concatenate([half, -half], axis=1)
-        batch[150:] = np.round(batch[150:], 1)
-        mu = np.zeros(300)
-        sigma = batch.std(axis=-1)
-        clean = gaussian_ks_statistic(batch, mu, sigma)
-        screen = detector._erf_screen
-        noise = np.random.default_rng(33)
-        monkeypatch.setattr(
-            detector,
-            "_erf_screen",
-            lambda x: screen(x) + noise.uniform(-0.45, 0.45, x.shape) * detector._KS_REFINE_MARGIN,
-        )
-        noisy = gaussian_ks_statistic(batch, mu, sigma)
-        assert np.array_equal(noisy, clean)
-        for r in range(0, 300, 30):
-            assert noisy[r] == all_math_erf_statistic(batch[r], mu[r], sigma[r])
 
 
 def alternating_series(lam):
@@ -314,10 +289,13 @@ class TestMalTest:
             )
             mat = fuzz_matrix(rng, trial % 8, K, int(rng.integers(1, 30)))
             seed = int(rng.integers(1 << 30))
-            with np.errstate(over="ignore", invalid="ignore"):  # std at the 1e300 scales
-                got = detector._layer_scores(mat, cfg, np.random.default_rng(seed))
-                want = exact_layer_scores(mat, cfg, np.random.default_rng(seed))
+            got = detector._layer_scores(mat, cfg, np.random.default_rng(seed))
+            want = exact_layer_scores(mat, cfg, np.random.default_rng(seed))
             assert np.array_equal(got, want), (trial, K, cfg)
+            if trial % 8 in (0, 1, 2, 5, 6):
+                # near unit scale the scaling changes no bit of any draw
+                unscaled = exact_layer_scores(mat, cfg, np.random.default_rng(seed), scaled=False)
+                assert np.array_equal(got, unscaled), (trial, K, cfg)
         # the grid holds levels with no band: the p-value of 6 retained values
         # never falls to 1e-6
         assert detector._critical_band(6, 1e-6) is None
@@ -362,6 +340,36 @@ class TestMalTest:
             detector._critical_band.cache_clear()
         assert np.array_equal(widened, default)
         assert sum(seen) >= (120 * cfg.repetitions if margin == 1.0 else 1)
+
+    @pytest.mark.parametrize("attack", ["one-client-at-max-float", "ten-clients-at-1e154"])
+    def test_no_client_routes_draws_to_exact_path(self, monkeypatch, attack):
+        # squares of these values overflow; each draw is scored at unit scale,
+        # so the band still decides it
+        rng = np.random.default_rng(44)
+        mat = rng.normal(size=(50, 120))
+        if attack == "one-client-at-max-float":
+            mat[0] = 1.7e308 * np.where(rng.random(120) < 0.5, -1.0, 1.0)
+        else:
+            mat[:10] = rng.normal(0.0, 1e154, size=(10, 120))
+        seen = spy_exact_path(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = mal_test(updates_from_matrix(mat), DetectorConfig(), seed=6)
+        assert sum(seen) == 0
+        assert np.all((scores >= 0.0) & (scores <= 1.0))
+
+    def test_subnormal_and_near_max_draws_score_as_at_unit_scale(self):
+        # small integers times 2^-1074 are exact subnormals; the scale factor
+        # must stay finite and normal at both ends of the float range
+        rng = np.random.default_rng(45)
+        mat = rng.integers(0, 4, size=(20, 60)).astype(float)
+        mat[:6, ::3] = 3.0
+        cfg = DetectorConfig()
+        want = detector._layer_scores(mat, cfg, np.random.default_rng(7))
+        assert np.ptp(want) > 0
+        for factor in (2.0**-1074, 2.0**1021):
+            got = detector._layer_scores(mat * factor, cfg, np.random.default_rng(7))
+            assert np.array_equal(got, want), factor
 
     def test_no_warnings_on_degenerate_columns(self):
         rng = np.random.default_rng(43)
@@ -411,11 +419,19 @@ def fuzz_matrix(rng, kind, K, P):
     return mat
 
 
-def exact_layer_scores(mat, cfg, rng):
-    """Scores with every draw decided by its p-value: the oracle for the band."""
+def exact_layer_scores(mat, cfg, rng, scaled=True):
+    """Scores with every draw decided by its p-value: the oracle for the band.
+
+    With ``scaled``, each draw is first divided by the power of two that
+    brings its largest magnitude into [0.5, 1), as far as a normal factor
+    allows; without it, the draws are scored as drawn.
+    """
     K, n = mat.shape
     order = rng.random((n, cfg.repetitions, K)).argsort(axis=-1)
     retained = np.take_along_axis(mat.T[:, None, :], order[..., cfg.subset_size :], axis=-1)
+    if scaled:
+        _, e = np.frexp(np.max(np.abs(retained), axis=-1, keepdims=True))
+        retained = retained * 2.0 ** -np.clip(e, -1021, 1021).astype(float)
     mu = retained.mean(axis=-1)
     sigma = retained.std(axis=-1)
     d = gaussian_ks_statistic(retained, mu, sigma)
@@ -453,15 +469,21 @@ class TestDynamicAggregate:
         assert decision == DECISION_FEDAVG
 
     def test_scale_invariance_of_decision(self):
+        # each draw is scored at unit scale, so that a power-of-two factor
+        # changes no score bit, and squares that overflow (1e154, 1e300) or
+        # underflow (1e-300, 2^-1000) decide nothing
         rng = np.random.default_rng(23)
         mat = rng.normal(size=(12, 15))
         cfg = DetectorConfig(subset_size=4)
-        for factor in (1.0, 0.001, 250.0):
+        _, base_decision, base_score = dynamic_aggregate(
+            updates_from_matrix(mat), cfg, FftStrategy(), seed=9
+        )
+        for factor in (1.0, 2.0**-1000, 0.001, 250.0, 1e-300, 1e154, 1e300):
             _, decision, score = dynamic_aggregate(
                 updates_from_matrix(mat * factor), cfg, FftStrategy(), seed=9
             )
-            _, base_decision, base_score = dynamic_aggregate(
-                updates_from_matrix(mat), cfg, FftStrategy(), seed=9
-            )
-            assert decision == base_decision
-            assert score == pytest.approx(base_score, abs=1e-12)
+            assert decision == base_decision, factor
+            if math.frexp(factor)[0] == 0.5:
+                assert score == base_score, factor
+            else:
+                assert score == pytest.approx(base_score, abs=1e-12), factor
