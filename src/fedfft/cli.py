@@ -520,34 +520,64 @@ def _suite_grad_check() -> bool:
     return True
 
 
+def _sgd_loop_oracle(start, x_train, y_train, epochs, batch, lr, rng) -> list[np.ndarray]:
+    """One client's SGD as a plain loop over its batches, with a one-model
+    kernel of its own (fresh arrays, a masked assignment for the ReLU)."""
+    params = [a.copy() for a in start]
+    n = x_train.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for i in range(0, n, batch):
+            idx = order[i : i + batch]
+            x, y = x_train[idx], y_train[idx]
+            w1, b1, w2, b2 = params
+            hidden = np.maximum(x @ w1 + b1, 0.0)
+            logits = hidden @ w2 + b2
+            expl = np.exp(logits - logits.max(axis=1, keepdims=True))
+            dlogits = expl / expl.sum(axis=1, keepdims=True)
+            dlogits[np.arange(idx.size), y] -= 1.0
+            dlogits /= idx.size
+            dhidden = dlogits @ w2.T
+            dhidden[hidden <= 0.0] = 0.0
+            grads = [x.T @ dhidden, dhidden.sum(axis=0), hidden.T @ dlogits, dlogits.sum(axis=0)]
+            for p, g in zip(params, grads):
+                p -= lr * g
+    return params
+
+
 def _suite_local_sgd_loop() -> bool:
     from .fedsim import MlpModel, gen_task, local_updates
 
     # 23 training rows per shard: batches of 8, 8 and a short 7
-    epochs, batch, lr = 2, 8, 0.1
-    for clients in (1, 3, 7):
+    cases = [(clients, hidden, 8) for clients, hidden in ((1, 4), (3, 4), (7, 4), (5, 64))]
+    # and batches of one through a unit that no input reaches (its bias is
+    # -1e300) but whose outgoing weights overflow its gradient: the ReLU mask
+    # must give 0.0 there, where a multiply by the mask gives inf * 0 = NaN
+    cases.append((3, 8, 1))
+    epochs, lr = 2, 0.1
+    for clients, hidden, batch in cases:
         task = SyntheticTask(dim=3, classes=3, per_client=29, clients=clients, seed=clients)
         data = gen_task(task)
-        model = MlpModel(dim=3, hidden=4, classes=3)
+        model = MlpModel(dim=3, hidden=hidden, classes=3)
         start = model.init_weights(clients)
+        if batch == 1:
+            w1, b1, w2, b2 = (a.copy() for a in start.layers)
+            b1[0] = -1e300
+            w2[0] = [1.7e308, -1.7e308, 1.7e308]
+            start = ModelWeights([w1, b1, w2, b2])
         rngs = lambda: [np.random.default_rng([clients, k]) for k in range(clients)]  # noqa: E731
-        batched = local_updates(
-            model, start, data.train_x, data.train_y, epochs, batch, lr, rngs(), range(clients)
-        )
-        # the oracle: each client alone, stepped batch by batch
-        for k, (shard, rng) in enumerate(zip(data.clients, rngs())):
-            params = [a.copy() for a in start.layers]
-            n = shard.train_x.shape[0]
-            for _ in range(epochs):
-                order = rng.permutation(n)
-                for i in range(0, n, batch):
-                    idx = order[i : i + batch]
-                    grads = model.gradients(ModelWeights(params), shard.train_x[idx], shard.train_y[idx])
-                    for p, g in zip(params, grads):
-                        p -= lr * g
-            got = batched[k].weights.layers
-            if batched[k].client_id != k or any(a.tobytes() != b.tobytes() for a, b in zip(got, params)):
+        with np.errstate(over="ignore"):
+            try:
+                batched = local_updates(
+                    model, start, data.train_x, data.train_y, epochs, batch, lr, rngs(), range(clients)
+                )
+            except ValueError:
                 return False
+            for k, (shard, rng) in enumerate(zip(data.clients, rngs())):
+                want = _sgd_loop_oracle(start.layers, shard.train_x, shard.train_y, epochs, batch, lr, rng)
+                got = batched[k].weights.layers
+                if batched[k].client_id != k or any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
+                    return False
     return True
 
 

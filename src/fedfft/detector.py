@@ -39,11 +39,13 @@ level), by bisection. As the Gaussian CDF Phi is monotone, a draw's sorted
 standardised values z = (s - mu) / sigma lie farther than d from the fit
 exactly when some position i has z_i > Phi^-1(i/n + d) or z_i <
 Phi^-1((i+1)/n - d). Bounds at d* + 1e-9 mark the draws that surely reject,
-bounds at d* - 1e-9 those that surely do not. The rest take the exact path
-(distance, then p-value): draws between the two, draws whose sigma is not
-finite and positive or whose z is not finite (after the scaling, only draws
-whose values are all equal or not all finite), and every draw at a level
-where no such band exists. Every reject bit is therefore the exact path's.
+bounds at d* - 1e-9 those that surely do not. A flat draw (sigma 0, finite
+values) rejects exactly when its values are not all equal, as on the exact
+path, so it is decided directly. The rest take the exact path (distance,
+then p-value): draws between the two edges, draws whose sigma is not finite
+and positive or whose z is not finite (after the scaling, only draws whose
+values are not all finite), and every draw at a level where no such band
+exists. Every reject bit is therefore the exact path's.
 
 Scores aggregate to a scalar per round; at or below the threshold the server
 averages (FedAvg), above it the server switches to FFT-density aggregation.
@@ -284,7 +286,9 @@ def _critical_band(n: int, level: float) -> np.ndarray | None:
 def _band_decisions(s: np.ndarray, mu: np.ndarray, sigma: np.ndarray, band: np.ndarray):
     """Reject bits of sorted draws ``s``, and the mask of draws the band leaves open.
 
-    A draw is left open when it lies between the band's two edges, when its
+    A flat draw (sigma 0, finite values) rejects exactly when its values are
+    not all equal, the exact path's answer, so it is decided here. Any other
+    draw is left open when it lies between the band's two edges, when its
     sigma is not finite and positive (or so small that 1/sigma overflows),
     or when its standardised values are not all finite. Its reject bit must
     then come from the exact path.
@@ -301,7 +305,11 @@ def _band_decisions(s: np.ndarray, mu: np.ndarray, sigma: np.ndarray, band: np.n
     # with 0 < 1/sigma < inf each row of z is sorted, so its two ends are
     # finite exactly when all of it is
     valid = np.isfinite(inv) & (inv > 0.0) & np.isfinite(z[..., 0]) & np.isfinite(z[..., -1])
-    return reject, (reject == inside.all(axis=-1)) | ~valid
+    # a sorted draw's values are finite exactly when its two ends are, and
+    # all equal exactly when its two ends are
+    flat = (sigma == 0.0) & np.isfinite(s[..., 0]) & np.isfinite(s[..., -1])
+    reject = np.where(flat, s[..., 0] != s[..., -1], reject)
+    return reject, ((reject == inside.all(axis=-1)) | ~valid) & ~flat
 
 
 def _layer_scores(mat: np.ndarray, cfg: DetectorConfig, rng: np.random.Generator) -> np.ndarray:

@@ -10,7 +10,7 @@ so results do not depend on scheduling or worker counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -167,36 +167,52 @@ class MlpModel:
 
     # The layer-list forms below are the one implementation. They take either
     # one model's layers or (B, ...) stacks of them, with a (B, m, d) batch
-    # per model; local SGD steps plain stacked arrays through them.
+    # per model; local SGD steps plain stacked arrays through them. Every
+    # array they write lives in a _StepBuffers workspace: local SGD passes one
+    # per client block, and without one they allocate a fresh workspace.
 
     @staticmethod
-    def _forward(layers: Sequence[np.ndarray], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _forward(
+        layers: Sequence[np.ndarray], x: np.ndarray, work: _StepBuffers | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         w1, b1, w2, b2 = layers
-        hidden = np.maximum(x @ w1 + b1[..., None, :], 0.0)
-        logits = hidden @ w2 + b2[..., None, :]
-        logits = logits - logits.max(axis=-1, keepdims=True)
-        expl = np.exp(logits)
-        probs = expl / expl.sum(axis=-1, keepdims=True)
+        m = x.shape[-2]
+        work = _StepBuffers.new(layers, m) if work is None else work.rows(m)
+        hidden = np.matmul(x, w1, out=work.hidden)
+        hidden += b1[..., None, :]
+        np.maximum(hidden, 0.0, out=hidden)
+        probs = np.matmul(hidden, w2, out=work.logits)
+        probs += b2[..., None, :]
+        probs -= probs.max(axis=-1, keepdims=True, out=work.row_max)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(axis=-1, keepdims=True, out=work.row_sum)
         return hidden, probs
 
-    def _gradients(self, layers: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-        w1, b1, w2, b2 = layers
+    def _gradients(
+        self,
+        layers: Sequence[np.ndarray],
+        x: np.ndarray,
+        y: np.ndarray,
+        work: _StepBuffers | None = None,
+    ) -> list[np.ndarray]:
+        w2 = layers[2]
         n = x.shape[-2]
-        hidden, probs = self._forward(layers, x)
+        work = _StepBuffers.new(layers, n) if work is None else work.rows(n)
+        hidden, dlogits = self._forward(layers, x, work)
         # subtracting 0.0 off the label's column leaves a probability as is
-        dlogits = probs - (y[..., None] == np.arange(probs.shape[-1]))
+        dlogits -= y[..., None] == np.arange(dlogits.shape[-1])
         dlogits /= n
+        gw1, gb1, gw2, gb2 = work.grads
         # the transposed operands stay strided views, so each slice of a
         # stacked product reaches BLAS in the same form as a one-model product
         # and the two agree bit for bit
-        gw2 = hidden.swapaxes(-1, -2) @ dlogits
-        gb2 = dlogits.sum(axis=-2)
-        dhidden = dlogits @ w2.swapaxes(-1, -2)
-        # not ``hidden > 0.0``, which differs on NaN, nor a multiply, which gives -0.0
-        dhidden = np.where(hidden <= 0.0, 0.0, dhidden)
-        gw1 = x.swapaxes(-1, -2) @ dhidden
-        gb1 = dhidden.sum(axis=-2)
-        return [gw1, gb1, gw2, gb2]
+        np.matmul(hidden.swapaxes(-1, -2), dlogits, out=gw2)
+        dlogits.sum(axis=-2, out=gb2)
+        dhidden = np.matmul(dlogits, w2.swapaxes(-1, -2), out=work.dhidden)
+        _relu_backward(hidden, dhidden, work.dead, work.keep)
+        np.matmul(x.swapaxes(-1, -2), dhidden, out=gw1)
+        dhidden.sum(axis=-2, out=gb1)
+        return work.grads
 
     def loss(self, weights: ModelWeights, x: np.ndarray, y: np.ndarray) -> float:
         return self.evaluate(weights, x, y)[1]
@@ -209,16 +225,78 @@ class MlpModel:
         return acc, float(-np.mean(np.log(np.maximum(picked, 1e-300))))
 
 
-# Byte budget of one client block of local SGD: its parameter and gradient
-# stacks plus one batch's activations. A block within it stays in cache from
-# one op of a step to the next; at hidden width 256, 50 clients' stacks do not.
+class _StepBuffers(NamedTuple):
+    """Every array one step of :meth:`MlpModel._gradients` writes.
+
+    The per-row arrays have room for n rows, the longest batch; a shorter
+    batch of m rows works in :meth:`rows` views of their first m rows. Their
+    leading axes, and those of ``grads`` (the four gradients in layer order),
+    are those of the layers.
+    """
+
+    hidden: np.ndarray
+    logits: np.ndarray  # softmax probabilities in place, then their gradient
+    row_max: np.ndarray
+    row_sum: np.ndarray
+    dhidden: np.ndarray
+    dead: np.ndarray  # bool, hidden <= 0.0
+    keep: np.ndarray  # int64, 0 where dead and all bits set elsewhere
+    grads: list[np.ndarray]
+
+    @classmethod
+    def new(cls, layers: Sequence[np.ndarray], n: int) -> _StepBuffers:
+        w1, _, w2, _ = layers
+        lead = w1.shape[:-2]
+        units, rows = (*lead, n, w1.shape[-1]), (*lead, n, 1)
+        return cls(
+            np.empty(units),
+            np.empty((*lead, n, w2.shape[-1])),
+            np.empty(rows),
+            np.empty(rows),
+            np.empty(units),
+            np.empty(units, dtype=bool),
+            np.empty(units, dtype=np.int64),
+            [np.empty_like(a) for a in layers],
+        )
+
+    def rows(self, m: int) -> _StepBuffers:
+        """The workspace of a batch of m rows: views of the first m rows."""
+        if m == self.hidden.shape[-2]:
+            return self
+        return _StepBuffers(*(a[..., :m, :] for a in self[:-1]), self.grads)
+
+
+def _relu_backward(hidden: np.ndarray, dhidden: np.ndarray, dead: np.ndarray, keep: np.ndarray) -> None:
+    """Zero ``dhidden`` in place where ``hidden <= 0.0``, through scratch
+    ``dead`` (bool) and ``keep`` (int64) of its shape.
+
+    ANDing a value's bits with 0 gives +0.0, and with all bits set leaves
+    the value as it is. So the bytes are those of selecting 0.0 where
+    ``hidden <= 0.0`` and ``dhidden`` elsewhere: a NaN hidden keeps its
+    gradient, and a -0.0, infinite or NaN gradient passes unchanged. A
+    select or a masked assignment branches on a mask that is close to
+    random; a multiply by the mask gives -0.0, and NaN from inf * 0.
+    """
+    np.less_equal(hidden, 0.0, out=dead)
+    np.subtract(dead, 1, out=keep)
+    bits = dhidden.view(np.int64)
+    bits &= keep
+
+
+# Byte budget of one client block of local SGD: its parameter stacks, one
+# batch of inputs and its step workspace. A block within it stays in cache
+# from one op of a step to the next; at hidden width 256, 50 clients' stacks
+# do not.
 _SGD_BLOCK_BYTES = 2 << 20
 
 
 def _sgd_block_clients(model: MlpModel, num_params: int, batch: int) -> int:
     """Clients per SGD block: as many as fit ``_SGD_BLOCK_BYTES``, at least one."""
-    activations = batch * (model.dim + 2 * model.hidden + 3 * model.classes)
-    return max(1, _SGD_BLOCK_BYTES // (8 * (2 * num_params + activations)))
+    # per client: parameters and gradients; per batch row, its inputs, the
+    # hidden, dhidden, int64 mask, logits, row max and row sum at 8 bytes a
+    # value, and the bool mask at one byte
+    row = 8 * (model.dim + 3 * model.hidden + model.classes + 2) + model.hidden
+    return max(1, _SGD_BLOCK_BYTES // (16 * num_params + batch * row))
 
 
 def local_updates(
@@ -254,16 +332,19 @@ def local_updates(
     for lo in range(0, K, block):
         hi = min(lo + block, K)
         params = [np.repeat(a[None], hi - lo, axis=0) for a in weights.layers]
+        work = _StepBuffers.new(params, min(batch_size, n))
         rows = np.arange(hi - lo)[:, None]
         for _ in range(epochs):
             order = np.stack([rngs[k].permutation(n) for k in range(lo, hi)])
             xs, ys = train_x[lo:hi][rows, order], train_y[lo:hi][rows, order]
             for start in range(0, n, batch_size):
                 grads = model._gradients(
-                    params, xs[:, start : start + batch_size], ys[:, start : start + batch_size]
+                    params, xs[:, start : start + batch_size], ys[:, start : start + batch_size], work
                 )
+                # bit for bit ``p -= learning_rate * g``, with no temporary
                 for p, g in zip(params, grads):
-                    p -= learning_rate * g
+                    g *= learning_rate
+                    p -= g
         updates.extend(
             ClientUpdate(
                 client_id=client_ids[k],

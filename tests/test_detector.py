@@ -305,12 +305,34 @@ class TestMalTest:
         band = detector._critical_band(10, 0.05)
         row = np.array([NormalDist().inv_cdf((i + 0.5) / 10) for i in range(10)])
         far = np.concatenate([row[:-1], [np.inf]])
-        s = np.stack([row, row, row, row, far])
-        mu = np.zeros(5)
-        sigma = np.array([1.0, 0.0, np.inf, np.nan, 1.0])
+        s = np.stack([row, row, row, row, far, np.zeros(10), np.full(10, np.inf)])
+        mu = np.zeros(7)
+        sigma = np.array([1.0, 0.0, np.inf, np.nan, 1.0, 0.0, 0.0])
         reject, exact = detector._band_decisions(s, mu, sigma, band)
-        assert exact.tolist() == [False, True, True, True, True]
-        assert not reject[0]
+        # rows 1 and 5 are flat (sigma 0, finite values): decided here, and
+        # rejected exactly when their values are not all equal
+        assert exact.tolist() == [False, False, True, True, True, False, True]
+        assert reject[[0, 1, 5]].tolist() == [False, True, False]
+
+    @pytest.mark.parametrize("zeros", ["all", "half"])
+    def test_flat_draws_skip_the_exact_path(self, monkeypatch, zeros):
+        # clients that send one value on many coordinates make every draw
+        # there flat; the flat rule decides those draws as the exact path does
+        rng = np.random.default_rng(46)
+        mat = np.zeros((50, 120))
+        if zeros == "half":
+            mat[:, 60:] = rng.normal(0.0, 0.05, size=(50, 60))
+            mat[:20, 100:] = rng.normal(0.0, 5.0, size=(20, 20))
+        cfg = DetectorConfig()
+        monkeypatch.setattr(detector, "_critical_band", lambda n, level: None)
+        want = detector._layer_scores(mat, cfg, np.random.default_rng(8))
+        monkeypatch.undo()
+        seen = spy_exact_path(monkeypatch)
+        got = detector._layer_scores(mat, cfg, np.random.default_rng(8))
+        assert sum(seen) == 0
+        assert np.array_equal(got, want)
+        assert np.all(got[:60] == 0.0)
+        assert zeros == "all" or np.all(got[100:] == 1.0)
 
     def test_band_decides_default_draws(self, monkeypatch):
         rng = np.random.default_rng(41)

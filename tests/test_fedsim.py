@@ -299,6 +299,46 @@ class TestBatchedSgd:
         assert one == many[2]
 
 
+class TestStepBuffers:
+    def test_relu_backward_matches_select_bytes(self):
+        special = [np.nan, -np.nan, 0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 5e-324, -5e-324]
+        hidden, dhidden = (a.ravel() for a in np.meshgrid(special, special, indexing="ij"))
+        rng = np.random.default_rng(3)
+        hidden = np.concatenate([hidden, rng.normal(size=500)]).reshape(2, 5, -1)
+        dhidden = np.concatenate([dhidden, rng.normal(size=500)]).reshape(2, 5, -1)
+        want = np.where(hidden <= 0.0, 0.0, dhidden)
+        got = dhidden.copy()
+        fedsim._relu_backward(hidden, got, np.empty(hidden.shape, bool), np.empty(hidden.shape, np.int64))
+        assert got.tobytes() == want.tobytes()
+        # on strided views of larger scratch too, as a short batch uses them
+        got = np.full((2, 7, hidden.shape[-1]), np.nan)
+        got[:, :5] = dhidden
+        dead = np.ones(got.shape, bool)
+        keep = np.full(got.shape, -1, np.int64)
+        fedsim._relu_backward(hidden, got[:, :5], dead[:, :5], keep[:, :5])
+        assert got[:, :5].tobytes() == want.tobytes()
+        assert np.isnan(got[:, 5:]).all()
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_reused_workspace_matches_fresh_bytes(self, lead):
+        # a workspace full of NaN bits from earlier steps, then a shorter batch
+        model = MlpModel(dim=5, hidden=24, classes=3)
+        w = model.init_weights(2)
+        layers = [np.broadcast_to(a, (*lead, *a.shape)).copy() for a in w.layers]
+        rng = np.random.default_rng(5)
+        work = fedsim._StepBuffers.new(layers, 16)
+        for a in (*work[:-1], *work.grads):
+            a.view(np.uint8)[...] = 0xFF
+        for m in (16, 11, 1):
+            x = rng.normal(size=(*lead, m, 5))
+            y = rng.integers(0, 3, (*lead, m))
+            fresh = model._gradients(layers, x, y)
+            reused = model._gradients(layers, x, y, work)
+            assert all(a is b for a, b in zip(reused, work.grads))
+            for a, b in zip(reused, fresh):
+                assert a.tobytes() == b.tobytes()
+
+
 class TestModel:
     def test_softmax_rows_sum_to_one(self):
         model = MlpModel(dim=3, hidden=4, classes=5)
