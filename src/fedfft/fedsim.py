@@ -315,7 +315,8 @@ def local_updates(
     ``train_x`` (K, n, d) and ``train_y`` (K, n) hold K shards of one length
     n. Client k shuffles its shard once per epoch with ``rngs[k]``. Blocks
     of clients step as (B, ...) stacks of every layer, one stacked step per
-    batch, and each client's result is bit-identical to stepping it alone.
+    batch written into one workspace per block, and each client's result is
+    bit-identical to stepping it alone.
     Each client's layers are wrapped in ModelWeights once, at the end, so
     weights that diverged raise ValueError there.
     """
