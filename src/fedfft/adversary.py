@@ -101,7 +101,9 @@ def perturbation_vector(malicious: Sequence[ModelWeights], kind: str) -> ModelWe
     stack = np.stack([w.flat() for w in malicious])
     mean = stack.mean(axis=0)
     if kind == INVERSE_UNIT_VECTOR:
-        norm = float(np.linalg.norm(mean))
+        # numpy's own pairwise sum, not BLAS's dot, whose threads split the
+        # sum and move its last bit with the thread count
+        norm = float(np.sqrt(np.sum(mean * mean)))
         if norm == 0.0:
             raise ZeroNorm("mean of malicious weights has zero norm")
         flat = -mean / norm
@@ -152,8 +154,9 @@ def min_max_craft(malicious: Sequence[ModelWeights], kind: str = INVERSE_UNIT_VE
     diameter = float(np.sqrt(pairwise_sq_distances(stack).max()))
     offs = mean - stack
     c = np.einsum("ij,ij->i", offs, offs)
-    b = offs @ pvec
-    q = float(pvec @ pvec)
+    # numpy's own reductions, as BLAS's results depend on its thread count
+    b = np.einsum("ij,j->i", offs, pvec)
+    q = float(np.sum(pvec * pvec))
 
     def feasible(gamma: float) -> bool:
         worst = float(np.sqrt(np.max(c + 2.0 * gamma * b + gamma * gamma * q)))

@@ -390,7 +390,7 @@ def _suite_ks_bruteforce() -> bool:
         DetectorConfig,
         _band_decisions,
         _critical_band,
-        _layer_scores,
+        _coordinate_scores,
         _pvalue_from_effective_size,
         gaussian_ks_statistic,
         ks_statistic,
@@ -426,9 +426,10 @@ def _suite_ks_bruteforce() -> bool:
     mat = rng.normal(size=(30, 40))
     mat[:8, ::2] += 4.0
     cfg = DetectorConfig()
-    scores = _layer_scores(mat, cfg, np.random.default_rng(1))
+    cols = mat.T
+    scores = _coordinate_scores(cols, cfg, [(40, np.random.default_rng(1))])
     for factor in (2.0**600, 2.0**-600):
-        if not np.array_equal(_layer_scores(mat * factor, cfg, np.random.default_rng(1)), scores):
+        if not np.array_equal(_coordinate_scores(cols * factor, cfg, [(40, np.random.default_rng(1))]), scores):
             return False
     # the detector's critical band decides almost every draw, and each one
     # as the draw's p-value does; half of the draws carry a shifted block

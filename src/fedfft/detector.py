@@ -10,8 +10,10 @@ The contamination score behind the dynamic switch works per coordinate: C
 times, hold out a random subset of size S and ask how well the retained
 values fit a Gaussian law fitted on those same retained values, measured by
 the one-sample KS distance and the same asymptotic tail law. Every
-coordinate of a layer is scored in one batched pass whose held-out subsets
-come from one random stream keyed by ``(seed, layer)``. Fitting and
+coordinate of the model is scored in one batched pass, chunk by chunk,
+with the chunks' large temporaries in reused per-thread scratch buffers;
+the held-out subsets of a layer's coordinates come from one random stream
+keyed by ``(seed, layer)``. Fitting and
 testing on the same values makes the check strongly conservative on clean
 unimodal data (rejections are far rarer than the nominal level), while
 cross-client contamination (planted constants, off-cluster weights) inflates
@@ -39,9 +41,11 @@ level), by bisection. As the Gaussian CDF Phi is monotone, a draw's sorted
 standardised values z = (s - mu) / sigma lie farther than d from the fit
 exactly when some position i has z_i > Phi^-1(i/n + d) or z_i <
 Phi^-1((i+1)/n - d). Bounds at d* + 1e-9 mark the draws that surely reject,
-bounds at d* - 1e-9 those that surely do not. A flat draw (sigma 0, finite
-values) rejects exactly when its values are not all equal, as on the exact
-path, so it is decided directly. The rest take the exact path (distance,
+bounds at d* - 1e-9 those that surely do not. A draw whose values are all
+equal never rejects, even when their mean rounds an ulp off them and sigma
+comes out positive, and a flat draw (sigma 0) whose values are not all
+equal always does, as on the exact path; a draw of finite values of either
+kind is decided directly. The rest take the exact path (distance,
 then p-value): draws between the two edges, draws whose sigma is not finite
 and positive or whose z is not finite (after the scaling, only draws whose
 values are not all finite), and every draw at a level where no such band
@@ -62,7 +66,7 @@ import numpy as np
 
 from .aggregators import fed_avg
 from .fft_aggregator import FftStrategy, fft_aggregate
-from .tensors import ClientUpdate, ModelWeights, layer_matrices
+from .tensors import ClientUpdate, ModelWeights, scratch, validate_uniform
 
 DECISION_FEDAVG = "fedavg"
 DECISION_FFT = "fft"
@@ -286,55 +290,101 @@ def _critical_band(n: int, level: float) -> np.ndarray | None:
 def _band_decisions(s: np.ndarray, mu: np.ndarray, sigma: np.ndarray, band: np.ndarray):
     """Reject bits of sorted draws ``s``, and the mask of draws the band leaves open.
 
-    A flat draw (sigma 0, finite values) rejects exactly when its values are
-    not all equal, the exact path's answer, so it is decided here. Any other
-    draw is left open when it lies between the band's two edges, when its
-    sigma is not finite and positive (or so small that 1/sigma overflows),
-    or when its standardised values are not all finite. Its reject bit must
-    then come from the exact path.
+    A draw of finite values that are all equal never rejects, whatever its
+    sigma rounds to (the mean of equal values can be an ulp off them), and a
+    flat draw (sigma 0, finite values) rejects exactly when its values are
+    not all equal, the exact path's answers, so both are decided here. Any
+    other draw is left open when it lies between the band's two edges, when
+    its sigma is not finite and positive (or so small that 1/sigma
+    overflows), or when its standardised values are not all finite. Its
+    reject bit must then come from the exact path.
     """
     with np.errstate(all="ignore"):
         inv = 1.0 / sigma
-        z = s - mu[..., None]
+        z = np.subtract(s, mu[..., None], out=scratch("ks.z", s.shape))
         z *= inv[..., None]
-    outside = z < band[0]
-    outside |= z > band[1]
+    outside = np.less(z, band[0], out=scratch("ks.outside", z.shape, bool))
+    inside = np.greater(z, band[1], out=scratch("ks.inside", z.shape, bool))
+    outside |= inside
     reject = outside.any(axis=-1)
-    inside = z >= band[2]
-    inside &= z <= band[3]
+    np.greater_equal(z, band[2], out=inside)
+    inside &= np.less_equal(z, band[3], out=outside)
     # with 0 < 1/sigma < inf each row of z is sorted, so its two ends are
     # finite exactly when all of it is
     valid = np.isfinite(inv) & (inv > 0.0) & np.isfinite(z[..., 0]) & np.isfinite(z[..., -1])
     # a sorted draw's values are finite exactly when its two ends are, and
     # all equal exactly when its two ends are
-    flat = (sigma == 0.0) & np.isfinite(s[..., 0]) & np.isfinite(s[..., -1])
-    reject = np.where(flat, s[..., 0] != s[..., -1], reject)
-    return reject, ((reject == inside.all(axis=-1)) | ~valid) & ~flat
+    finite = np.isfinite(s[..., 0]) & np.isfinite(s[..., -1])
+    unanimous = s[..., 0] == s[..., -1]
+    decided = finite & (unanimous | (sigma == 0.0))
+    reject = np.where(decided, ~unanimous, reject)
+    return reject, ((reject == inside.all(axis=-1)) | ~valid) & ~decided
 
 
-def _layer_scores(mat: np.ndarray, cfg: DetectorConfig, rng: np.random.Generator) -> np.ndarray:
-    """Contamination score of every coordinate (column) of a (K, n) matrix.
+def _mean_and_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x.mean(axis=-1)`` and ``x.std(axis=-1)`` bit for bit, overwriting ``x``.
 
-    A draw rejects when its p-value is below ``cfg.reject_level``. Each draw
-    is scored at unit scale (see the module notes). The critical band of
-    :func:`_critical_band` decides almost every draw; the draws it leaves
-    open take the exact path through their p-value, so every reject bit is
-    the exact path's.
+    The same ufunc sequence as numpy's ``std``, with the deviations squared
+    in place of ``x`` instead of in a temporary of its size.
     """
-    K, n = mat.shape
+    n = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= n
+    x -= mean
+    x *= x
+    var = np.add.reduce(x, axis=-1)
+    var /= n
+    return mean[..., 0], np.sqrt(var, out=var)
+
+
+def _coordinate_scores(
+    cols: np.ndarray, cfg: DetectorConfig, streams: Sequence[tuple[int, np.random.Generator]]
+) -> np.ndarray:
+    """Contamination score of every coordinate (row) of a (P, K) matrix.
+
+    ``streams`` splits the rows into consecutive runs, one ``(rows,
+    generator)`` pair per run; each run's held-out subsets are drawn from its
+    generator in row order. Rows go in chunks that may span runs, and the
+    scores do not depend on the chunk size. A draw rejects when its p-value
+    is below ``cfg.reject_level``. Each draw is scored at unit scale (see the
+    module notes). The critical band of :func:`_critical_band` decides almost
+    every draw; the draws it leaves open take the exact path through their
+    p-value, so every reject bit is the exact path's.
+    """
+    P, K = cols.shape
     reps = cfg.repetitions
     size = K - cfg.subset_size
     band = _critical_band(size, cfg.reject_level)
     step = max(1, _SCORE_CHUNK // (reps * K))
-    scores = np.empty(n)
-    for lo in range(0, n, step):
-        block = np.ascontiguousarray(mat[:, lo : lo + step].T)
+    scores = np.empty(P)
+    runs = iter(streams)
+    left, rng = 0, None
+    for lo in range(0, P, step):
+        block = cols[lo : lo + step]
+        n = block.shape[0]
+        # the chunk's uniforms, from the generator of each run it spans in
+        # turn, so that every generator is consumed as a pass over its run
+        # alone would consume it
+        uniforms = scratch("ks.uniforms", (n, reps, K))
+        filled = 0
+        while filled < n:
+            if left == 0:
+                left, rng = next(runs)
+                continue
+            part = min(left, n - filled)
+            rng.random(out=uniforms[filled : filled + part])
+            filled += part
+            left -= part
         # rows of the argsort are uniform permutations; the first S are held
         # out. The offsets make them indices into the flattened block.
-        order = rng.random((block.shape[0], reps, K)).argsort(axis=-1)
-        order += (np.arange(block.shape[0]) * K)[:, None, None]
-        retained = np.take(block, order[..., cfg.subset_size :])
-        s = np.sort(retained, axis=-1)
+        order = uniforms.argsort(axis=-1)
+        order += (np.arange(n) * K)[:, None, None]
+        # the indices are in range by construction; mode="raise" would buffer
+        retained = scratch("ks.retained", (n, reps, size))
+        np.take(block, order[..., cfg.subset_size :], out=retained, mode="clip")
+        s = scratch("ks.sorted", retained.shape)
+        np.copyto(s, retained)
+        s.sort(axis=-1)
         # 2^-e, e the exponent of the draw's largest magnitude, brings every
         # draw near unit scale exactly; e is clipped so that 2^-e stays normal
         # (with minimum and maximum, as np.clip costs several times more here)
@@ -343,8 +393,7 @@ def _layer_scores(mat: np.ndarray, cfg: DetectorConfig, rng: np.random.Generator
         scale = np.ldexp(1.0, -e)
         retained *= scale
         s *= scale
-        mu = retained.mean(axis=-1)
-        sigma = retained.std(axis=-1)
+        mu, sigma = _mean_and_std(retained)
         if band is None:
             reject = np.zeros(sigma.shape, dtype=bool)
             exact = ~reject
@@ -354,8 +403,8 @@ def _layer_scores(mat: np.ndarray, cfg: DetectorConfig, rng: np.random.Generator
             s, mu, sigma = s[exact], mu[exact], sigma[exact]
             pvals = _pvalue_from_effective_size(gaussian_ks_statistic(s, mu, sigma), size)
             flat = np.all(s == s[..., :1], axis=-1)
-            reject[exact] = np.where(sigma == 0.0, flat, pvals) < cfg.reject_level
-        scores[lo : lo + step] = np.mean(reject, axis=-1)
+            reject[exact] = np.where(flat | (sigma == 0.0), ~flat, pvals < cfg.reject_level)
+        scores[lo : lo + n] = np.mean(reject, axis=-1)
     return scores
 
 
@@ -366,18 +415,18 @@ def mal_test(
 ) -> np.ndarray:
     """Per-coordinate contamination scores for one round of client updates.
 
-    Every coordinate is scored, layer by layer in flattened order. Each
-    layer's held-out subsets are drawn in coordinate order from one random
-    stream keyed by ``(seed, layer)``; coordinates are processed in chunks,
-    and the scores do not depend on the chunk size.
+    Every coordinate of the model is scored in one pass, in flattened order.
+    Each layer's held-out subsets are drawn in coordinate order from one
+    random stream keyed by ``(seed, layer)``; coordinates are processed in
+    chunks, and the scores do not depend on the chunk size.
     """
-    mats = layer_matrices(updates)
+    validate_uniform(updates)
     K = len(updates)
     if cfg.subset_size >= K:
         raise SubsetTooLarge(f"subset_size {cfg.subset_size} must be < K={K}")
-    return np.concatenate(
-        [_layer_scores(mat, cfg, np.random.default_rng([seed, li])) for li, mat in enumerate(mats)]
-    )
+    cols = np.stack([u.weights.flat() for u in updates], axis=1)
+    streams = [(a.size, np.random.default_rng([seed, li])) for li, a in enumerate(updates[0].weights.layers)]
+    return _coordinate_scores(cols, cfg, streams)
 
 
 def dynamic_aggregate(

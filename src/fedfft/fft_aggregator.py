@@ -2,8 +2,8 @@
 or the density estimate singles out.
 
 Two strategies share one interface, and each has a single implementation that
-works on a whole layer's (clients x coordinates) matrix at once; selecting
-from one coordinate vector is the one-column case of it.
+works on the whole model's (coordinates x clients) matrix at once; selecting
+from one coordinate vector is the one-row case of it.
 
 * ``literal`` sorts the coordinate vector of K values, takes the FFT, and
   maps the argmax magnitude bin straight back into the sorted sample. A real
@@ -12,8 +12,8 @@ from one coordinate vector is the one-column case of it.
   the full spectrum every mirror pair would tie, and the FFT's last bit of
   rounding would pick the side. Bin 0 holds the plain sum of the values,
   which for one-signed data dwarfs every other bin, so it is excluded by
-  default; ``include_dc=True`` keeps it in play. All columns of a layer go
-  through one batched transform.
+  default; ``include_dc=True`` keeps it in play. Every coordinate of the
+  model goes through one batched transform.
 * ``kde`` evaluates a Gaussian KDE of the coordinate vector on a uniform grid
   and returns the sample value nearest the density mode. This is the variant
   with actual outlier-rejection behavior and the default for simulations.
@@ -29,7 +29,9 @@ the gaps whose bound reaches the best density seen. Every evaluated point
 gets the same expression, summed the same way, as a search over the whole
 grid, so densities, the first-maximum tie rule of ``argmax`` and therefore
 the picks are bit-identical to it. Rows whose grid or bandwidth is not
-finite and positive are evaluated at every grid point.
+finite and positive are evaluated at every grid point. The search works in
+chunks of coordinates, and its large temporaries live in per-thread scratch
+buffers (:func:`tensors.scratch`) that later calls reuse.
 
 Both strategies select an existing client value, never an interpolation.
 """
@@ -42,7 +44,7 @@ from typing import ClassVar, NamedTuple, Sequence
 import numpy as np
 
 from .spectral import fft, silverman_bandwidth
-from .tensors import ClientUpdate, ModelWeights, layer_matrices
+from .tensors import ClientUpdate, ModelWeights, scratch, validate_uniform
 
 LITERAL = "literal"
 KDE_MODE = "kde"
@@ -143,17 +145,19 @@ def _kde_pruned_density(
     densities or bounds are evaluated at every point.
     """
     n, size = grid.shape
-    terms = grid[:, coarse, None] - samples[:, None, :]
+    k = samples.shape[1]
+    m = coarse.size
+    terms = scratch("kde.terms", (n, m, k))
+    np.subtract(grid[:, coarse, None], samples[:, None, :], out=terms)
     # x is inside gap i when it lies right of coarse point i and not right of
     # point i + 1; an x on the right end has a term of 1 there anyway
-    right_of = terms < 0
-    inside = np.greater(right_of[:, :-1], right_of[:, 1:])
-    del right_of
+    right_of = np.less(terms, 0, out=scratch("kde.right_of", (n, m, k), bool))
+    inside = np.greater(right_of[:, :-1], right_of[:, 1:], out=scratch("kde.inside", (n, m - 1, k), bool))
     _kernel_terms(terms, h)
-    density = np.full((n, size), -np.inf)
+    density = scratch("kde.density", (n, size))
+    density.fill(-np.inf)
     density[:, coarse] = terms.sum(axis=2)
-    bound = np.maximum(terms[:, :-1], terms[:, 1:])
-    del terms
+    bound = np.maximum(terms[:, :-1], terms[:, 1:], out=scratch("kde.bound", (n, m - 1, k)))
     np.copyto(bound, 1.0, where=inside)
     bound = bound.sum(axis=2) * _KDE_BOUND_SLACK
     best = density[:, coarse].max(axis=1)
@@ -168,12 +172,15 @@ def _kde_pruned_density(
     interior = np.minimum(coarse[:-1, None] + 1 + np.arange(width), coarse[1:, None] - 1)
     keep &= gap_sizes > 0
     rows, gaps = np.nonzero(keep)
-    step = max(1, _KDE_CHUNK // (width * samples.shape[1]))
+    step = max(1, _KDE_CHUNK // (width * k))
     for start in range(0, rows.size, step):
-        r = rows[start : start + step, None]
+        r = rows[start : start + step]
         g = interior[gaps[start : start + step]]
-        diff = grid[r, g][:, :, None] - samples[r]
-        density[r, g] = _kernel_terms(diff, h[r[:, 0]]).sum(axis=2)
+        # the indices are in range by construction; mode="raise" would buffer
+        gathered = np.take(samples, r, axis=0, out=scratch("kde.gathered", (r.size, k)), mode="clip")
+        diff = scratch("kde.diff", (r.size, width, k))
+        np.subtract(grid[r[:, None], g][:, :, None], gathered[:, None, :], out=diff)
+        density[r[:, None], g] = _kernel_terms(diff, h[r]).sum(axis=2)
     return density
 
 
@@ -187,7 +194,10 @@ def _kde_grid(lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
     delta = (hi - lo)[:, None]
     step = delta / (size - 1)
     j = np.arange(size, dtype=np.float64)
-    grid = np.where(step == 0, j / (size - 1) * delta, j * step)
+    grid = np.multiply(j, step, out=scratch("kde.grid", (lo.size, size)))
+    flat = step[:, 0] == 0
+    if flat.any():
+        grid[flat] = j / (size - 1) * delta[flat]
     grid += lo[:, None]
     grid[:, -1] = hi
     return grid
@@ -222,11 +232,10 @@ def _kde_values(cols: np.ndarray, grid_size: int) -> np.ndarray:
     return values
 
 
-def _selected_values(mat: np.ndarray, strategy: FftStrategy) -> np.ndarray:
-    """The value each strategy selects from every column of a (K, n) matrix."""
-    if mat.shape[0] == 1:
-        return mat[0].copy()
-    cols = np.ascontiguousarray(mat.T)
+def _selected_values(cols: np.ndarray, strategy: FftStrategy) -> np.ndarray:
+    """The value each strategy selects from every row of an (n, K) matrix."""
+    if cols.shape[1] == 1:
+        return cols[:, 0].copy()
     if strategy.kind == LITERAL:
         return _literal_values(cols, strategy.include_dc)
     return _kde_values(cols, strategy.grid_size)
@@ -241,15 +250,13 @@ def fft_select(v, strategy: FftStrategy = FftStrategy()) -> Selection:
     values = np.asarray(v, dtype=np.float64)
     if values.size == 0:
         raise EmptyVector("coordinate vector is empty")
-    picked = float(_selected_values(values[:, None], strategy)[0])
+    picked = float(_selected_values(values[None, :], strategy)[0])
     client = int(np.nonzero(values == picked)[0][0])
     return Selection(picked, client)
 
 
 def fft_aggregate(updates: Sequence[ClientUpdate], strategy: FftStrategy = FftStrategy()) -> ModelWeights:
-    """Select a value for every coordinate, a layer at a time, and reassemble the model."""
-    mats = layer_matrices(updates)
-    template = updates[0].weights
-    return ModelWeights(
-        [_selected_values(mat, strategy).reshape(layer.shape) for mat, layer in zip(mats, template.layers)]
-    )
+    """Select a value for every coordinate of the model in one pass, and reassemble it."""
+    validate_uniform(updates)
+    cols = np.stack([u.weights.flat() for u in updates], axis=1)
+    return updates[0].weights.with_flat(_selected_values(cols, strategy))

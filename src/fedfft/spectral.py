@@ -15,6 +15,7 @@ sum-over-samples evaluation to ~1e-7 relative at every grid point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,28 @@ class DensityEstimate:
     bandwidth: float
 
 
+def _sorted_quantile(s: np.ndarray, q: float) -> np.ndarray:
+    """The q-quantile of each row of ``s``, sorted along its last axis.
+
+    numpy's "linear" rule, with its arithmetic, so the result is bit for bit
+    ``np.percentile(s, 100 * q, axis=-1)``: a value at virtual index
+    (n - 1) * q between sorted neighbours a and b, at fraction t past a, is
+    a + (b - a) * t, or b - (b - a) * (1 - t) when t >= 0.5. An index at or
+    past the last position reads the last value, with numpy's fraction.
+    """
+    n = s.shape[-1]
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        lo = hi = n - 1
+        t = virtual + 1.0  # numpy measures it from the index -1
+    else:
+        lo = math.floor(virtual)
+        hi = lo + 1
+        t = virtual - lo
+    a, b = s[..., lo], s[..., hi]
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def silverman_bandwidth(sample, axis: int = -1):
     """Silverman's rule along ``axis``: h = 0.9 * min(std, IQR/1.34) * n^(-1/5).
 
@@ -85,8 +108,8 @@ def silverman_bandwidth(sample, axis: int = -1):
     """
     sample = np.asarray(sample, dtype=np.float64)
     sd = np.std(sample, axis=axis)
-    q75, q25 = np.percentile(sample, [75.0, 25.0], axis=axis)
-    iqr = q75 - q25
+    s = np.moveaxis(np.sort(sample, axis=axis), axis, -1)
+    iqr = _sorted_quantile(s, 0.75) - _sorted_quantile(s, 0.25)
     spread = np.where(iqr > 0, np.minimum(sd, iqr / 1.34), sd)
     h = 0.9 * spread * sample.shape[axis] ** (-0.2)
     return float(h) if h.ndim == 0 else h

@@ -1,4 +1,5 @@
-"""Layered weight containers, a per-layer client matrix, and the weight-dump file format.
+"""Layered weight containers, a per-layer client matrix, per-thread scratch
+memory, and the weight-dump file format.
 
 Everything downstream (aggregators, attacks, the simulation loop) works on
 :class:`ModelWeights`: an ordered list of layer tensors stored as float64
@@ -11,6 +12,8 @@ threads.
 from __future__ import annotations
 
 import json
+import math
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -145,6 +148,28 @@ def layer_matrices(updates: Sequence[ClientUpdate]) -> list[np.ndarray]:
         np.stack([u.weights.layers[li].ravel(order="C") for u in updates])
         for li in range(len(updates[0].weights.layers))
     ]
+
+
+_scratch = threading.local()
+
+
+def scratch(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """An uninitialised C-contiguous array of ``shape`` in this thread's buffer ``name``.
+
+    Each thread keeps one flat buffer per name. A buffer grows to the largest
+    request made of it and is never freed, so a pass that asks for the same
+    temporaries on every call allocates (and page-faults fresh memory) only
+    while its requests still grow. The array is a view of the buffer, so its
+    contents are the caller's only until the same thread asks for ``name``
+    again.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    buffers = _scratch.__dict__
+    buf = buffers.get(name)
+    if buf is None or buf.size < nbytes:
+        buf = buffers[name] = np.empty(nbytes, dtype=np.uint8)
+    return buf[:nbytes].view(dtype).reshape(shape)
 
 
 def pairwise_sq_distances(rows: np.ndarray) -> np.ndarray:

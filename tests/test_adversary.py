@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,9 @@ from fedfft.adversary import (
     random_weights,
 )
 from fedfft.tensors import ClientUpdate, ModelWeights
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def mw(*layers):
@@ -185,6 +192,30 @@ class TestMinMaxCraft:
             assert abs(res.gamma - want) <= 1e-12 * want
             worst = max(float(np.linalg.norm(res.crafted.flat() - row)) for row in pts)
             assert worst <= diameter * (1.0 + 1e-12)
+
+    def test_craft_does_not_depend_on_blas_threads(self):
+        # a threaded BLAS dot splits its sum, so its last bit moves with the
+        # thread count on vectors as long as a 64-256-4 model's 17,668 weights
+        script = (
+            "import hashlib, numpy as np\n"
+            "from fedfft.adversary import min_max_craft\n"
+            "from fedfft.tensors import ModelWeights\n"
+            "for seed in range(3):\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    shapes = [(64, 256), (256,), (256, 4), (4,)]\n"
+            "    mal = [ModelWeights([rng.normal(0.1, 0.3, s) for s in shapes]) for _ in range(4)]\n"
+            "    print(hashlib.sha256(min_max_craft(mal).crafted.flat().tobytes()).hexdigest())\n"
+        )
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestApplyAttack:

@@ -1,11 +1,13 @@
 import math
+import sys
+import threading
 import warnings
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from fedfft import detector
+from fedfft import detector, tensors
 from fedfft.adversary import ATTACK_RANDOM_WEIGHTS, AttackSpec, apply_attack
 from fedfft.detector import (
     DECISION_FEDAVG,
@@ -21,7 +23,7 @@ from fedfft.detector import (
     mal_test,
     _kolmogorov_sf,
 )
-from fedfft.fft_aggregator import FftStrategy
+from fedfft.fft_aggregator import FftStrategy, fft_aggregate
 from fedfft.tensors import ClientUpdate, ModelWeights
 
 
@@ -30,6 +32,11 @@ def updates_from_matrix(mat, size=1):
         ClientUpdate(k, ModelWeights([row]), size)
         for k, row in enumerate(np.asarray(mat, float))
     ]
+
+
+def one_stream_scores(mat, cfg, rng):
+    """Scores of the columns of a (K, n) matrix, every draw from one generator."""
+    return detector._coordinate_scores(mat.T, cfg, [(mat.shape[1], rng)])
 
 
 class TestKsStatistic:
@@ -289,7 +296,7 @@ class TestMalTest:
             )
             mat = fuzz_matrix(rng, trial % 8, K, int(rng.integers(1, 30)))
             seed = int(rng.integers(1 << 30))
-            got = detector._layer_scores(mat, cfg, np.random.default_rng(seed))
+            got = one_stream_scores(mat, cfg, np.random.default_rng(seed))
             want = exact_layer_scores(mat, cfg, np.random.default_rng(seed))
             assert np.array_equal(got, want), (trial, K, cfg)
             if trial % 8 in (0, 1, 2, 5, 6):
@@ -305,14 +312,15 @@ class TestMalTest:
         band = detector._critical_band(10, 0.05)
         row = np.array([NormalDist().inv_cdf((i + 0.5) / 10) for i in range(10)])
         far = np.concatenate([row[:-1], [np.inf]])
-        s = np.stack([row, row, row, row, far, np.zeros(10), np.full(10, np.inf)])
-        mu = np.zeros(7)
-        sigma = np.array([1.0, 0.0, np.inf, np.nan, 1.0, 0.0, 0.0])
+        s = np.stack([row, row, row, row, far, np.zeros(10), np.full(10, np.inf), np.full(10, 0.3)])
+        mu = np.array([0.0] * 7 + [0.3 + 2**-54])
+        sigma = np.array([1.0, 0.0, np.inf, np.nan, 1.0, 0.0, 0.0, 1e-17])
         reject, exact = detector._band_decisions(s, mu, sigma, band)
-        # rows 1 and 5 are flat (sigma 0, finite values): decided here, and
+        # rows 1 and 5 are flat (sigma 0, finite values) and row 7 unanimous
+        # (finite, equal values, with its mean an ulp off): decided here, and
         # rejected exactly when their values are not all equal
-        assert exact.tolist() == [False, False, True, True, True, False, True]
-        assert reject[[0, 1, 5]].tolist() == [False, True, False]
+        assert exact.tolist() == [False, False, True, True, True, False, True, False]
+        assert reject[[0, 1, 5, 7]].tolist() == [False, True, False, False]
 
     @pytest.mark.parametrize("zeros", ["all", "half"])
     def test_flat_draws_skip_the_exact_path(self, monkeypatch, zeros):
@@ -325,10 +333,10 @@ class TestMalTest:
             mat[:20, 100:] = rng.normal(0.0, 5.0, size=(20, 20))
         cfg = DetectorConfig()
         monkeypatch.setattr(detector, "_critical_band", lambda n, level: None)
-        want = detector._layer_scores(mat, cfg, np.random.default_rng(8))
+        want = one_stream_scores(mat, cfg, np.random.default_rng(8))
         monkeypatch.undo()
         seen = spy_exact_path(monkeypatch)
-        got = detector._layer_scores(mat, cfg, np.random.default_rng(8))
+        got = one_stream_scores(mat, cfg, np.random.default_rng(8))
         assert sum(seen) == 0
         assert np.array_equal(got, want)
         assert np.all(got[:60] == 0.0)
@@ -352,12 +360,12 @@ class TestMalTest:
         mat[:8, 40:80] = 3.0
         mat[:, 80:] = np.round(mat[:, 80:], 1)
         cfg = DetectorConfig(subset_size=4)
-        default = detector._layer_scores(mat, cfg, np.random.default_rng(5))
+        default = one_stream_scores(mat, cfg, np.random.default_rng(5))
         seen = spy_exact_path(monkeypatch)
         monkeypatch.setattr(detector, "_BAND_MARGIN", margin)
         detector._critical_band.cache_clear()
         try:
-            widened = detector._layer_scores(mat, cfg, np.random.default_rng(5))
+            widened = one_stream_scores(mat, cfg, np.random.default_rng(5))
         finally:
             detector._critical_band.cache_clear()
         assert np.array_equal(widened, default)
@@ -387,10 +395,10 @@ class TestMalTest:
         mat = rng.integers(0, 4, size=(20, 60)).astype(float)
         mat[:6, ::3] = 3.0
         cfg = DetectorConfig()
-        want = detector._layer_scores(mat, cfg, np.random.default_rng(7))
+        want = one_stream_scores(mat, cfg, np.random.default_rng(7))
         assert np.ptp(want) > 0
         for factor in (2.0**-1074, 2.0**1021):
-            got = detector._layer_scores(mat * factor, cfg, np.random.default_rng(7))
+            got = one_stream_scores(mat * factor, cfg, np.random.default_rng(7))
             assert np.array_equal(got, want), factor
 
     def test_no_warnings_on_degenerate_columns(self):
@@ -404,7 +412,16 @@ class TestMalTest:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             scores = mal_test(updates_from_matrix(mat), DetectorConfig(subset_size=3), seed=4)
-        assert np.all(scores[10:20] == 0.0)
+        assert np.all(scores[:20] == 0.0)
+
+    @pytest.mark.parametrize("K", [8, 12, 20, 50])
+    def test_unanimous_coordinates_score_zero(self, K):
+        # the mean of equal values is often an ulp off them, so sigma > 0 and
+        # a Gaussian of near-zero width would reject the draw
+        values = np.random.default_rng(47).normal(0.0, 0.2, 2000)
+        mat = np.broadcast_to(values, (K, values.size))
+        cfg = DetectorConfig(subset_size=min(5, K - 7))
+        assert np.all(mal_test(updates_from_matrix(mat), cfg, seed=K) == 0.0)
 
 
 def spy_exact_path(monkeypatch):
@@ -444,9 +461,11 @@ def fuzz_matrix(rng, kind, K, P):
 def exact_layer_scores(mat, cfg, rng, scaled=True):
     """Scores with every draw decided by its p-value: the oracle for the band.
 
-    With ``scaled``, each draw is first divided by the power of two that
-    brings its largest magnitude into [0.5, 1), as far as a normal factor
-    allows; without it, the draws are scored as drawn.
+    A draw whose values are all equal does not reject, and a draw with sigma
+    0 whose values are not all equal does. With ``scaled``, each draw is
+    first divided by the power of two that brings its largest magnitude into
+    [0.5, 1), as far as a normal factor allows; without it, the draws are
+    scored as drawn.
     """
     K, n = mat.shape
     order = rng.random((n, cfg.repetitions, K)).argsort(axis=-1)
@@ -459,7 +478,102 @@ def exact_layer_scores(mat, cfg, rng, scaled=True):
     d = gaussian_ks_statistic(retained, mu, sigma)
     reject = detector._pvalue_from_effective_size(d, K - cfg.subset_size) < cfg.reject_level
     flat = np.all(retained == retained[..., :1], axis=-1)
-    return np.mean(np.where(sigma == 0.0, ~flat, reject), axis=-1)
+    return np.mean(np.where(flat | (sigma == 0.0), ~flat, reject), axis=-1)
+
+
+LAYER_SHAPES = ((7, 13), (29,), (3, 5, 4))
+
+
+def layered_matrix(rng, k=20):
+    """A (K, 180) matrix of a three-layer model's coordinates, partly contaminated."""
+    mat = rng.normal(0.0, 1.0, (k, 180))
+    mat[: k // 3, ::3] = rng.normal(0.0, 30.0, (k // 3, 60))
+    mat[:, 88:95] = mat[0, 88:95]
+    return mat
+
+
+def layered_updates(mat):
+    template = ModelWeights([np.zeros(shape) for shape in LAYER_SHAPES])
+    return [ClientUpdate(c, template.with_flat(row), 1) for c, row in enumerate(mat)]
+
+
+class TestWholeModelPass:
+    """mal_test scores every coordinate of the model in one pass."""
+
+    @pytest.mark.parametrize("chunk", [1, 1400, None])
+    def test_matches_each_layer_on_its_own(self, chunk, monkeypatch):
+        # chunks of 1 and 1400 elements hold one and seven coordinates, so
+        # they straddle every layer boundary
+        if chunk is not None:
+            monkeypatch.setattr(detector, "_SCORE_CHUNK", chunk)
+        mat = layered_matrix(np.random.default_rng(60))
+        cfg = DetectorConfig()
+        edges = np.cumsum([0] + [math.prod(shape) for shape in LAYER_SHAPES])
+        want = np.concatenate(
+            [
+                exact_layer_scores(mat[:, a:b], cfg, np.random.default_rng([9, li]))
+                for li, (a, b) in enumerate(zip(edges[:-1], edges[1:]))
+            ]
+        )
+        got = mal_test(layered_updates(mat), cfg, seed=9)
+        assert np.ptp(got) > 0
+        assert np.array_equal(got, want)
+
+    def test_stale_scratch_contents_change_nothing(self):
+        updates = layered_updates(layered_matrix(np.random.default_rng(61)))
+        first = mal_test(updates, DetectorConfig(), seed=3)
+        buffers = vars(tensors._scratch)
+        for buf in buffers.values():
+            buf[:] = 0xFF  # NaN as float64
+        assert np.array_equal(mal_test(updates, DetectorConfig(), seed=3), first)
+        assert {"ks.uniforms", "ks.retained", "ks.sorted", "ks.z", "ks.outside", "ks.inside"} <= set(buffers)
+
+    def test_threads_at_once_match_sequential_calls(self):
+        # each thread keeps its own scratch buffers, so threads that score and
+        # select at once, switching often, each get their sequential results
+        sets = [layered_updates(layered_matrix(np.random.default_rng(62 + t), k=30)) for t in range(3)]
+
+        def outputs(t):
+            return mal_test(sets[t], DetectorConfig(), seed=t), fft_aggregate(sets[t], FftStrategy())
+
+        want = [outputs(t) for t in range(3)]
+        got = [[] for _ in range(3)]
+        start = threading.Barrier(3)
+
+        def work(t):
+            start.wait()
+            for _ in range(10):
+                got[t].append(outputs(t))
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for t in range(3):
+            assert len(got[t]) == 10
+            for scores, weights in got[t]:
+                assert np.array_equal(scores, want[t][0]) and weights == want[t][1]
+
+    def test_mean_and_std_match_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(63)
+        for trial in range(200):
+            shape = tuple(int(d) for d in rng.integers(1, 9, size=trial % 3 + 1)) + (int(rng.integers(1, 50)),)
+            x = rng.normal(rng.normal(0.0, 10.0), rng.uniform(1e-3, 1e3), size=shape)
+            if trial % 4 == 1:
+                x = np.round(x)
+            elif trial % 4 == 2:
+                x *= 2.0 ** int(rng.integers(-1000, 1000))
+            with np.errstate(all="ignore"):  # squares of 2^1000 overflow, of 2^-1000 underflow
+                mu, sigma = detector._mean_and_std(x.copy())
+                assert np.array_equal(mu, x.mean(axis=-1), equal_nan=True), trial
+                assert np.array_equal(sigma, x.std(axis=-1), equal_nan=True), trial
 
 
 class TestDynamicAggregate:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedfft import fft_aggregator
+from fedfft import fft_aggregator, tensors
 from fedfft.fft_aggregator import EmptyVector, FftStrategy, fft_aggregate, fft_select
 from fedfft.spectral import dft_naive, kde_density_direct, silverman_bandwidth
 from fedfft.tensors import ClientUpdate, ModelWeights
@@ -282,3 +282,63 @@ class TestPrunedKdeSearch:
         want = exhaustive_kde_values(cols)
         monkeypatch.setattr(fft_aggregator, "_KDE_CHUNK", chunk)
         assert np.array_equal(fft_aggregator._kde_values(cols, 256), want)
+
+
+LAYER_SHAPES = ((7, 13), (29,), (3, 5, 4))
+
+
+def layered_updates(rng, k=12):
+    """K clients of a three-layer model, with planted attackers and unanimous coordinates."""
+    flat = rng.normal(0.0, 1.0, (k, 180))
+    flat[: k // 3, ::4] = rng.normal(0.0, 20.0, (k // 3, 45))
+    flat[:, 5:9] = flat[0, 5:9]
+    flat[:, 100:130] = np.round(flat[:, 100:130])
+    template = ModelWeights([np.zeros(shape) for shape in LAYER_SHAPES])
+    return [ClientUpdate(c, template.with_flat(row), 1) for c, row in enumerate(flat)]
+
+
+def literal_reference(cols):
+    """Sorted value at the largest bin 1..K//2 of each row's spectrum."""
+    s = np.sort(cols, axis=1)
+    mags = np.abs(np.fft.fft(s, axis=1))[:, 1 : cols.shape[1] // 2 + 1]
+    return s[np.arange(len(s)), 1 + np.argmax(mags, axis=1)]
+
+
+def per_layer_reference(updates, strategy):
+    """Each layer's selections on their own, by the oracle of the strategy."""
+    pick = exhaustive_kde_values if strategy.kind == "kde" else literal_reference
+    out = []
+    for li, shape in enumerate(LAYER_SHAPES):
+        cols = np.stack([u.weights.layers[li].ravel() for u in updates], axis=1)
+        out.append(pick(cols).reshape(shape))
+    return ModelWeights(out)
+
+
+def poison_scratch():
+    """Overwrite every scratch buffer of this thread with NaN bytes; returns their names."""
+    buffers = vars(tensors._scratch)
+    for buf in buffers.values():
+        buf[:] = 0xFF
+    return set(buffers)
+
+
+class TestWholeModelPass:
+    """fft_aggregate selects every coordinate of the model in one pass."""
+
+    @pytest.mark.parametrize("strategy", [KDE, LITERAL], ids=["kde", "literal"])
+    @pytest.mark.parametrize("chunk", [1, 3000, None])
+    def test_matches_each_layer_on_its_own(self, strategy, chunk, monkeypatch):
+        # chunks of 1 and 3000 elements hold one or two coordinates, so they
+        # straddle every layer boundary
+        if chunk is not None:
+            monkeypatch.setattr(fft_aggregator, "_KDE_CHUNK", chunk)
+        updates = layered_updates(np.random.default_rng(50))
+        assert fft_aggregate(updates, strategy) == per_layer_reference(updates, strategy)
+
+    def test_stale_scratch_contents_change_nothing(self):
+        updates = layered_updates(np.random.default_rng(51))
+        for strategy in (KDE, LITERAL):
+            first = fft_aggregate(updates, strategy)
+            names = poison_scratch()
+            assert fft_aggregate(updates, strategy) == first
+        assert {"kde.terms", "kde.bound", "kde.density", "kde.grid", "kde.diff"} <= names

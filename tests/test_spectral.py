@@ -7,6 +7,7 @@ from fedfft.spectral import (
     fft,
     kde_density,
     kde_density_direct,
+    silverman_bandwidth,
 )
 
 
@@ -134,3 +135,43 @@ class TestKdeDensity:
         est = kde_density(sample, 128)
         assert est.grid[0] == pytest.approx(0.0 - 3.0 * est.bandwidth)
         assert est.grid[-1] == pytest.approx(4.0 + 3.0 * est.bandwidth)
+
+
+def percentile_silverman(sample, axis=-1):
+    """Silverman's rule with the quartiles from ``np.percentile``: the oracle."""
+    sample = np.asarray(sample, dtype=np.float64)
+    sd = np.std(sample, axis=axis)
+    q75, q25 = np.percentile(sample, [75.0, 25.0], axis=axis)
+    iqr = q75 - q25
+    spread = np.where(iqr > 0, np.minimum(sd, iqr / 1.34), sd)
+    h = 0.9 * spread * sample.shape[axis] ** (-0.2)
+    return float(h) if h.ndim == 0 else h
+
+
+class TestSilvermanBandwidth:
+    def test_matches_percentile_quartiles_bit_for_bit(self):
+        rng = np.random.default_rng(30)
+        for trial in range(3000):
+            rows, n = int(rng.integers(1, 12)), int(rng.integers(1, 60))
+            kind = trial % 6
+            batch = rng.normal(size=(rows, n))
+            if kind == 1:
+                batch = np.round(batch, 1)  # ties
+            elif kind == 2:
+                batch[::2] = batch[::2, :1]  # unanimous rows
+            elif kind == 3:
+                batch[:, : n // 4] = 1.7e308 * np.sign(rng.normal(size=(rows, n // 4)))
+            elif kind == 4:
+                batch = rng.integers(-3, 4, size=(rows, n)) * 5e-324  # subnormals
+            elif kind == 5:
+                batch *= 10.0 ** rng.integers(-300, 300, size=(rows, 1))
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = silverman_bandwidth(batch, axis=1)
+                want = percentile_silverman(batch, axis=1)
+                assert np.array_equal(got, want, equal_nan=True), trial
+                got_t = silverman_bandwidth(batch.T, axis=0)
+                assert np.array_equal(got_t, want, equal_nan=True), trial
+                for row in batch[:2]:
+                    one = silverman_bandwidth(row)
+                    assert isinstance(one, float)
+                    assert np.array_equal(one, percentile_silverman(row), equal_nan=True), trial

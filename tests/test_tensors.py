@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fedfft.tensors import (
     load_weight_dump,
     pairwise_sq_distances,
     save_weight_dump,
+    scratch,
     to_dump_dict,
     validate_uniform,
 )
@@ -93,6 +95,32 @@ class TestCoordinateViews:
             assert sum(m.shape[1] for m in mats) == ups[0].weights.num_params
             for i, u in enumerate(ups):
                 assert np.array_equal(np.concatenate([m[i] for m in mats]), u.weights.flat())
+
+
+class TestScratch:
+    def test_view_has_the_requested_shape_and_dtype(self):
+        for shape, dtype in (((3, 4, 5), np.float64), ((7,), bool), ((2, 0, 3), np.int64), ((4, 4), np.complex128)):
+            arr = scratch("test.view", shape, dtype)
+            assert arr.shape == shape and arr.dtype == dtype
+            assert arr.flags.c_contiguous and arr.flags.writeable and arr.flags.aligned
+
+    def test_buffer_grows_and_is_reused(self):
+        big = scratch("test.reuse", (100, 10))
+        small = scratch("test.reuse", (3, 3), np.int64)
+        assert np.shares_memory(big, small)
+        bigger = scratch("test.reuse", (200, 10))
+        assert not np.shares_memory(big, bigger)
+        assert np.shares_memory(bigger, scratch("test.reuse", (100, 10)))
+        assert not np.shares_memory(bigger, scratch("test.other", (100, 10)))
+
+    def test_each_thread_has_its_own_buffers(self):
+        mine = scratch("test.thread", (64,))
+        theirs = []
+        worker = threading.Thread(target=lambda: theirs.append(scratch("test.thread", (64,))))
+        worker.start()
+        worker.join()
+        assert not np.shares_memory(mine, theirs[0])
+        assert np.shares_memory(mine, scratch("test.thread", (64,)))
 
 
 class TestPairwiseSqDistances:
