@@ -18,7 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensors import ClientUpdate, ModelWeights, pairwise_sq_distances
+from .tensors import (
+    ClientUpdate,
+    ModelWeights,
+    pairwise_sq_distances,
+    sq_distance_bounds,
+    sq_distance_row,
+    stack_flat,
+)
 
 ATTACK_NONE = "none"
 ATTACK_RANDOM_WEIGHTS = "random_weights"
@@ -96,24 +103,53 @@ def perturbation_vector(malicious: Sequence[ModelWeights], kind: str) -> ModelWe
     ``inverse_std``: per-coordinate negative population std across colluders.
     ``inverse_sign``: per-coordinate -sign(mean), with sign(0) = 0.
     """
+    stack, mean = _pooled(malicious)
+    return malicious[0].with_flat(_direction(stack, mean, kind))
+
+
+def _pooled(malicious: Sequence[ModelWeights]) -> tuple[np.ndarray, np.ndarray]:
+    """The colluders' (M, P) stack, in scratch memory, and its mean row."""
     if not malicious:
         raise ValueError("need at least one malicious update")
-    stack = np.stack([w.flat() for w in malicious])
-    mean = stack.mean(axis=0)
+    stack = stack_flat(malicious)
+    return stack, stack.mean(axis=0)
+
+
+def _direction(stack: np.ndarray, mean: np.ndarray, kind: str) -> np.ndarray:
+    """:func:`perturbation_vector`'s flat values."""
     if kind == INVERSE_UNIT_VECTOR:
         # numpy's own pairwise sum, not BLAS's dot, whose threads split the
         # sum and move its last bit with the thread count
         norm = float(np.sqrt(np.sum(mean * mean)))
         if norm == 0.0:
             raise ZeroNorm("mean of malicious weights has zero norm")
-        flat = -mean / norm
-    elif kind == INVERSE_STD:
-        flat = -stack.std(axis=0)
-    elif kind == INVERSE_SIGN:
-        flat = -np.sign(mean)
-    else:
-        raise ValueError(f"unknown perturbation {kind!r}")
-    return malicious[0].with_flat(flat)
+        return -mean / norm
+    if kind == INVERSE_STD:
+        return -stack.std(axis=0)
+    if kind == INVERSE_SIGN:
+        return -np.sign(mean)
+    raise ValueError(f"unknown perturbation {kind!r}")
+
+
+def _sq_diameter(stack: np.ndarray) -> float:
+    """The largest entry of ``pairwise_sq_distances(stack)``, bit for bit.
+
+    Only the pairs whose certified upper bound (:func:`sq_distance_bounds`)
+    reaches the largest lower bound can hold it; their exact distances come
+    from one exact row per distinct lower endpoint. More than (M-1)/2 such
+    rows, or a non-finite bound, take the full exact matrix instead.
+    """
+    bounds = sq_distance_bounds(stack)
+    if bounds is not None:
+        lo, hi = bounds
+        first, second = np.nonzero(np.triu(hi >= lo.max(), 1))
+        starts = np.unique(first)
+        if len(starts) <= (len(stack) - 1) / 2:
+            return max(
+                (float(sq_distance_row(stack, k)[second[first == k]].max()) for k in starts),
+                default=0.0,
+            )
+    return float(pairwise_sq_distances(stack).max())
 
 
 def _largest_feasible(feasible) -> float:
@@ -144,14 +180,15 @@ def min_max_craft(malicious: Sequence[ModelWeights], kind: str = INVERSE_UNIT_VE
     c_m + 2 gamma b_m + gamma^2 q, whose terms (c_m = ||mean - W^m||^2,
     b_m = <mean - W^m, p>, q = ||p||^2) are computed once per craft, so a
     probe costs O(M) rather than O(M * P). The diameter is the square root of
-    the largest exact pairwise squared distance.
+    the largest exact pairwise squared distance, which one Gram product's
+    certified bounds narrow to a few pairs, rechecked exactly
+    (:func:`_sq_diameter`).
     """
-    pert = perturbation_vector(malicious, kind)
-    stack = np.stack([w.flat() for w in malicious])
-    mean = stack.mean(axis=0)
-    pvec = pert.flat()
+    stack, mean = _pooled(malicious)
+    pvec = _direction(stack, mean, kind)
+    pert = malicious[0].with_flat(pvec)
 
-    diameter = float(np.sqrt(pairwise_sq_distances(stack).max()))
+    diameter = float(np.sqrt(_sq_diameter(stack)))
     offs = mean - stack
     c = np.einsum("ij,ij->i", offs, offs)
     # numpy's own reductions, as BLAS's results depend on its thread count

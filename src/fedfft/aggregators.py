@@ -17,6 +17,9 @@ from .tensors import (
     ModelWeights,
     layer_matrices,
     pairwise_sq_distances,
+    sq_distance_bounds,
+    sq_distance_row,
+    stack_flat,
     validate_uniform,
 )
 
@@ -96,8 +99,18 @@ def krum_select(updates: Sequence[ClientUpdate], param: KrumParam | int) -> int:
 
     score(k) = sum of the K-f-2 smallest squared L2 distances ||W^k - W^j||^2
     over j != k, all layers flattened jointly; the minimal score wins and ties
-    go to the lowest index. The distances are exact (one difference per pair,
-    :func:`~fedfft.tensors.pairwise_sq_distances`) and need O(K * P) memory.
+    go to the lowest index. The pick is always the one the exact distances of
+    :func:`~fedfft.tensors.pairwise_sq_distances` give, in O(K * P) memory.
+
+    It is found from the certified bounds of
+    :func:`~fedfft.tensors.sq_distance_bounds` (one Gram product): each row's
+    score lies between the sums of its smallest lower and of its smallest
+    upper bounds, and only a row whose lower score reaches the least upper
+    score can win. Each group of equal candidate rows shares one exact row of
+    distances (:func:`~fedfft.tensors.sq_distance_row`), and the candidates
+    are ranked by those exact scores. When a bound is not finite, or more than
+    (K-1)/2 distinct rows are candidates (rows sharing a large common offset
+    leave the bounds loose), the whole exact distance matrix decides instead.
     """
     f = param.f if isinstance(param, KrumParam) else int(param)
     validate_uniform(updates)
@@ -105,10 +118,53 @@ def krum_select(updates: Sequence[ClientUpdate], param: KrumParam | int) -> int:
     neighbors = K - f - 2
     if neighbors < 1:
         raise TooFewClients(f"K - f - 2 = {neighbors} < 1 (K={K}, f={f})")
-    d2 = pairwise_sq_distances(np.stack([u.weights.flat() for u in updates]))
+    rows = stack_flat([u.weights for u in updates])
+    # scores may overflow to inf on rows near +-1.7e308; inf still ranks
+    with np.errstate(over="ignore"):
+        picked = _krum_from_bounds(rows, neighbors)
+        if picked is None:
+            picked = int(np.argmin(_krum_scores(pairwise_sq_distances(rows), neighbors)))
+    return picked
+
+
+def _krum_scores(d2: np.ndarray, neighbors: int) -> np.ndarray:
     # each row's own zero distance sorts first; dropping it leaves the others
-    scores = np.sort(d2, axis=1)[:, 1 : neighbors + 1].sum(axis=1)
-    return int(np.argmin(scores))
+    return np.sort(d2, axis=1)[:, 1 : neighbors + 1].sum(axis=1)
+
+
+def _krum_from_bounds(rows: np.ndarray, neighbors: int) -> int | None:
+    """Krum's pick from the distance bounds and a few exact rows, or None."""
+    bounds = sq_distance_bounds(rows)
+    if bounds is None:
+        return None
+    lo, hi = bounds
+    K = len(rows)
+    # Lower, upper and exact scores are sums of at most K nonnegative terms,
+    # each rounded within a factor 1 +- gamma_K <= 1 +- 2Ku, so a minimal
+    # row's lower score stays below the least upper score times this slack.
+    slack = 1.0 + 16.0 * K * 2.0**-53
+    lower = _krum_scores(lo, neighbors)
+    candidates = np.flatnonzero(lower <= slack * _krum_scores(hi, neighbors).min())
+    reps: list[int] = []
+    group = []
+    for k in candidates:
+        # equal rows have equal exact distances, so equal scores
+        g = next(
+            (i for i, r in enumerate(reps) if lo[k, r] == 0.0 and np.array_equal(rows[k], rows[r])),
+            len(reps),
+        )
+        if g == len(reps):
+            if g + 1 > (K - 1) / 2:
+                return None
+            reps.append(int(k))
+        group.append(g)
+    # the exact rows in a (K, K) matrix, so each score is summed as the
+    # whole exact matrix's would be, bit for bit
+    d2 = np.zeros((K, K))
+    d2[reps] = [sq_distance_row(rows, r) for r in reps]
+    exact = _krum_scores(d2, neighbors)[reps]
+    # candidates ascend, so argmin's first minimum is the lowest index
+    return int(candidates[np.argmin(exact[group])])
 
 
 def krum(updates: Sequence[ClientUpdate], param: KrumParam | int) -> ModelWeights:

@@ -474,6 +474,19 @@ def _suite_krum_exhaustive() -> bool:
         diffs = rows[:, None, :] - rows[None, :, :]
         if not np.array_equal(pairwise_sq_distances(rows), np.einsum("ijk,ijk->ij", diffs, diffs)):
             return False
+    # the Gram-bounded pick against the exact matrix's, at 9000 values, on
+    # duplicated rows and on near ties over a large common offset
+    for _ in range(20):
+        K = int(rng.integers(4, 13))
+        f = int(rng.integers(0, K - 3 + 1))
+        rows = rng.normal(size=(K, 9000))
+        rows[K // 2 :] = rows[rng.integers(0, K // 2)]
+        for cand in (rows, 1e3 + 1e-4 * rows):
+            d2 = pairwise_sq_distances(cand)
+            scores = np.sort(d2, axis=1)[:, 1 : K - f - 1].sum(axis=1)
+            updates = [ClientUpdate(i, ModelWeights([cand[i]]), 1) for i in range(K)]
+            if krum_select(updates, f) != int(np.argmin(scores)):
+                return False
     return True
 
 

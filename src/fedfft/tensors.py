@@ -1,5 +1,6 @@
 """Layered weight containers, a per-layer client matrix, per-thread scratch
-memory, and the weight-dump file format.
+memory, pairwise squared distances (exact, and certified bounds from one Gram
+product), and the weight-dump file format.
 
 Everything downstream (aggregators, attacks, the simulation loop) works on
 :class:`ModelWeights`: an ordered list of layer tensors stored as float64
@@ -172,6 +173,19 @@ def scratch(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     return buf[:nbytes].view(dtype).reshape(shape)
 
 
+def stack_flat(weights: Sequence[ModelWeights]) -> np.ndarray:
+    """(K, P) matrix whose row k is ``weights[k].flat()``, in this thread's scratch.
+
+    The rows are written straight from each model's layers, with no per-model
+    flat copy. Like any :func:`scratch` array, the matrix is the caller's only
+    until the same thread calls this function again.
+    """
+    rows = scratch("tensors.stack_flat", (len(weights), weights[0].num_params))
+    for row, w in zip(rows, weights):
+        np.concatenate([a.ravel() for a in w.layers], out=row)
+    return rows
+
+
 def pairwise_sq_distances(rows: np.ndarray) -> np.ndarray:
     """(K, K) squared Euclidean distances between the rows of a (K, P) matrix.
 
@@ -183,7 +197,7 @@ def pairwise_sq_distances(rows: np.ndarray) -> np.ndarray:
     """
     K = rows.shape[0]
     d2 = np.zeros((K, K))
-    buf = np.empty_like(rows)
+    buf = scratch("tensors.diff", rows.shape)
     for k in range(K - 1):
         # The zero self-difference keeps every einsum at two rows or more:
         # numpy sums a lone row of more than 8192 values in one pass, but
@@ -193,6 +207,62 @@ def pairwise_sq_distances(rows: np.ndarray) -> np.ndarray:
         d2[k, k:] = np.einsum("ij,ij->i", diff, diff)
         d2[k:, k] = d2[k, k:]
     return d2
+
+
+def sq_distance_row(rows: np.ndarray, k: int) -> np.ndarray:
+    """Row ``k`` of :func:`pairwise_sq_distances`, bit for bit, at O(K * P) cost.
+
+    One difference of every row against row ``k``, a K-row einsum operand like
+    each of the triangle's; x - y and y - x square to the same value.
+    """
+    diff = np.subtract(rows, rows[k], out=scratch("tensors.diff", rows.shape))
+    return np.einsum("ij,ij->i", diff, diff)
+
+
+_ROUNDOFF = 2.0**-53
+_TINY = 2.0**-1074  # the smallest subnormal: an underflowing product's error
+
+
+def sq_distance_bounds(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Certified (lo, hi) around every entry of :func:`pairwise_sq_distances`.
+
+    Both are (K, K) with a zero diagonal, and ``lo <= d2 <= hi`` holds for
+    the exact path's d2 as computed, entry by entry. They come from one Gram
+    product G = rows @ rows.T as ||x||^2 + ||y||^2 - 2 x.y, so they cost one
+    BLAS call instead of K(K-1)/2 differences. Returns None when any bound is
+    non-finite or within a factor 2 of overflow (values near +-1.7e308),
+    where the margin below no longer holds.
+
+    The margin. Let u = 2^-53, gamma_m = m u / (1 - m u), eta = 2^-1074, and
+    S = ||x||^2 + ||y||^2 for rows x, y of length P. A length-P dot product
+    errs by at most gamma_P sum|x_l y_l| + P eta in any summation order, with
+    or without fused multiply-adds (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, eq. 3.5; eta covers underflowing products),
+    and sum|x_l y_l| <= S / 2. So the estimate fl(G_xx + G_yy - 2 G_xy), with
+    its own two roundings, lies within 4 gamma_{P+2} S + 4P eta of ||x - y||^2.
+    The exact path rounds a difference, a square and a sum of P nonnegative
+    terms, so it lies within gamma_{P+2} ||x - y||^2 + P eta <= 2 gamma_{P+2} S
+    + P eta of it too. The margin 8 gamma_{P+2} S' + 8(P + 2) eta, with
+    S' = G_xx + G_yy as computed, covers both, and since gamma_{P+2} >= 3u,
+    also S' for S and the few roundings of order u S in forming the margin
+    and est -/+ margin. ``lo`` is clipped at zero.
+    """
+    K, P = rows.shape
+    m = P + 2
+    gamma = m * _ROUNDOFF / (1.0 - m * _ROUNDOFF)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = rows @ rows.T
+        sq = gram.diagonal()
+        norms = sq[:, None] + sq[None, :]
+        est = norms - 2.0 * gram
+        margin = 8.0 * gamma * norms + 8.0 * m * _TINY
+        hi = est + margin
+        if not np.all(hi < 2.0**1023):  # also false for nan
+            return None
+        lo = np.maximum(est - margin, 0.0)
+    np.fill_diagonal(lo, 0.0)
+    np.fill_diagonal(hi, 0.0)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -369,7 +369,7 @@ def test_criterion_10_sudden_attack_switch():
     )
 
 
-def test_criterion_11_byte_identical_csv_across_threads(tmp_path):
+def test_criterion_11_byte_identical_csv_over_reruns(tmp_path):
     config = {
         "task": {"clients": 6, "per_client": 30, "dim": 4, "classes": 2, "seed": 2},
         "train": {

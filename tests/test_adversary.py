@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedfft import adversary
 from fedfft.adversary import (
     ATTACK_MIN_MAX,
     ATTACK_NONE,
@@ -18,12 +19,13 @@ from fedfft.adversary import (
     UnknownClientId,
     _GAMMA_CAP,
     ZeroNorm,
+    _sq_diameter,
     apply_attack,
     min_max_craft,
     perturbation_vector,
     random_weights,
 )
-from fedfft.tensors import ClientUpdate, ModelWeights
+from fedfft.tensors import ClientUpdate, ModelWeights, pairwise_sq_distances
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -192,6 +194,35 @@ class TestMinMaxCraft:
             assert abs(res.gamma - want) <= 1e-12 * want
             worst = max(float(np.linalg.norm(res.crafted.flat() - row)) for row in pts)
             assert worst <= diameter * (1.0 + 1e-12)
+
+    def test_diameter_equals_exact_pairwise_maximum(self):
+        rng = np.random.default_rng(14)
+        cases = [rng.normal(size=(1, 9000)), rng.normal(size=(2, 9000)), np.ones((6, 40))]
+        for _ in range(40):
+            m, p = int(rng.integers(2, 21)), int(rng.integers(1, 10_000))
+            cases.append(rng.normal(0.1, 0.3, size=(m, p)))
+            cases.append(1e3 + rng.normal(0.0, 1e-4, size=(m, p)))  # near ties
+            tied = rng.normal(size=(m, p))
+            tied[m // 2 :] = tied[0]
+            cases.append(tied)
+        far = rng.normal(size=(8, 500))
+        far[5, 3] = 1e150
+        cases.append(far)
+        for stack in cases:
+            assert _sq_diameter(stack) == pairwise_sq_distances(stack).max()
+
+    def test_diameter_rechecks_few_pairs(self, monkeypatch):
+        stack = np.random.default_rng(15).normal(0.1, 0.3, size=(20, 17_668))
+        want = pairwise_sq_distances(stack).max()
+        starts = []
+        monkeypatch.setattr(adversary, "pairwise_sq_distances", None)
+        monkeypatch.setattr(
+            adversary,
+            "sq_distance_row",
+            lambda rows, k: starts.append(k) or pairwise_sq_distances(rows)[k],
+        )
+        assert _sq_diameter(stack) == want
+        assert len(starts) <= 2
 
     def test_craft_does_not_depend_on_blas_threads(self):
         # a threaded BLAS dot splits its sum, so its last bit moves with the

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from fedfft import aggregators
 
 from fedfft.aggregators import (
     KrumParam,
@@ -14,7 +21,9 @@ from fedfft.aggregators import (
     krum_select,
     trimmed_mean,
 )
-from fedfft.tensors import ClientUpdate, EmptyUpdateSet, ModelWeights
+from fedfft.tensors import ClientUpdate, EmptyUpdateSet, ModelWeights, pairwise_sq_distances
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def update(cid, values, size=1):
@@ -23,6 +32,14 @@ def update(cid, values, size=1):
 
 def column(result):
     return result.layers[0].tolist()
+
+
+def exact_krum_pick(rows, f):
+    """Krum's pick from the whole exact distance matrix."""
+    with np.errstate(over="ignore"):
+        d2 = pairwise_sq_distances(rows)
+        scores = np.sort(d2, axis=1)[:, 1 : len(rows) - f - 1].sum(axis=1)
+    return int(np.argmin(scores))
 
 
 class TestFedAvg:
@@ -144,6 +161,83 @@ class TestKrum:
                 )
                 scores.append(sum(d2[:nn]))
             assert krum_select(ups, f) == int(np.argmin(scores))
+
+    def test_near_ties_on_a_large_common_offset_match_exact_pick(self):
+        # the Gram estimate's own error here is of the order of the distances,
+        # so a pick made from it without the margin is often another row
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            k = int(rng.integers(4, 13))
+            f = int(rng.integers(0, k - 3 + 1))
+            rows = 1e3 + rng.normal(0.0, 1e-4, size=(k, int(rng.integers(200, 2000))))
+            ups = [update(i, rows[i]) for i in range(k)]
+            assert krum_select(ups, f) == exact_krum_pick(rows, f)
+
+    def test_extreme_finite_inputs_match_exact_pick_without_warnings(self):
+        rng = np.random.default_rng(12)
+        huge = np.zeros((6, 3))
+        huge[1, 0], huge[2, 0], huge[4, 1] = 1.7e308, -1.7e308, 1.7e308
+        outlier = rng.normal(0.0, 0.05, size=(12, 500))
+        outlier[3, 7] = 1e150
+        cases = [
+            (huge, 1),
+            (outlier, 2),
+            (rng.normal(size=(8, 50)) * 1e-310, 2),  # subnormal values
+            (rng.normal(size=(8, 50)) * 1e-160, 2),  # their squares underflow
+            (np.full((5, 9000), 0.25), 1),
+            (rng.normal(size=(3, 9000)), 0),
+        ]
+        for rows, f in cases:
+            ups = [update(i, rows[i]) for i in range(len(rows))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = krum_select(ups, f)
+            assert got == exact_krum_pick(rows, f)
+
+    def test_one_exact_row_decides_a_colluded_round(self, monkeypatch):
+        # honest rows around one point, twenty byte-identical colluders nearer
+        rng = np.random.default_rng(13)
+        rows = rng.normal(0.0, 0.05, size=(50, 9000))
+        rows[10:30] = rows.mean(axis=0) + 0.01
+        want = exact_krum_pick(rows, 20)
+        exact_rows = []
+        monkeypatch.setattr(aggregators, "pairwise_sq_distances", None)
+        monkeypatch.setattr(
+            aggregators,
+            "sq_distance_row",
+            lambda rows, k: exact_rows.append(k) or pairwise_sq_distances(rows)[k],
+        )
+        assert krum_select([update(i, rows[i]) for i in range(50)], 20) == want == 10
+        assert exact_rows == [10]
+
+    def test_pick_does_not_depend_on_blas_threads(self):
+        # the Gram products go through BLAS, whose rounding may move with its
+        # thread count on a 64-256-4 model's 17,668 weights; the pick and the
+        # craft's diameter and gamma must not
+        script = (
+            "import numpy as np\n"
+            "from fedfft.adversary import _sq_diameter, min_max_craft\n"
+            "from fedfft.aggregators import krum_select\n"
+            "from fedfft.tensors import ClientUpdate, ModelWeights, stack_flat\n"
+            "shapes = [(64, 256), (256,), (256, 4), (4,)]\n"
+            "for seed in range(3):\n"
+            "    rng = np.random.default_rng(seed)\n"
+            "    honest = [ModelWeights([rng.normal(0.1, 0.3, s) for s in shapes]) for _ in range(12)]\n"
+            "    res = min_max_craft(honest[:5])\n"
+            "    print(float(_sq_diameter(stack_flat(honest[:5]))).hex(), res.gamma.hex())\n"
+            "    ups = [ClientUpdate(i, res.crafted if i < 5 else w, 1) for i, w in enumerate(honest)]\n"
+            "    print([krum_select(ups, f) for f in (0, 3, 5)], krum_select(ups[5:], 2))\n"
+        )
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_memory_linear_in_client_count(self):
         # a (K, K, P) difference tensor alone would take K * K * P * 8 bytes

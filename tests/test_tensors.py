@@ -1,5 +1,6 @@
 import json
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from fedfft.tensors import (
     pairwise_sq_distances,
     save_weight_dump,
     scratch,
+    sq_distance_bounds,
+    sq_distance_row,
+    stack_flat,
     to_dump_dict,
     validate_uniform,
 )
@@ -149,6 +153,81 @@ class TestPairwiseSqDistances:
         assert np.array_equal(got, self.broadcast_oracle(rows))
         assert np.array_equal(got, got.T)
         assert np.all(np.diag(got) == 0.0)
+
+
+def _distance_rows(k, p, seed):
+    """(k, p) rows at spread scales, with duplicates, as Krum and the craft see them."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(k, p)) * rng.uniform(0.1, 100.0, size=(k, 1))
+    rows[k - 1] = rows[0]
+    rows[k // 2 : k // 2 + k // 4] = rows[1]
+    return rows
+
+
+class TestStackFlat:
+    def test_rows_are_the_flat_models_in_reused_memory(self):
+        rng = np.random.default_rng(0)
+        models = [mw(rng.normal(size=(3, 4)), rng.normal(size=4)) for _ in range(5)]
+        rows = stack_flat(models)
+        assert np.array_equal(rows, np.stack([w.flat() for w in models]))
+        assert np.shares_memory(rows, stack_flat(models[:2]))
+
+
+class TestSqDistanceRow:
+    # around and past numpy's 8192-element einsum buffer, and the wide model's P
+    @pytest.mark.parametrize("p", [8191, 8192, 8193, 9000, 17_668, 3 * 8192 + 5])
+    def test_equals_pairwise_row_bit_for_bit(self, p):
+        base = _distance_rows(50, p, p)
+        for k in (3, 4, 5, 12, 27, 50):
+            rows = base[:k]
+            d2 = pairwise_sq_distances(rows)
+            for i in range(k):
+                assert np.array_equal(sq_distance_row(rows, i), d2[i]), (k, i)
+
+
+class TestSqDistanceBounds:
+    @staticmethod
+    def assert_bracket(rows):
+        bounds = sq_distance_bounds(rows)
+        assert bounds is not None
+        lo, hi = bounds
+        d2 = pairwise_sq_distances(rows)
+        assert np.all(lo <= d2) and np.all(d2 <= hi)
+        assert np.all(np.diag(lo) == 0.0) and np.all(np.diag(hi) == 0.0)
+        return lo, hi
+
+    @pytest.mark.parametrize("p", [1, 3, 301, 9001])
+    def test_bracket_the_exact_distances(self, p):
+        self.assert_bracket(np.random.default_rng(p).normal(size=(1, p)))
+        for k in (2, 3, 20):
+            self.assert_bracket(_distance_rows(k, p, p + k))
+
+    def test_bracket_near_ties_on_a_large_common_offset(self):
+        # the Gram estimate's error here is of the order of the distances
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            rows = 1e3 + rng.normal(0.0, 1e-4, size=(int(rng.integers(3, 12)), int(rng.integers(1, 400))))
+            self.assert_bracket(rows)
+
+    def test_bracket_extreme_finite_rows_without_warnings(self):
+        rng = np.random.default_rng(2)
+        honest = rng.normal(0.0, 0.05, size=(12, 500))
+        outlier = honest.copy()
+        outlier[3, 7] = 1e150
+        tiny = rng.normal(size=(6, 500)) * 1e-310  # subnormal values
+        small = rng.normal(size=(6, 500)) * 1e-160  # squares underflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rows in (honest, outlier, tiny, small, np.ones((5, 40)), np.zeros((3, 2))):
+                self.assert_bracket(rows)
+
+    def test_none_near_overflow_without_warnings(self):
+        rows = np.zeros((4, 3))
+        rows[1, 0], rows[2, 0] = 1.7e308, -1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sq_distance_bounds(rows) is None
+            assert sq_distance_bounds(rows * 3.2e-155) is None  # a finite Gram, 1.2e308 apart
 
 
 class TestWeightDump:
