@@ -615,14 +615,19 @@ def _suite_kde_direct() -> bool:
         if picked != s[int(np.argmin(np.abs(s - est.grid[int(np.argmax(ref))])))]:
             return False
     # the pruned mode search against the argmax over every grid point, on
-    # tie-heavy columns: repeated integers, mirrored clusters, one odd value
+    # tie-heavy columns (repeated integers, mirrored clusters, one odd value)
+    # and on far-spread ones shaped like a random-weights attack, whose
+    # kernel terms take the guarded exp
     for k in range(2, 51, 3):
+        spread = (2 * k) // 5
         cols = np.stack(
             [
                 rng.integers(-3, 4, k).astype(float),
                 np.resize(np.concatenate([[-1.5, 1.5], np.round(rng.normal(0.0, 0.1, 4), 1)]), k),
                 np.concatenate([np.full(k - 1, rng.normal()), [rng.normal(0.0, 5.0)]]),
                 np.concatenate([-np.abs(rng.normal(2.0, 0.2, k // 2)), np.abs(rng.normal(2.0, 0.2, k - k // 2))]),
+                np.concatenate([rng.normal(0.0, 0.3, spread), rng.normal(0.0, 0.01, k - spread)]),
+                np.concatenate([rng.normal(0.0, 0.3, spread), rng.normal(0.0, 0.01, k - spread)]),
             ],
             axis=1,
         )

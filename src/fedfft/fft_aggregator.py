@@ -33,6 +33,15 @@ finite and positive are evaluated at every grid point. The search works in
 chunks of coordinates, and its large temporaries live in per-thread scratch
 buffers (:func:`tensors.scratch`) that later calls reuse.
 
+No client value may set the server's time, yet numpy's vectorised ``exp``
+is about ten times slower on every lane whose result underflows, and far
+spread sets (random weights) put most kernel arguments there. So each row
+is gated before any chunk is built: a row whose grid spans fewer than 40
+bandwidths cannot reach an argument below -708 and runs the plain ``exp``.
+The other rows go in chunks of their own, where every argument below -746,
+whose ``exp`` is exactly +0.0 anyway, is replaced by -0.0 and its term
+multiplied by 0 afterwards. The terms stay bit for bit those of ``np.exp``.
+
 Both strategies select an existing client value, never an interpolation.
 """
 
@@ -101,6 +110,13 @@ _KDE_CHUNK = 1 << 18
 # sum of exponentials, so a bound never falls below a density it covers.
 _KDE_STRIDE = 8
 _KDE_BOUND_SLACK = 1.0 + 1e-9
+# Every sample lies 3h inside its grid's ends, so on a grid spanning fewer
+# than _KDE_FAR_SPAN bandwidths each kernel argument stays above -37^2 / 2,
+# clear of exp's subnormal and underflow range below about -708. Only the
+# other ("far") rows take the guarded exp of _kernel_terms, in chunks of
+# their own. np.exp is exactly +0.0 below _EXP_ZERO.
+_KDE_FAR_SPAN = 40.0
+_EXP_ZERO = -746.0
 
 
 def _literal_values(cols: np.ndarray, include_dc: bool) -> np.ndarray:
@@ -114,22 +130,36 @@ def _literal_values(cols: np.ndarray, include_dc: bool) -> np.ndarray:
     return sorted_cols[np.arange(cols.shape[0]), bins]
 
 
-def _kernel_terms(diff: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _kernel_terms(diff: np.ndarray, h: np.ndarray, far: bool) -> np.ndarray:
     """exp(-(diff / h)^2 / 2) in place, for differences g - x of shape (r, m, K).
 
     ``h`` holds one bandwidth per row. Sums of the result over its last axis
     are the unnormalised densities at the m points g of each row. Every kde
     density is this expression summed the same way, so a point keeps its
     value bit for bit whichever pass evaluates it.
+
+    ``far`` rows may have arguments that underflow, and numpy's vectorised
+    ``exp`` leaves its fast path for such lanes (about 10x slower each). Every
+    argument below _EXP_ZERO gives exactly +0.0, so those lanes are set to
+    -0.0 (exp 1) and multiplied by 0 afterwards; the clamp first turns -inf
+    arguments into finite ones, since -inf * 0 is NaN. NaN lanes stay NaN.
+    The terms are bit for bit ``np.exp`` of the same arguments either way.
     """
     diff /= h[:, None, None]
     diff *= diff
     diff *= -0.5
-    return np.exp(diff, out=diff)
+    if not far:
+        return np.exp(diff, out=diff)
+    keep = np.greater_equal(diff, _EXP_ZERO, out=scratch("kde.keep", diff.shape, bool))
+    np.maximum(diff, _EXP_ZERO, out=diff)
+    diff *= keep
+    np.exp(diff, out=diff)
+    diff *= keep
+    return diff
 
 
 def _kde_pruned_density(
-    grid: np.ndarray, samples: np.ndarray, h: np.ndarray, coarse: np.ndarray
+    grid: np.ndarray, samples: np.ndarray, h: np.ndarray, coarse: np.ndarray, far: bool
 ) -> np.ndarray:
     """Densities at every grid point that can hold its row's maximum, -inf elsewhere.
 
@@ -142,7 +172,8 @@ def _kde_pruned_density(
     below that value, so ``argmax`` over the result, which returns the first
     maximum, picks the same point as over the full grid. Rows with a
     bandwidth that is not positive, a non-finite grid, or non-finite coarse
-    densities or bounds are evaluated at every point.
+    densities or bounds are evaluated at every point. ``far`` is passed on
+    to :func:`_kernel_terms`.
     """
     n, size = grid.shape
     k = samples.shape[1]
@@ -153,7 +184,7 @@ def _kde_pruned_density(
     # point i + 1; an x on the right end has a term of 1 there anyway
     right_of = np.less(terms, 0, out=scratch("kde.right_of", (n, m, k), bool))
     inside = np.greater(right_of[:, :-1], right_of[:, 1:], out=scratch("kde.inside", (n, m - 1, k), bool))
-    _kernel_terms(terms, h)
+    _kernel_terms(terms, h, far)
     density = scratch("kde.density", (n, size))
     density.fill(-np.inf)
     density[:, coarse] = terms.sum(axis=2)
@@ -180,7 +211,7 @@ def _kde_pruned_density(
         gathered = np.take(samples, r, axis=0, out=scratch("kde.gathered", (r.size, k)), mode="clip")
         diff = scratch("kde.diff", (r.size, width, k))
         np.subtract(grid[r[:, None], g][:, :, None], gathered[:, None, :], out=diff)
-        density[r[:, None], g] = _kernel_terms(diff, h[r]).sum(axis=2)
+        density[r[:, None], g] = _kernel_terms(diff, h[r], far).sum(axis=2)
     return density
 
 
@@ -209,7 +240,10 @@ def _kde_values(cols: np.ndarray, grid_size: int) -> np.ndarray:
     The grid spans [min - 3h, max + 3h] with the Silverman bandwidth h, as in
     :func:`spectral.kde_density`. The density's normalising constant is left
     out because it does not move the argmax. The mode is found by the exact
-    pruned search of :func:`_kde_pruned_density`.
+    pruned search of :func:`_kde_pruned_density`. Rows whose grid spans
+    _KDE_FAR_SPAN bandwidths or more (or is not finite) are moved behind the
+    others and go in chunks of their own, so only they pay for the guarded
+    exp; each row's pick is the same in any chunk.
     """
     k = cols.shape[1]
     values = cols[:, 0].copy()
@@ -218,17 +252,23 @@ def _kde_values(cols: np.ndarray, grid_size: int) -> np.ndarray:
     h = silverman_bandwidth(sub, axis=1)
     lo = sub.min(axis=1) - 3.0 * h
     hi = sub.max(axis=1) + 3.0 * h
+    far = ~(hi - lo < _KDE_FAR_SPAN * h)
+    near = active.size - np.count_nonzero(far)
+    if near < active.size:
+        order = np.argsort(far, kind="stable")
+        active, sub, h, lo, hi = active[order], sub[order], h[order], lo[order], hi[order]
     coarse = np.unique(np.r_[np.arange(0, grid_size, _KDE_STRIDE), grid_size - 1])
     chunk = max(1, _KDE_CHUNK // (3 * coarse.size * k))
-    for start in range(0, active.size, chunk):
-        part = slice(start, start + chunk)
-        samples = sub[part]
-        rows = np.arange(samples.shape[0])
-        grid = _kde_grid(lo[part], hi[part], grid_size)
-        density = _kde_pruned_density(grid, samples, h[part], coarse)
-        mode_x = grid[rows, np.argmax(density, axis=1)]
-        nearest = np.argmin(np.abs(samples - mode_x[:, None]), axis=1)
-        values[active[part]] = samples[rows, nearest]
+    for first, end, guard in ((0, near, False), (near, active.size, True)):
+        for start in range(first, end, chunk):
+            part = slice(start, min(start + chunk, end))
+            samples = sub[part]
+            rows = np.arange(samples.shape[0])
+            grid = _kde_grid(lo[part], hi[part], grid_size)
+            density = _kde_pruned_density(grid, samples, h[part], coarse, guard)
+            mode_x = grid[rows, np.argmax(density, axis=1)]
+            nearest = np.argmin(np.abs(samples - mode_x[:, None]), axis=1)
+            values[active[part]] = samples[rows, nearest]
     return values
 
 

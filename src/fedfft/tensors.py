@@ -186,25 +186,24 @@ def stack_flat(weights: Sequence[ModelWeights]) -> np.ndarray:
     return rows
 
 
+# Rows per difference chunk of the exact distances: the difference buffer
+# holds this many rows, not K.
+_DIFF_ROWS = 8
+
+
 def pairwise_sq_distances(rows: np.ndarray) -> np.ndarray:
     """(K, K) squared Euclidean distances between the rows of a (K, P) matrix.
 
-    Exact differences, one row against itself and the rows after it, in one
-    reused (K, P) buffer, so memory is O(K * P) rather than the O(K^2 * P) of
-    a broadcast difference tensor. Each entry equals that tensor's
-    ``einsum("ijk,ijk->ij")`` bit for bit; the result is exactly symmetric
-    with a zero diagonal.
+    Exact differences, one row against itself and the rows after it (see
+    :func:`sq_distance_row`), so memory is O(P) beyond the result rather
+    than the O(K^2 * P) of a broadcast difference tensor. Each entry equals
+    that tensor's ``einsum("ijk,ijk->ij")`` bit for bit; the result is
+    exactly symmetric with a zero diagonal.
     """
     K = rows.shape[0]
     d2 = np.zeros((K, K))
-    buf = scratch("tensors.diff", rows.shape)
     for k in range(K - 1):
-        # The zero self-difference keeps every einsum at two rows or more:
-        # numpy sums a lone row of more than 8192 values in one pass, but
-        # operands of several rows, like the broadcast tensor, in buffered
-        # chunks of 8192, and the two orders round differently.
-        diff = np.subtract(rows[k:], rows[k], out=buf[: K - k])
-        d2[k, k:] = np.einsum("ij,ij->i", diff, diff)
+        d2[k, k:] = sq_distance_row(rows[k:], 0)
         d2[k:, k] = d2[k, k:]
     return d2
 
@@ -212,11 +211,22 @@ def pairwise_sq_distances(rows: np.ndarray) -> np.ndarray:
 def sq_distance_row(rows: np.ndarray, k: int) -> np.ndarray:
     """Row ``k`` of :func:`pairwise_sq_distances`, bit for bit, at O(K * P) cost.
 
-    One difference of every row against row ``k``, a K-row einsum operand like
-    each of the triangle's; x - y and y - x square to the same value.
+    The difference of every row against row ``k``, _DIFF_ROWS rows at a time
+    in one reused scratch buffer; x - y and y - x square to the same value.
+    A last chunk of one row starts a row early: numpy sums a lone row of
+    more than 8192 values in one pass, but operands of several rows, like
+    the broadcast tensor, in buffered chunks of 8192, and the two orders
+    round differently.
     """
-    diff = np.subtract(rows, rows[k], out=scratch("tensors.diff", rows.shape))
-    return np.einsum("ij,ij->i", diff, diff)
+    K = rows.shape[0]
+    out = np.empty(K)
+    buf = scratch("tensors.diff", (min(K, _DIFF_ROWS), rows.shape[1]))
+    for start in range(0, K, _DIFF_ROWS):
+        start = max(0, min(start, K - 2))
+        stop = min(start + _DIFF_ROWS, K)
+        diff = np.subtract(rows[start:stop], rows[k], out=buf[: stop - start])
+        out[start:stop] = np.einsum("ij,ij->i", diff, diff)
+    return out
 
 
 _ROUNDOFF = 2.0**-53

@@ -200,7 +200,7 @@ def exhaustive_kde_values(cols, grid_size=256):
     return values
 
 
-COLUMN_KINDS = ("random", "duplicates", "all_but_one_equal", "two_clusters", "integers")
+COLUMN_KINDS = ("random", "duplicates", "all_but_one_equal", "two_clusters", "integers", "far")
 
 
 def _columns(kind, rng, k, n=30):
@@ -218,7 +218,56 @@ def _columns(kind, rng, k, n=30):
         return np.concatenate([half - 2.0, 2.0 - half], axis=1)[:, :k]
     if kind == "integers":
         return rng.integers(-4, 5, (n, k)).astype(float)
+    if kind == "far":
+        # like random weights: a tight honest cluster and spread-out attackers,
+        # so most kernel arguments underflow
+        cols = rng.normal(0.0, 0.01, (n, k))
+        cols[:, : (2 * k) // 5] = rng.normal(0.0, 0.3, (n, (2 * k) // 5))
+        return cols
     raise ValueError(kind)
+
+
+def grid_spans(cols):
+    """Each row's kde grid span hi - lo in bandwidths."""
+    h = silverman_bandwidth(cols, axis=1)
+    return (np.ptp(cols, axis=1) + 6.0 * h) / h
+
+
+class TestKernelTerms:
+    """The guarded exp of far rows is bit for bit np.exp of the same arguments."""
+
+    @staticmethod
+    def arguments(diff, h):
+        z = diff / h[:, None, None]
+        z *= z
+        z *= -0.5
+        return z
+
+    def test_guard_is_exp_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        targets = np.concatenate(
+            [
+                [-746.0, -745.2, -745.13, -745.0, -744.4, -708.4, -708.0, -700.0, -1.0, -1e-300],
+                np.linspace(-745.5, -708.0, 400),
+                rng.uniform(-3000.0, 0.0, 400),
+                rng.uniform(-30.0, 0.0, 400),
+            ]
+        )
+        # each target with its neighbours a few units in the last place away
+        near = np.concatenate([targets + d * np.spacing(targets) for d in (-2, -1, 0, 1, 2)])
+        diff = np.concatenate([np.sqrt(-2.0 * near), [0.0, -0.0, 1e160, -1e300, np.inf, np.nan]])
+        diff *= rng.choice([-1.0, 1.0], diff.size)
+        diff = rng.permutation(np.resize(diff, 3 * 13 * 250)).reshape(3, 13, 250)
+        with np.errstate(over="ignore"):
+            args = self.arguments(diff, np.ones(3))
+            assert np.isneginf(args).any() and np.isnan(args).any() and (args == 0.0).any()
+            for lo, hi in ((-np.inf, -746.0), (-746.0, -745.13), (-745.13, -708.0)):
+                assert ((args >= lo) & (args < hi)).any()
+            for h in (np.ones(3), np.array([0.5, 1.0, 3.0])):
+                want = np.exp(self.arguments(diff, h))
+                for far in (False, True):
+                    got = fft_aggregator._kernel_terms(diff.copy(), h, far)
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestPrunedKdeSearch:
@@ -273,14 +322,19 @@ class TestPrunedKdeSearch:
         for i in range(4):
             assert np.array_equal(grid[i], np.linspace(lo[i], hi[i], 256))
 
-    @pytest.mark.parametrize("chunk", [1, 1 << 40])
+    @pytest.mark.parametrize("chunk", [1, 3000, 1 << 40, None])
     def test_picks_do_not_depend_on_chunk_size(self, chunk, monkeypatch):
+        # near and far rows interleaved: far rows go in chunks of their own
         rng = np.random.default_rng(9)
         cols = np.concatenate(
-            [_columns(kind, rng, 12, n=8) for kind in ("random", "duplicates", "two_clusters", "integers")]
+            [_columns(kind, rng, 12, n=8) for kind in ("random", "duplicates", "two_clusters", "integers", "far")]
         )
+        cols = cols[rng.permutation(len(cols))]
+        far = grid_spans(cols) >= fft_aggregator._KDE_FAR_SPAN
+        assert 0 < np.count_nonzero(far) < len(cols)
         want = exhaustive_kde_values(cols)
-        monkeypatch.setattr(fft_aggregator, "_KDE_CHUNK", chunk)
+        if chunk is not None:
+            monkeypatch.setattr(fft_aggregator, "_KDE_CHUNK", chunk)
         assert np.array_equal(fft_aggregator._kde_values(cols, 256), want)
 
 
@@ -341,4 +395,4 @@ class TestWholeModelPass:
             first = fft_aggregate(updates, strategy)
             names = poison_scratch()
             assert fft_aggregate(updates, strategy) == first
-        assert {"kde.terms", "kde.bound", "kde.density", "kde.grid", "kde.diff"} <= names
+        assert {"kde.terms", "kde.bound", "kde.density", "kde.grid", "kde.diff", "kde.keep"} <= names

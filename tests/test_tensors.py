@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fedfft import tensors
 from fedfft.tensors import (
     BadWeightDump,
     ClientUpdate,
@@ -178,11 +179,36 @@ class TestSqDistanceRow:
     @pytest.mark.parametrize("p", [8191, 8192, 8193, 9000, 17_668, 3 * 8192 + 5])
     def test_equals_pairwise_row_bit_for_bit(self, p):
         base = _distance_rows(50, p, p)
-        for k in (3, 4, 5, 12, 27, 50):
+        # 9 and 17 rows leave a last difference chunk of one row
+        for k in (3, 4, 5, 9, 12, 17, 27, 50):
             rows = base[:k]
             d2 = pairwise_sq_distances(rows)
             for i in range(k):
                 assert np.array_equal(sq_distance_row(rows, i), d2[i]), (k, i)
+
+    @pytest.mark.parametrize("rows_per_chunk", [2, 3, 8])
+    def test_last_chunk_of_one_row_matches_broadcast_tensor(self, rows_per_chunk, monkeypatch):
+        monkeypatch.setattr(tensors, "_DIFF_ROWS", rows_per_chunk)
+        rows = _distance_rows(2 * rows_per_chunk + 1, 9001, rows_per_chunk)
+        want = TestPairwiseSqDistances.broadcast_oracle(rows)
+        for i in range(len(rows)):
+            assert np.array_equal(sq_distance_row(rows, i), want[i]), i
+        assert np.array_equal(pairwise_sq_distances(rows), want)
+
+    def test_difference_buffer_holds_one_chunk_of_rows(self):
+        # scratch buffers are per thread, so a new thread starts without one
+        rows = _distance_rows(50, 301, 1)
+        sizes = []
+
+        def run():
+            pairwise_sq_distances(rows)
+            sq_distance_row(rows, 7)
+            sizes.append(vars(tensors._scratch)["tensors.diff"].nbytes)
+
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(timeout=60)
+        assert sizes == [tensors._DIFF_ROWS * 301 * 8]
 
 
 class TestSqDistanceBounds:
