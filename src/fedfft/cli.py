@@ -83,9 +83,9 @@ def _build(cls, doc, path: str = ""):
     if not isinstance(doc, dict):
         raise ConfigError(f"{section} must be a JSON object")
     hints = get_type_hints(cls)
-    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
-        raise ConfigError(f"{section}: unknown fields {sorted(unknown)}")
+        raise ConfigError(f"unknown fields {', '.join(f'{path}.{n}' if path else n for n in unknown)}")
     values = {}
     for name, value in doc.items():
         field, hint = f"{path}.{name}" if path else name, hints[name]
@@ -595,8 +595,29 @@ def _suite_local_sgd_loop() -> bool:
     return True
 
 
+def _kde_pick_oracle(col: np.ndarray) -> float | None:
+    """The kde's pick by a double loop over the distinct values, or None on a near tie.
+
+    A near tie is a second score within 1e-9 of the best, relative. Two
+    distinct values tie exactly: the one more clients sent wins, then the smaller.
+    """
+    from .spectral import silverman_bandwidth
+
+    s = np.sort(col)
+    e = min(max(math.frexp(max(-s[0], s[-1]))[1], -1021), 1021)
+    h = max(float(silverman_bandwidth(s * 2.0**-e)), 5e-324)
+    distinct = np.unique(s)
+    z = distinct * 2.0**-e
+    scores = [math.fsum(math.exp(-0.5 * q * q) for q in (x - z) / h if abs(q) <= 40.0) for x in z]
+    best = max(scores)
+    near = [x for x, score in zip(distinct, scores) if score >= best * (1.0 - 1e-9)]
+    if len(distinct) == 2:
+        near = [max(near, key=lambda x: (np.count_nonzero(s == x), -x))]
+    return near[0] if len(near) == 1 else None
+
+
 def _suite_kde_direct() -> bool:
-    from .spectral import kde_density, kde_density_direct, silverman_bandwidth
+    from .spectral import kde_density, kde_density_direct
 
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -608,16 +629,11 @@ def _suite_kde_direct() -> bool:
         ref = kde_density_direct(s, est.grid)
         if np.max(np.abs(est.density - ref) / ref) >= 1e-6:
             return False
-        # the aggregator's own density sum must pick the value nearest the
-        # oracle's mode on the same grid
-        updates = [ClientUpdate(k, ModelWeights([np.array([x])]), 1) for k, x in enumerate(s)]
-        picked = fft_aggregate(updates, FftStrategy()).layers[0][0]
-        if picked != s[int(np.argmin(np.abs(s - est.grid[int(np.argmax(ref))])))]:
-            return False
-    # the pruned mode search against the argmax over every grid point, on
+    # the banded pass against a double loop over the distinct values, on
     # tie-heavy columns (repeated integers, mirrored clusters, one odd value)
     # and on far-spread ones shaped like a random-weights attack, whose
     # kernel terms take the guarded exp
+    checked = total = 0
     for k in range(2, 51, 3):
         spread = (2 * k) // 5
         cols = np.stack(
@@ -634,15 +650,13 @@ def _suite_kde_direct() -> bool:
         updates = [ClientUpdate(i, ModelWeights([row]), 1) for i, row in enumerate(cols)]
         picked = fft_aggregate(updates, FftStrategy()).layers[0]
         for col, got in zip(cols.T, picked):
-            if np.all(col == col[0]):
-                continue
-            h = silverman_bandwidth(col)
-            grid = np.linspace(col.min() - 3.0 * h, col.max() + 3.0 * h, 256)
-            z = (grid[:, None] - col[None, :]) / h
-            mode = grid[int(np.argmax(np.exp(-0.5 * (z * z)).sum(axis=1)))]
-            if got != col[int(np.argmin(np.abs(col - mode)))]:
-                return False
-    return True
+            want = _kde_pick_oracle(col)
+            total += 1
+            if want is not None:
+                checked += 1
+                if got != want:
+                    return False
+    return checked >= 0.8 * total
 
 
 def cmd_selftest(_: argparse.Namespace) -> int:

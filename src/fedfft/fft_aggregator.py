@@ -14,33 +14,23 @@ from one coordinate vector is the one-row case of it.
   which for one-signed data dwarfs every other bin, so it is excluded by
   default; ``include_dc=True`` keeps it in play. Every coordinate of the
   model goes through one batched transform.
-* ``kde`` evaluates a Gaussian KDE of the coordinate vector on a uniform grid
-  and returns the sample value nearest the density mode. This is the variant
-  with actual outlier-rejection behavior and the default for simulations.
-  The density is a direct sum over the K client values: with K in the tens
-  and a grid of a few hundred points, that is cheaper than binning onto a
-  fine grid and convolving by FFT, which only pays off when the sample is
-  much larger than the grid.
-
-The kde mode is found by an exact pruned search (branch and bound on kernel
-sums, after Gray & Moore, SDM 2003). It evaluates every 8th grid point and
-the last one, bounds each gap between them from above, and evaluates only
-the gaps whose bound reaches the best density seen. Every evaluated point
-gets the same expression, summed the same way, as a search over the whole
-grid, so densities, the first-maximum tie rule of ``argmax`` and therefore
-the picks are bit-identical to it. Rows whose grid or bandwidth is not
-finite and positive are evaluated at every grid point. The search works in
-chunks of coordinates, and its large temporaries live in per-thread scratch
-buffers (:func:`tensors.scratch`) that later calls reuse.
+* ``kde`` scores each client value of the coordinate vector by its Gaussian
+  density (Silverman bandwidth), each distinct value counted once, and
+  returns the densest one: the server selects the client point of highest
+  density, the density-peak rule of Rodriguez & Laio (Science 2014). This
+  is the variant with actual outlier-rejection behavior and the default
+  for simulations. It sorts each coordinate's values once and forms the
+  kernel term of each pair once, offset by offset, so a coordinate costs
+  K(K-1)/2 terms; the work goes in chunks of coordinates, with the large
+  temporaries in per-thread scratch buffers (:func:`tensors.scratch`).
 
 No client value may set the server's time, yet numpy's vectorised ``exp``
 is about ten times slower on every lane whose result underflows, and far
-spread sets (random weights) put most kernel arguments there. So each row
-is gated before any chunk is built: a row whose grid spans fewer than 40
-bandwidths cannot reach an argument below -708 and runs the plain ``exp``.
-The other rows go in chunks of their own, where every argument below -746,
-whose ``exp`` is exactly +0.0 anyway, is replaced by -0.0 and its term
-multiplied by 0 afterwards. The terms stay bit for bit those of ``np.exp``.
+spread sets (random weights) put many kernel arguments there. So a row whose
+values span 37 bandwidths or more goes in chunks of its own, where every
+argument below -746, whose ``exp`` is exactly +0.0 anyway, is replaced by
+-0.0 and its term multiplied by 0 afterwards. The terms stay bit for bit
+those of ``np.exp``.
 
 Both strategies select an existing client value, never an interpolation.
 """
@@ -63,32 +53,27 @@ KDE_MODE = "kde"
 class FftStrategy:
     """Selection strategy for the density aggregator.
 
-    ``grid_size`` (the number of points the kde density is defined on) only
-    affects the ``kde`` kind; ``include_dc`` only the ``literal`` kind.
-    literal reads bins 1..K//2 of the sorted sample's spectrum, or 0..K//2
-    with ``include_dc``, and a tie goes to the lowest bin. The
-    kde density is summed directly over the client values, so it has no
-    accuracy knob of its own. The kde picks the sample nearest the first
-    grid point of highest density. The search skips grid points whose
-    density provably falls below a density already found, and keeps every
-    point whose upper bound only ties it, so its pick is the one a search
-    over all ``grid_size`` points makes.
+    ``include_dc`` only affects the ``literal`` kind, which reads bins
+    1..K//2 of the sorted sample's spectrum, or 0..K//2 with ``include_dc``;
+    a tie goes to the lowest bin. The ``kde`` kind picks the client value of
+    highest density, each distinct value counted once; an exact tie goes to
+    the value more clients sent, then to the smaller. It has no knob:
+    ``grid_size`` is not a field but the grid length of the stand-alone
+    :func:`spectral.kde_density`, which aggregation does not call.
     """
 
     kind: str = KDE_MODE
     include_dc: bool = False
-    grid_size: int = 256
-    # Binned-FFT settings for spectral.kde_density, which aggregation does not
-    # call. bench/workloads.py reads them for its stand-alone kde_density
-    # timing, so they stay as constants to keep that timing's inputs fixed.
+    # Settings for spectral.kde_density, which aggregation does not call.
+    # bench/workloads.py reads them for its stand-alone kde_density timing,
+    # so they stay as constants to keep that timing's inputs fixed.
+    grid_size: ClassVar[int] = 256
     kde_oversample: ClassVar[int] = 8
     kde_max_fine: ClassVar[int] = 1 << 15
 
     def __post_init__(self):
         if self.kind not in (LITERAL, KDE_MODE):
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.grid_size < 2:
-            raise ValueError("grid_size must be >= 2")
 
 
 class Selection(NamedTuple):
@@ -100,23 +85,22 @@ class EmptyVector(ValueError):
     """A coordinate vector with no entries cannot be aggregated."""
 
 
-# Budget, in float64 elements (2 MB), for the kde's (coordinates x points x
-# clients) temporaries: a chunk's coarse terms, gap bounds, masks and grid
-# together, and each batch of fine-pass gaps. A chunk always holds at least
-# one coordinate.
+# Budget, in float64 elements (2 MB), for each of the kde's (clients x
+# coordinates) temporaries; a chunk always holds at least one coordinate.
 _KDE_CHUNK = 1 << 18
-# The kde's coarse pass evaluates every _KDE_STRIDE-th grid point; gap bounds
-# are inflated by _KDE_BOUND_SLACK, far above the rounding error of a K-term
-# sum of exponentials, so a bound never falls below a density it covers.
-_KDE_STRIDE = 8
-_KDE_BOUND_SLACK = 1.0 + 1e-9
-# Every sample lies 3h inside its grid's ends, so on a grid spanning fewer
-# than _KDE_FAR_SPAN bandwidths each kernel argument stays above -37^2 / 2,
-# clear of exp's subnormal and underflow range below about -708. Only the
-# other ("far") rows take the guarded exp of _kernel_terms, in chunks of
-# their own. np.exp is exactly +0.0 below _EXP_ZERO.
-_KDE_FAR_SPAN = 40.0
+# A row whose values span fewer than _KDE_FAR_SPAN bandwidths keeps each
+# kernel argument above -37^2 / 2, clear of exp's subnormal and underflow
+# range below about -708. Only the other ("far") rows take the guarded exp
+# of _kernel_terms, in chunks of their own. np.exp is exactly +0.0 below
+# _EXP_ZERO.
+_KDE_FAR_SPAN = 37.0
 _EXP_ZERO = -746.0
+# Each row is scaled by 2^-e with |e| at most _SCALE_EXPONENT, so that 2^-e
+# is a normal float, and then by 2^m with m at most _KERNEL_EXPONENT. A
+# bandwidth never falls below _H_FLOOR, so no difference is divided by 0.
+_SCALE_EXPONENT = 1021
+_KERNEL_EXPONENT = 1018
+_H_FLOOR = float(np.nextafter(0.0, 1.0))
 
 
 def _literal_values(cols: np.ndarray, include_dc: bool) -> np.ndarray:
@@ -130,13 +114,11 @@ def _literal_values(cols: np.ndarray, include_dc: bool) -> np.ndarray:
     return sorted_cols[np.arange(cols.shape[0]), bins]
 
 
-def _kernel_terms(diff: np.ndarray, h: np.ndarray, far: bool) -> np.ndarray:
-    """exp(-(diff / h)^2 / 2) in place, for differences g - x of shape (r, m, K).
+def _kernel_terms(diff: np.ndarray, h: np.ndarray, far: bool) -> np.ndarray | None:
+    """exp(-(diff / h)^2 / 2) in place, for differences of client values.
 
-    ``h`` holds one bandwidth per row. Sums of the result over its last axis
-    are the unnormalised densities at the m points g of each row. Every kde
-    density is this expression summed the same way, so a point keeps its
-    value bit for bit whichever pass evaluates it.
+    ``h`` holds the bandwidths and broadcasts against ``diff``. Every kde
+    term is this expression, so a term has the same bits in any chunk.
 
     ``far`` rows may have arguments that underflow, and numpy's vectorised
     ``exp`` leaves its fast path for such lanes (about 10x slower each). Every
@@ -144,13 +126,17 @@ def _kernel_terms(diff: np.ndarray, h: np.ndarray, far: bool) -> np.ndarray:
     -0.0 (exp 1) and multiplied by 0 afterwards; the clamp first turns -inf
     arguments into finite ones, since -inf * 0 is NaN. NaN lanes stay NaN.
     The terms are bit for bit ``np.exp`` of the same arguments either way.
+    For ``far`` rows, None means that every argument lies below _EXP_ZERO,
+    so that every term is +0.0.
     """
-    diff /= h[:, None, None]
+    diff /= h
     diff *= diff
     diff *= -0.5
     if not far:
         return np.exp(diff, out=diff)
     keep = np.greater_equal(diff, _EXP_ZERO, out=scratch("kde.keep", diff.shape, bool))
+    if not keep.any():
+        return None
     np.maximum(diff, _EXP_ZERO, out=diff)
     diff *= keep
     np.exp(diff, out=diff)
@@ -158,117 +144,109 @@ def _kernel_terms(diff: np.ndarray, h: np.ndarray, far: bool) -> np.ndarray:
     return diff
 
 
-def _kde_pruned_density(
-    grid: np.ndarray, samples: np.ndarray, h: np.ndarray, coarse: np.ndarray, far: bool
-) -> np.ndarray:
-    """Densities at every grid point that can hold its row's maximum, -inf elsewhere.
+def _kde_picks(z: np.ndarray, h: np.ndarray, far: bool) -> np.ndarray:
+    """Position, in each column of a chunk, of the value of highest density.
 
-    Coarse pass: the grid indices ``coarse``, ascending, first and last
-    included. Each gap between neighbouring coarse points is bounded from
-    above by taking, per sample, 1 if the sample lies inside the gap and
-    otherwise the larger of its terms at the gap's two ends, one of which is
-    the gap's nearest point to it. Fine pass: the interior of every gap
-    whose bound reaches the best coarse density. A pruned point's density is
-    below that value, so ``argmax`` over the result, which returns the first
-    maximum, picks the same point as over the full grid. Rows with a
-    bandwidth that is not positive, a non-finite grid, or non-finite coarse
-    densities or bounds are evaluated at every point. ``far`` is passed on
-    to :func:`_kernel_terms`.
+    ``z`` is (K, r): column c holds one coordinate's K client values in
+    ascending order, and ``h[c]`` its bandwidth. Value i scores
+    sum_j w_j exp(-((z_i - z_j) / h)^2 / 2) over its column, with w_j 1 for
+    the first of each run of equal values and 0 for the others, so each
+    distinct value counts once; the other members of a run are not
+    candidates. The best score wins, an exact tie goes to the value more
+    clients sent, and then to the smaller value.
+
+    The terms of the pairs d apart are formed once, for d = 1 .. K-1, and
+    each is added to both ends. A value takes the sum of its two terms at
+    offset d, left plus right, so that mirrored values get equal scores. On
+    a sorted column a later offset is never nearer, so once every argument
+    of an offset lies below _EXP_ZERO (checked on ``far`` chunks only) every
+    later term is +0.0 and would change no sum. A column's scores therefore
+    do not depend on the chunk it is in.
     """
-    n, size = grid.shape
-    k = samples.shape[1]
-    m = coarse.size
-    terms = scratch("kde.terms", (n, m, k))
-    np.subtract(grid[:, coarse, None], samples[:, None, :], out=terms)
-    # x is inside gap i when it lies right of coarse point i and not right of
-    # point i + 1; an x on the right end has a term of 1 there anyway
-    right_of = np.less(terms, 0, out=scratch("kde.right_of", (n, m, k), bool))
-    inside = np.greater(right_of[:, :-1], right_of[:, 1:], out=scratch("kde.inside", (n, m - 1, k), bool))
-    _kernel_terms(terms, h, far)
-    density = scratch("kde.density", (n, size))
-    density.fill(-np.inf)
-    density[:, coarse] = terms.sum(axis=2)
-    bound = np.maximum(terms[:, :-1], terms[:, 1:], out=scratch("kde.bound", (n, m - 1, k)))
-    np.copyto(bound, 1.0, where=inside)
-    bound = bound.sum(axis=2) * _KDE_BOUND_SLACK
-    best = density[:, coarse].max(axis=1)
-    keep = bound >= best[:, None]
-    exhaustive = ~((h > 0) & np.isfinite(best) & np.all(np.isfinite(grid), axis=1))
-    exhaustive |= ~np.all(np.isfinite(bound), axis=1)
-    keep[exhaustive] = True
-    # interior grid indices of each gap, padded by repeating its last one; a
-    # gap without interior points is never kept
-    gap_sizes = np.diff(coarse) - 1
-    width = max(int(gap_sizes.max()), 1)
-    interior = np.minimum(coarse[:-1, None] + 1 + np.arange(width), coarse[1:, None] - 1)
-    keep &= gap_sizes > 0
-    rows, gaps = np.nonzero(keep)
-    step = max(1, _KDE_CHUNK // (width * k))
-    for start in range(0, rows.size, step):
-        r = rows[start : start + step]
-        g = interior[gaps[start : start + step]]
-        # the indices are in range by construction; mode="raise" would buffer
-        gathered = np.take(samples, r, axis=0, out=scratch("kde.gathered", (r.size, k)), mode="clip")
-        diff = scratch("kde.diff", (r.size, width, k))
-        np.subtract(grid[r[:, None], g][:, :, None], gathered[:, None, :], out=diff)
-        density[r[:, None], g] = _kernel_terms(diff, h[r], far).sum(axis=2)
-    return density
+    k, r = z.shape
+    w = scratch("kde.weight", (k, r))
+    w[0] = 1.0
+    np.not_equal(z[1:], z[:-1], out=w[1:])
+    runs = not w.all()
+    score = scratch("kde.score", (k, r))
+    np.copyto(score, w)
+    for d in range(1, k):
+        diff = np.subtract(z[d:], z[:-d], out=scratch("kde.diff", (k - d, r)))
+        terms = _kernel_terms(diff, h, far)
+        if terms is None:
+            break
+        # terms[i] is the pair (i, i + d): the right term of i, the left of i + d
+        left, right = terms, terms
+        if runs:
+            left = np.multiply(terms, w[:-d], out=scratch("kde.left", (k - d, r)))
+            right = np.multiply(terms, w[d:], out=scratch("kde.right", (k - d, r)))
+        both = k - 2 * d
+        if both > 0:
+            score[d : k - d] += np.add(left[:both], right[d:], out=scratch("kde.both", (both, r)))
+            score[k - d :] += left[both:]
+            score[:d] += right[:d]
+        else:
+            score[d:] += left
+            score[: k - d] += right
+    if not runs:
+        return np.argmax(score, axis=0)
+    score *= w
+    tied = np.equal(score, score.max(axis=0), out=scratch("kde.tied", (k, r), bool))
+    # a run starting at i ends where the next run starts
+    starts = np.where(w[1:] > 0, np.arange(1, k)[:, None], k)
+    ends = np.minimum.accumulate(starts[::-1], axis=0)[::-1]
+    count = np.subtract(np.vstack([ends, np.full((1, r), k)]), np.arange(k)[:, None])
+    count *= tied
+    return np.argmax(count, axis=0)
 
 
-def _kde_grid(lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
-    """``np.linspace(lo[i], hi[i], size)`` for every row i, each row on its own.
+def _kde_values(cols: np.ndarray) -> np.ndarray:
+    """Density-peak selection for each row of an (n, K) matrix, K >= 2.
 
-    A batched ``np.linspace`` switches every row to its zero-step formula
-    when any one row's step underflows to 0, which would make a row's grid
-    depend on the other coordinates in its chunk.
-    """
-    delta = (hi - lo)[:, None]
-    step = delta / (size - 1)
-    j = np.arange(size, dtype=np.float64)
-    grid = np.multiply(j, step, out=scratch("kde.grid", (lo.size, size)))
-    flat = step[:, 0] == 0
-    if flat.any():
-        grid[flat] = j / (size - 1) * delta[flat]
-    grid += lo[:, None]
-    grid[:, -1] = hi
-    return grid
-
-
-def _kde_values(cols: np.ndarray, grid_size: int) -> np.ndarray:
-    """Density-mode selection for each row of an (n, K) matrix, K >= 2.
-
-    The grid spans [min - 3h, max + 3h] with the Silverman bandwidth h, as in
-    :func:`spectral.kde_density`. The density's normalising constant is left
-    out because it does not move the argmax. The mode is found by the exact
-    pruned search of :func:`_kde_pruned_density`. Rows whose grid spans
-    _KDE_FAR_SPAN bandwidths or more (or is not finite) are moved behind the
-    others and go in chunks of their own, so only they pay for the guarded
-    exp; each row's pick is the same in any chunk.
+    Each row is sorted and multiplied by 2^-e, e the binary exponent of its
+    largest magnitude (clipped so that 2^-e is a normal float), so that its
+    standard deviation cannot overflow. The Silverman bandwidth h of the
+    sorted, scaled row (raised to the smallest positive float if it
+    underflows to 0) depends on the values only, not on the client order.
+    The row and h are then multiplied by 2^m, which brings h near 1 unless
+    a difference could overflow, so that one far value cannot push the
+    others into slow subnormal arithmetic. The rule is scale-free, and both
+    scalings are exact for rows in the normal range. The pick is the client
+    value of highest density (:func:`_kde_picks`). Rows whose values span
+    _KDE_FAR_SPAN bandwidths or more are moved behind the others and go in
+    chunks of their own, so only they pay for the guarded exp.
     """
     k = cols.shape[1]
-    values = cols[:, 0].copy()
-    active = np.nonzero(np.any(cols != cols[:, :1], axis=1))[0]
-    sub = cols[active]
-    h = silverman_bandwidth(sub, axis=1)
-    lo = sub.min(axis=1) - 3.0 * h
-    hi = sub.max(axis=1) + 3.0 * h
-    far = ~(hi - lo < _KDE_FAR_SPAN * h)
+    s = scratch("kde.sorted", cols.shape)
+    np.copyto(s, cols)
+    s.sort(axis=1)
+    values = s[:, 0].copy()
+    active = np.nonzero(s[:, 0] != s[:, -1])[0]
+    s = s[active]
+    _, e = np.frexp(np.maximum(-s[:, :1], s[:, -1:]))
+    e = np.minimum(np.maximum(e, -_SCALE_EXPONENT), _SCALE_EXPONENT)
+    z = np.multiply(s, np.ldexp(1.0, -e), out=scratch("kde.scaled", s.shape))
+    h = np.maximum(silverman_bandwidth(z, axis=1), _H_FLOOR)
+    # |z| < 2^3 grows to below 2^(3 + _KERNEL_EXPONENT) = 2^1021 at most, so
+    # no difference of two values overflows
+    m = np.minimum(-np.frexp(h)[1], _KERNEL_EXPONENT)
+    up = np.ldexp(1.0, m)
+    z *= up[:, None]
+    h *= up
+    far = ~(z[:, -1] - z[:, 0] < _KDE_FAR_SPAN * h)
     near = active.size - np.count_nonzero(far)
     if near < active.size:
         order = np.argsort(far, kind="stable")
-        active, sub, h, lo, hi = active[order], sub[order], h[order], lo[order], hi[order]
-    coarse = np.unique(np.r_[np.arange(0, grid_size, _KDE_STRIDE), grid_size - 1])
-    chunk = max(1, _KDE_CHUNK // (3 * coarse.size * k))
+        active, s, z, h = active[order], s[order], z[order], h[order]
+    chunk = max(1, _KDE_CHUNK // k)
     for first, end, guard in ((0, near, False), (near, active.size, True)):
         for start in range(first, end, chunk):
             part = slice(start, min(start + chunk, end))
-            samples = sub[part]
-            rows = np.arange(samples.shape[0])
-            grid = _kde_grid(lo[part], hi[part], grid_size)
-            density = _kde_pruned_density(grid, samples, h[part], coarse, guard)
-            mode_x = grid[rows, np.argmax(density, axis=1)]
-            nearest = np.argmin(np.abs(samples - mode_x[:, None]), axis=1)
-            values[active[part]] = samples[rows, nearest]
+            zt = scratch("kde.values", (k, part.stop - start))
+            np.copyto(zt, z[part].T)
+            with np.errstate(over="ignore"):
+                pick = _kde_picks(zt, h[part], guard)
+            values[active[part]] = s[part][np.arange(pick.size), pick]
     return values
 
 
@@ -278,7 +256,7 @@ def _selected_values(cols: np.ndarray, strategy: FftStrategy) -> np.ndarray:
         return cols[:, 0].copy()
     if strategy.kind == LITERAL:
         return _literal_values(cols, strategy.include_dc)
-    return _kde_values(cols, strategy.grid_size)
+    return _kde_values(cols)
 
 
 def fft_select(v, strategy: FftStrategy = FftStrategy()) -> Selection:

@@ -136,6 +136,14 @@ class TestRun:
             cfg = dict(SMALL_CONFIG, **{section: doc})
             assert main(["run", write_config(tmp_path, cfg)]) == 2, doc
 
+    def test_grid_size_is_not_a_config_field(self, tmp_path, capsys):
+        # the kde scores the client values, so it has no grid to size
+        out = tmp_path / "out"
+        path = write_config(tmp_path, small_config({}, {"aggregator": {"strategy": {"kind": "kde", "grid_size": 256}}}))
+        assert main(["run", path, "--out-dir", str(out)]) == 2
+        assert "train.aggregator.strategy.grid_size" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("task,train", UNFIT_RULES)
     def test_rule_that_cannot_fit_exit_two(self, tmp_path, task, train):
         out = tmp_path / "out"
