@@ -271,8 +271,9 @@ def _columns(kind, rng, k, n=30):
 
 
 def spans(cols):
-    """Each row's spread max - min in bandwidths."""
-    return np.ptp(cols, axis=1) / silverman_bandwidth(np.sort(cols, axis=1), axis=1)
+    """Each row's spread max - min in bandwidths (NaN for a unanimous row)."""
+    with np.errstate(invalid="ignore"):
+        return np.ptp(cols, axis=1) / silverman_bandwidth(np.sort(cols, axis=1), axis=1)
 
 
 class TestKernelTerms:
@@ -345,17 +346,19 @@ class TestPrunedKdeSearch:
     def test_picks_do_not_depend_on_chunk_size(self, chunk, monkeypatch):
         # near and far rows interleaved: far rows go in chunks of their own
         rng = np.random.default_rng(9)
-        kinds = ("random", "duplicates", "two_clusters", "integers", "far", "atoms")
-        cols = np.concatenate([_columns(kind, rng, 12, n=8) for kind in kinds])
-        cols = cols[rng.permutation(len(cols))]
-        far = spans(cols) >= fft_aggregator._KDE_FAR_SPAN
-        assert 0 < np.count_nonzero(far) < len(cols)
-        want = fft_aggregator._kde_values(cols)
-        if chunk is not None:
-            monkeypatch.setattr(fft_aggregator, "_KDE_CHUNK", chunk)
-        got = fft_aggregator._kde_values(cols)
-        assert np.array_equal(got, want)
-        assert check_oracle(cols, got) >= 0.75 * len(cols)  # two_clusters rows tie
+        kinds = ("random", "duplicates", "two_clusters", "integers", "far", "atoms", "unanimous")
+        for k in (7, 12, 50):
+            cols = np.concatenate([_columns(kind, rng, k, n=8) for kind in kinds])
+            cols = cols[rng.permutation(len(cols))]
+            far = spans(cols) >= fft_aggregator._KDE_FAR_SPAN
+            assert 0 < np.count_nonzero(far) < len(cols)
+            with monkeypatch.context() as patch:
+                want = fft_aggregator._kde_values(cols)
+                if chunk is not None:
+                    patch.setattr(fft_aggregator, "_KDE_CHUNK", chunk)
+                got = fft_aggregator._kde_values(cols)
+            assert np.array_equal(got, want)
+            assert check_oracle(cols, got) >= 0.75 * len(cols)  # two_clusters rows tie
 
 
 def timed(f, repeats=5):
