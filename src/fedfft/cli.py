@@ -438,11 +438,80 @@ def _suite_ks_bruteforce() -> bool:
         draws[::2, : n // 3] += rng.uniform(0.0, 12.0, (200, 1))
         mu, sigma = draws.mean(axis=-1), draws.std(axis=-1)
         s = np.sort(draws, axis=-1)
-        reject, left_open = _band_decisions(s, mu, sigma, _critical_band(n, level))
+        # the band works position-major: one column per draw
+        dev = np.ascontiguousarray((s - mu[:, None]).T)
+        reject, left_open = _band_decisions(np.ascontiguousarray(s.T), dev, sigma, _critical_band(n, level))
         exact = _pvalue_from_effective_size(gaussian_ks_statistic(s, mu, sigma), n) < level
         if left_open.mean() > 0.01 or not 0.0 < exact.mean() < 1.0:
             return False
         if np.any(reject[~left_open] != exact[~left_open]):
+            return False
+    return True
+
+
+def _ks_draw_oracle(mat: np.ndarray, cfg, rng: np.random.Generator) -> np.ndarray:
+    """Contamination scores of a (K, n) matrix's columns, every draw by its p-value.
+
+    Draw by draw, Floyd's algorithm holds out S ranks from S uniforms, and
+    the retained sorted values are scaled by a power of two and summed left
+    to right, as the detector does in bulk.
+    """
+    from .detector import _pvalue_from_effective_size, gaussian_ks_statistic
+
+    k, n = mat.shape
+    size = k - cfg.subset_size
+    uniforms = rng.random((n, cfg.repetitions, cfg.subset_size))
+    draws, mus, sigmas = [], [], []
+    for c in range(n):
+        ranked = sorted(mat[:, c].tolist())
+        for u in uniforms[c]:
+            held: set[int] = set()
+            for ui, j in zip(u.tolist(), range(k - cfg.subset_size, k)):
+                t = int(ui * (j + 1))
+                held.add(j if t in held else t)
+            draw = [v for i, v in enumerate(ranked) if i not in held]
+            e = min(max(math.frexp(max(-draw[0], draw[-1]))[1], -1021), 1021)
+            draw = [math.ldexp(v, -e) for v in draw]
+            total = draw[0]
+            for v in draw[1:]:
+                total += v
+            mu = total / size
+            total = (draw[0] - mu) * (draw[0] - mu)
+            for v in draw[1:]:
+                total += (v - mu) * (v - mu)
+            draws.append(draw)
+            mus.append(mu)
+            sigmas.append(math.sqrt(total / size))
+    draws, mus, sigmas = np.array(draws), np.array(mus), np.array(sigmas)
+    flat = np.all(draws == draws[:, :1], axis=1)
+    live = ~flat & (sigmas > 0.0)
+    pvals = np.ones(len(draws))
+    pvals[live] = _pvalue_from_effective_size(gaussian_ks_statistic(draws[live], mus[live], sigmas[live]), size)
+    reject = np.where(flat | (sigmas == 0.0), ~flat, pvals < cfg.reject_level)
+    return reject.reshape(n, cfg.repetitions).mean(axis=1)
+
+
+def _suite_ks_band_vs_exact() -> bool:
+    from .detector import DetectorConfig, _coordinate_scores
+
+    # the detector's bulk pass (Floyd draws in rank space, decided by the
+    # critical band) against every draw by its p-value, on matrices where a
+    # quarter of the clients is shifted on half of the coordinates, with tied
+    # and unanimous coordinates among them
+    rng = np.random.default_rng(12)
+    for k, cfg in (
+        (8, DetectorConfig(subset_size=2, reject_level=0.5)),
+        (20, DetectorConfig(reject_level=0.2)),
+        (50, DetectorConfig()),
+    ):
+        mat = rng.normal(size=(k, 14))
+        mat[: k // 4, ::2] += rng.uniform(3.0, 8.0, 7)
+        mat[:, 3] = np.round(mat[:, 3])
+        mat[:, 5] = mat[0, 5]
+        seed = int(rng.integers(1 << 30))
+        got = _coordinate_scores(mat.T, cfg, [(mat.shape[1], np.random.default_rng(seed))])
+        want = _ks_draw_oracle(mat, cfg, np.random.default_rng(seed))
+        if not (np.array_equal(got, want) and got.max() > 0.0 and got.min() == 0.0):
             return False
     return True
 
@@ -663,6 +732,7 @@ def cmd_selftest(_: argparse.Namespace) -> int:
     suites = [
         ("fft-vs-naive-dft", _suite_fft_vs_dft),
         ("ks-brute-force", _suite_ks_bruteforce),
+        ("ks-band-vs-exact", _suite_ks_band_vs_exact),
         ("krum-exhaustive", _suite_krum_exhaustive),
         ("minmax-gamma-grid", _suite_minmax_gamma),
         ("gradient-finite-difference", _suite_grad_check),

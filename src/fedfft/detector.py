@@ -13,7 +13,13 @@ the one-sample KS distance and the same asymptotic tail law. Every
 coordinate of the model is scored in one batched pass, chunk by chunk,
 with the chunks' large temporaries in reused per-thread scratch buffers;
 the held-out subsets of a layer's coordinates come from one random stream
-keyed by ``(seed, layer)``. Fitting and
+keyed by ``(seed, layer)``, S uniforms per draw. A subset is drawn by rank:
+Floyd's algorithm turns the S uniforms into S distinct ranks of the
+coordinate's sorted values, so one sort per coordinate gives every draw's
+retained values in ascending order, and a draw's score depends only on the
+values, not on the order of the clients. The draws are laid out
+position-major (one column per draw), so that the scaling, the sums over
+positions and the band checks below each run along long rows. Fitting and
 testing on the same values makes the check strongly conservative on clean
 unimodal data (rejections are far rarer than the nominal level), while
 cross-client contamination (planted constants, off-cluster weights) inflates
@@ -287,8 +293,14 @@ def _critical_band(n: int, level: float) -> np.ndarray | None:
     return band
 
 
-def _band_decisions(s: np.ndarray, mu: np.ndarray, sigma: np.ndarray, band: np.ndarray):
+def _band_decisions(s: np.ndarray, dev: np.ndarray, sigma: np.ndarray, band: np.ndarray):
     """Reject bits of sorted draws ``s``, and the mask of draws the band leaves open.
+
+    ``s`` is position-major: column j holds draw j's values in ascending
+    order, so every operation below runs along one long row per position.
+    ``dev`` holds ``s`` minus each draw's mean and is overwritten with the
+    standardised values. Band rows whose bound is -inf or +inf can decide
+    nothing and are skipped.
 
     A draw of finite values that are all equal never rejects, whatever its
     sigma rounds to (the mean of equal values can be an ulp off them), and a
@@ -301,40 +313,77 @@ def _band_decisions(s: np.ndarray, mu: np.ndarray, sigma: np.ndarray, band: np.n
     """
     with np.errstate(all="ignore"):
         inv = 1.0 / sigma
-        z = np.subtract(s, mu[..., None], out=scratch("ks.z", s.shape))
-        z *= inv[..., None]
-    outside = np.less(z, band[0], out=scratch("ks.outside", z.shape, bool))
-    inside = np.greater(z, band[1], out=scratch("ks.inside", z.shape, bool))
-    outside |= inside
-    reject = outside.any(axis=-1)
-    np.greater_equal(z, band[2], out=inside)
-    inside &= np.less_equal(z, band[3], out=outside)
-    # with 0 < 1/sigma < inf each row of z is sorted, so its two ends are
+        z = np.multiply(dev, inv, out=dev)
+    hit = scratch("ks.band", z.shape, bool)
+    # the lower bounds are -inf on a leading run of positions, the upper
+    # bounds +inf on a trailing one
+    first = np.count_nonzero(band[0::2] == -np.inf, axis=1)
+    last = np.count_nonzero(band[1::2] != np.inf, axis=1)
+    rows = slice(first[0], None)
+    reject = np.less(z[rows], band[0, rows, None], out=hit[rows]).any(axis=0)
+    rows = slice(last[0])
+    reject |= np.greater(z[rows], band[1, rows, None], out=hit[rows]).any(axis=0)
+    rows = slice(first[1], None)
+    inside = np.greater_equal(z[rows], band[2, rows, None], out=hit[rows]).all(axis=0)
+    rows = slice(last[1])
+    inside &= np.less_equal(z[rows], band[3, rows, None], out=hit[rows]).all(axis=0)
+    # with 0 < 1/sigma < inf each column of z is sorted, so its two ends are
     # finite exactly when all of it is
-    valid = np.isfinite(inv) & (inv > 0.0) & np.isfinite(z[..., 0]) & np.isfinite(z[..., -1])
+    valid = np.isfinite(inv) & (inv > 0.0) & np.isfinite(z[0]) & np.isfinite(z[-1])
     # a sorted draw's values are finite exactly when its two ends are, and
     # all equal exactly when its two ends are
-    finite = np.isfinite(s[..., 0]) & np.isfinite(s[..., -1])
-    unanimous = s[..., 0] == s[..., -1]
+    finite = np.isfinite(s[0]) & np.isfinite(s[-1])
+    unanimous = s[0] == s[-1]
     decided = finite & (unanimous | (sigma == 0.0))
     reject = np.where(decided, ~unanimous, reject)
-    return reject, ((reject == inside.all(axis=-1)) | ~valid) & ~decided
+    return reject, ((reject == inside) | ~valid) & ~decided
 
 
-def _mean_and_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``x.mean(axis=-1)`` and ``x.std(axis=-1)`` bit for bit, overwriting ``x``.
+def _mean_and_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean and standard deviation along the first axis of ``x`` (2-D or more),
+    each sum taken left to right, and the deviations from the mean.
 
-    The same ufunc sequence as numpy's ``std``, with the deviations squared
-    in place of ``x`` instead of in a temporary of its size.
+    The same ufunc sequence as numpy's ``x.mean(axis=0)`` and ``x.std(axis=0)``,
+    and bit for bit their results when the other axes hold two or more
+    elements: numpy then adds one long row at a time. A lone column would be
+    summed pairwise instead, so it goes through as two copies of itself. The
+    deviations are returned in the scratch buffer ``ks.z``; their squares go
+    to ``ks.square``.
     """
-    n = x.shape[-1]
-    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    if x[0].size == 1:
+        mean, std, dev = _mean_and_std(np.concatenate([x, x], axis=-1))
+        return mean[..., :1], std[..., :1], dev[..., :1]
+    n = x.shape[0]
+    mean = np.add.reduce(x, axis=0)
     mean /= n
-    x -= mean
-    x *= x
-    var = np.add.reduce(x, axis=-1)
+    dev = np.subtract(x, mean, out=scratch("ks.z", x.shape))
+    square = np.multiply(dev, dev, out=scratch("ks.square", x.shape))
+    var = np.add.reduce(square, axis=0)
     var /= n
-    return mean[..., 0], np.sqrt(var, out=var)
+    return mean, np.sqrt(var, out=var), dev
+
+
+def _retained_mask(u: np.ndarray, k: int) -> np.ndarray:
+    """Which of k ranks each draw retains, from S uniforms per draw.
+
+    ``u`` is (draws, S), in [0, 1). Floyd's algorithm (Bentley & Floyd,
+    CACM 1987) holds out S distinct ranks of 0 .. k-1, every S-subset with
+    the same probability: for j = k-S .. k-1 it takes t = floor(u * (j + 1))
+    from the next uniform, and j itself if t is already held out. Returns a
+    (draws, k) bool array in scratch ``ks.keep``, False at the held-out ranks.
+    """
+    draws, size = u.shape
+    keep = scratch("ks.keep", (draws, k), bool)
+    keep.fill(True)
+    flat = keep.reshape(-1)
+    rows = np.arange(0, draws * k, k)
+    for i, j in enumerate(range(k - size, k)):
+        # u * (j + 1) rounds below j + 1 for every u < 1, so t <= j
+        t = np.multiply(u[:, i], j + 1).astype(np.intp)
+        t += rows
+        np.copyto(t, rows + j, where=~flat[t])
+        flat[t] = False
+    return keep
 
 
 def _coordinate_scores(
@@ -344,12 +393,15 @@ def _coordinate_scores(
 
     ``streams`` splits the rows into consecutive runs, one ``(rows,
     generator)`` pair per run; each run's held-out subsets are drawn from its
-    generator in row order. Rows go in chunks that may span runs, and the
-    scores do not depend on the chunk size. A draw rejects when its p-value
-    is below ``cfg.reject_level``. Each draw is scored at unit scale (see the
-    module notes). The critical band of :func:`_critical_band` decides almost
-    every draw; the draws it leaves open take the exact path through their
-    p-value, so every reject bit is the exact path's.
+    generator in row order, S uniforms per draw. Rows go in chunks that may
+    span runs, and the scores do not depend on the chunk size. A draw's
+    subset is a set of ranks (:func:`_retained_mask`), so its score depends
+    only on the values it retains, not on the order of the clients. A draw
+    rejects when its p-value is below ``cfg.reject_level``. Each draw is
+    scored at unit scale (see the module notes). The critical band of
+    :func:`_critical_band` decides almost every draw; the draws it leaves
+    open take the exact path through their p-value, so every reject bit is
+    the exact path's.
     """
     P, K = cols.shape
     reps = cfg.repetitions
@@ -362,10 +414,11 @@ def _coordinate_scores(
     for lo in range(0, P, step):
         block = cols[lo : lo + step]
         n = block.shape[0]
+        draws = n * reps
         # the chunk's uniforms, from the generator of each run it spans in
         # turn, so that every generator is consumed as a pass over its run
         # alone would consume it
-        uniforms = scratch("ks.uniforms", (n, reps, K))
+        uniforms = scratch("ks.uniforms", (n, reps, cfg.subset_size))
         filled = 0
         while filled < n:
             if left == 0:
@@ -375,36 +428,31 @@ def _coordinate_scores(
             rng.random(out=uniforms[filled : filled + part])
             filled += part
             left -= part
-        # rows of the argsort are uniform permutations; the first S are held
-        # out. The offsets make them indices into the flattened block.
-        order = uniforms.argsort(axis=-1)
-        order += (np.arange(n) * K)[:, None, None]
-        # the indices are in range by construction; mode="raise" would buffer
-        retained = scratch("ks.retained", (n, reps, size))
-        np.take(block, order[..., cfg.subset_size :], out=retained, mode="clip")
-        s = scratch("ks.sorted", retained.shape)
-        np.copyto(s, retained)
-        s.sort(axis=-1)
+        ranked = scratch("ks.sorted", block.shape)
+        np.copyto(ranked, block)
+        ranked.sort(axis=1)
+        keep = _retained_mask(uniforms.reshape(draws, -1), K).reshape(n, reps, K)
+        # each draw's retained values in ascending order, one column per draw
+        s = scratch("ks.retained", (size, draws))
+        np.copyto(s, np.broadcast_to(ranked[:, None, :], keep.shape)[keep].reshape(draws, size).T)
         # 2^-e, e the exponent of the draw's largest magnitude, brings every
         # draw near unit scale exactly; e is clipped so that 2^-e stays normal
         # (with minimum and maximum, as np.clip costs several times more here)
-        _, e = np.frexp(np.maximum(-s[..., :1], s[..., -1:]))
+        _, e = np.frexp(np.maximum(-s[0], s[-1]))
         e = np.minimum(np.maximum(e, -_SCALE_EXPONENT), _SCALE_EXPONENT)
-        scale = np.ldexp(1.0, -e)
-        retained *= scale
-        s *= scale
-        mu, sigma = _mean_and_std(retained)
+        s *= np.ldexp(1.0, -e)
+        mu, sigma, dev = _mean_and_std(s)
         if band is None:
-            reject = np.zeros(sigma.shape, dtype=bool)
+            reject = np.zeros(draws, dtype=bool)
             exact = ~reject
         else:
-            reject, exact = _band_decisions(s, mu, sigma, band)
+            reject, exact = _band_decisions(s, dev, sigma, band)
         if exact.any():
-            s, mu, sigma = s[exact], mu[exact], sigma[exact]
+            s, mu, sigma = s[:, exact].T, mu[exact], sigma[exact]
             pvals = _pvalue_from_effective_size(gaussian_ks_statistic(s, mu, sigma), size)
             flat = np.all(s == s[..., :1], axis=-1)
             reject[exact] = np.where(flat | (sigma == 0.0), ~flat, pvals < cfg.reject_level)
-        scores[lo : lo + n] = np.mean(reject, axis=-1)
+        scores[lo : lo + n] = np.mean(reject.reshape(n, reps), axis=-1)
     return scores
 
 
@@ -417,8 +465,9 @@ def mal_test(
 
     Every coordinate of the model is scored in one pass, in flattened order.
     Each layer's held-out subsets are drawn in coordinate order from one
-    random stream keyed by ``(seed, layer)``; coordinates are processed in
-    chunks, and the scores do not depend on the chunk size.
+    random stream keyed by ``(seed, layer)``, S uniforms per draw;
+    coordinates are processed in chunks, and the scores depend neither on
+    the chunk size nor on the order of ``updates``.
     """
     validate_uniform(updates)
     K = len(updates)

@@ -104,14 +104,24 @@ _H_FLOOR = float(np.nextafter(0.0, 1.0))
 
 
 def _literal_values(cols: np.ndarray, include_dc: bool) -> np.ndarray:
-    """Literal-strategy selection for each row of an (n, K) matrix, K >= 2."""
-    sorted_cols = np.sort(cols, axis=1, kind="stable")
-    mags = np.abs(fft(sorted_cols)[:, : cols.shape[1] // 2 + 1])
+    """Literal-strategy selection for each row of an (n, K) matrix, K >= 2.
+
+    The sorted rows, the spectrum and its magnitudes live in per-thread
+    scratch buffers, so that a call maps no fresh memory.
+    """
+    n, k = cols.shape
+    sorted_cols = scratch("literal.sorted", cols.shape)
+    np.copyto(sorted_cols, cols)
+    sorted_cols.sort(axis=1, kind="stable")
+    signal = scratch("literal.signal", cols.shape, np.complex128)
+    np.copyto(signal, sorted_cols)
+    spectrum = fft(signal, out=scratch("literal.spectrum", cols.shape, np.complex128))
+    mags = np.abs(spectrum[:, : k // 2 + 1], out=scratch("literal.mags", (n, k // 2 + 1)))
     if include_dc:
         bins = np.argmax(mags, axis=1)
     else:
         bins = 1 + np.argmax(mags[:, 1:], axis=1)
-    return sorted_cols[np.arange(cols.shape[0]), bins]
+    return sorted_cols[np.arange(n), bins]
 
 
 def _kernel_terms(diff: np.ndarray, h: np.ndarray, far: bool) -> np.ndarray | None:

@@ -31,20 +31,21 @@ class DegenerateSample(ValueError):
 # transforms
 # ---------------------------------------------------------------------------
 
-def fft(x) -> np.ndarray:
+def fft(x, out: np.ndarray | None = None) -> np.ndarray:
     """Discrete Fourier transform along the last axis, for any length >= 1.
 
     numpy's FFT on complex128 input. Leading axes are a batch: every row along
     the last axis is transformed independently, and each row comes out
     bit-identical to a 1-D call on it. Agrees with :func:`dft_naive` to
-    ~1e-12 absolute.
+    ~1e-12 absolute. ``out``, a complex128 array of the input's shape that
+    does not overlap it, receives the same result in place of a new array.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim == 0:
         raise ValueError("fft expects a sequence, not a scalar")
     if x.shape[-1] < 1:
         raise ValueError("fft needs at least one sample")
-    return np.fft.fft(x, axis=-1)
+    return np.fft.fft(x, axis=-1, out=out)
 
 
 def dft_naive(x) -> np.ndarray:

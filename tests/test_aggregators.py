@@ -121,6 +121,25 @@ class TestTrimmedMean:
             assert np.allclose(got, want, atol=1e-12)
 
 
+    @pytest.mark.parametrize("kind", ["duplicates", "signed-zeros", "all-equal"])
+    def test_bit_identical_to_stable_argsort_form(self, kind):
+        # the mean of the kept slice of one sort, against the stable argsort
+        # gather it replaced, where an unstable sort can reorder equal values
+        rng = np.random.default_rng(4)
+        for k in (3, 4, 5, 8, 17, 50):
+            if kind == "duplicates":
+                vals = np.round(rng.normal(size=(k, 500)))
+            elif kind == "signed-zeros":
+                vals = rng.choice([-0.0, 0.0, -0.0, 0.0, 1.5, -2.25], size=(k, 500))
+            else:
+                vals = np.broadcast_to(rng.normal(size=500), (k, 500)).copy()
+                vals[:, :100] = -0.0
+            for n in range(0, (k - 1) // 2 + 1):
+                order = np.argsort(vals, axis=0, kind="stable")
+                want = np.take_along_axis(vals, order[n : k - n], axis=0).mean(axis=0)
+                got = column(trimmed_mean([update(i, vals[i]) for i in range(k)], n))
+                assert np.asarray(got).tobytes() == want.tobytes(), (k, n)
+
 class TestKrum:
     def test_hand_case_tie_breaks_low_index(self):
         ups = [update(k, [v]) for k, v in enumerate([0.0, 1.0, 2.0, 10.0])]

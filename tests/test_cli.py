@@ -469,6 +469,7 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") >= 5
         assert "PASS local-sgd-loop" in out
+        assert "PASS ks-band-vs-exact" in out
         assert "FAIL" not in out
 
     def test_crashing_suite_exit_three(self, monkeypatch, capsys):

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import sys
 import threading
 import warnings
@@ -315,7 +317,8 @@ class TestMalTest:
         s = np.stack([row, row, row, row, far, np.zeros(10), np.full(10, np.inf), np.full(10, 0.3)])
         mu = np.array([0.0] * 7 + [0.3 + 2**-54])
         sigma = np.array([1.0, 0.0, np.inf, np.nan, 1.0, 0.0, 0.0, 1e-17])
-        reject, exact = detector._band_decisions(s, mu, sigma, band)
+        # the band takes one column per draw, and each draw's deviations
+        reject, exact = detector._band_decisions(s.T.copy(), (s - mu[:, None]).T.copy(), sigma, band)
         # rows 1 and 5 are flat (sigma 0, finite values) and row 7 unanimous
         # (finite, equal values, with its mean an ulp off): decided here, and
         # rejected exactly when their values are not all equal
@@ -424,6 +427,54 @@ class TestMalTest:
         assert np.all(mal_test(updates_from_matrix(mat), cfg, seed=K) == 0.0)
 
 
+class TestHeldOutDraw:
+    """Each draw holds out S ranks, picked by Floyd's algorithm from S uniforms."""
+
+    def test_holds_out_exactly_s_ranks_as_floyd_does(self):
+        rng = np.random.default_rng(70)
+        for k in (2, 3, 6, 13, 50, 61):
+            for size in sorted({1, k // 2, k - 1}):
+                u = rng.random((300, size))
+                u[:5] = 0.0
+                u[5:10] = 1.0 - 2.0**-53
+                keep = detector._retained_mask(u, k)
+                assert keep.shape == (300, k)
+                assert np.all(np.count_nonzero(~keep, axis=1) == size), (k, size)
+                for row, draw in zip(keep, u):
+                    assert set(np.flatnonzero(~row)) == floyd_held_out(draw, k)
+
+    def test_every_subset_equally_likely(self):
+        # K = 6, S = 2: 15 subsets over 60,000 draws, 4,000 expected each; the
+        # chi-square bound is the 0.999 quantile at 14 degrees of freedom
+        u = np.random.default_rng(71).random((60_000, 2))
+        keep = detector._retained_mask(u, 6)
+        codes = np.packbits(~keep, axis=1, bitorder="little")[:, 0]
+        values, counts = np.unique(codes, return_counts=True)
+        assert values.size == 15
+        expected = u.shape[0] / 15
+        assert float(np.sum((counts - expected) ** 2 / expected)) < 36.12
+
+    def test_largest_uniform_stays_in_range(self):
+        # u * (j + 1) rounds below j + 1 for the largest double below 1, so
+        # each step takes j, the top rank it may reach
+        top = 1.0 - 2.0**-53
+        for k in (2, 3, 7, 50, 1001, 2**20 + 3):
+            for size in sorted({1, min(5, k - 1), min(k - 1, 1000)}):
+                keep = detector._retained_mask(np.full((1, size), top), k)
+                assert np.array_equal(np.flatnonzero(~keep[0]), np.arange(k - size, k)), (k, size)
+
+    def test_scores_do_not_depend_on_client_order(self):
+        mat = layered_matrix(np.random.default_rng(72), k=30)
+        mat[:, 100:110] = np.round(mat[:, 100:110])  # ties
+        cfg = DetectorConfig()
+        want = mal_test(layered_updates(mat), cfg, seed=11)
+        assert np.ptp(want) > 0
+        rng = np.random.default_rng(73)
+        for order in [np.arange(30)[::-1]] + [rng.permutation(30) for _ in range(3)]:
+            got = mal_test(layered_updates(mat[order]), cfg, seed=11)
+            assert np.array_equal(got, want)
+
+
 def spy_exact_path(monkeypatch):
     """A list that records the draw count of every exact-path batch."""
     seen = []
@@ -458,27 +509,53 @@ def fuzz_matrix(rng, kind, K, P):
     return mat
 
 
+def floyd_held_out(u, k):
+    """The ranks one draw holds out: Floyd's algorithm, one uniform per step."""
+    held = set()
+    for ui, j in zip(u, range(k - len(u), k)):
+        t = int(ui * (j + 1))
+        held.add(j if t in held else t)
+    return held
+
+
+def left_to_right_sum(values):
+    return functools.reduce(operator.add, values)
+
+
 def exact_layer_scores(mat, cfg, rng, scaled=True):
     """Scores with every draw decided by its p-value: the oracle for the band.
 
-    A draw whose values are all equal does not reject, and a draw with sigma
-    0 whose values are not all equal does. With ``scaled``, each draw is
-    first divided by the power of two that brings its largest magnitude into
-    [0.5, 1), as far as a normal factor allows; without it, the draws are
-    scored as drawn.
+    Draw by draw, in coordinate then repetition order, S uniforms from
+    ``rng`` pick the held-out ranks (:func:`floyd_held_out`); the draw keeps
+    the coordinate's sorted values at the other ranks. Its mean and variance
+    are sums taken left to right over those values. A draw whose values are
+    all equal does not reject, and a draw with sigma 0 whose values are not
+    all equal does. With ``scaled``, each draw is first divided by the power
+    of two that brings its largest magnitude into [0.5, 1), as far as a
+    normal factor allows; without it, the draws are scored as drawn.
     """
     K, n = mat.shape
-    order = rng.random((n, cfg.repetitions, K)).argsort(axis=-1)
-    retained = np.take_along_axis(mat.T[:, None, :], order[..., cfg.subset_size :], axis=-1)
-    if scaled:
-        _, e = np.frexp(np.max(np.abs(retained), axis=-1, keepdims=True))
-        retained = retained * 2.0 ** -np.clip(e, -1021, 1021).astype(float)
-    mu = retained.mean(axis=-1)
-    sigma = retained.std(axis=-1)
-    d = gaussian_ks_statistic(retained, mu, sigma)
-    reject = detector._pvalue_from_effective_size(d, K - cfg.subset_size) < cfg.reject_level
-    flat = np.all(retained == retained[..., :1], axis=-1)
-    return np.mean(np.where(flat | (sigma == 0.0), ~flat, reject), axis=-1)
+    size = K - cfg.subset_size
+    uniforms = rng.random((n, cfg.repetitions, cfg.subset_size))
+    reject = np.zeros((n, cfg.repetitions), dtype=bool)
+    for c in range(n):
+        ranked = np.sort(mat[:, c])
+        for r in range(cfg.repetitions):
+            held = floyd_held_out(uniforms[c, r], K)
+            draw = np.array([ranked[i] for i in range(K) if i not in held])
+            if scaled:
+                e = math.frexp(float(np.max(np.abs(draw))))[1]
+                draw = draw * 2.0 ** -min(max(e, -1021), 1021)
+            mu = left_to_right_sum(draw) / size
+            var = left_to_right_sum([(v - mu) * (v - mu) for v in draw]) / size
+            sigma = math.sqrt(var)
+            flat = bool(np.all(draw == draw[0]))
+            if flat or sigma == 0.0:
+                reject[c, r] = not flat
+            else:
+                d = gaussian_ks_statistic(draw, mu, sigma)
+                reject[c, r] = detector._pvalue_from_effective_size(d, size) < cfg.reject_level
+    return np.mean(reject, axis=-1)
 
 
 LAYER_SHAPES = ((7, 13), (29,), (3, 5, 4))
@@ -526,7 +603,7 @@ class TestWholeModelPass:
         for buf in buffers.values():
             buf[:] = 0xFF  # NaN as float64
         assert np.array_equal(mal_test(updates, DetectorConfig(), seed=3), first)
-        assert {"ks.uniforms", "ks.retained", "ks.sorted", "ks.z", "ks.outside", "ks.inside"} <= set(buffers)
+        assert {"ks.uniforms", "ks.sorted", "ks.keep", "ks.retained", "ks.z", "ks.square", "ks.band"} <= set(buffers)
 
     def test_threads_at_once_match_sequential_calls(self):
         # each thread keeps its own scratch buffers, so threads that score and
@@ -562,18 +639,28 @@ class TestWholeModelPass:
                 assert np.array_equal(scores, want[t][0]) and weights == want[t][1]
 
     def test_mean_and_std_match_numpy_bit_for_bit(self):
+        # sums run along the first axis, position by position; numpy adds in
+        # that order too unless the other axes hold a lone element
         rng = np.random.default_rng(63)
         for trial in range(200):
-            shape = tuple(int(d) for d in rng.integers(1, 9, size=trial % 3 + 1)) + (int(rng.integers(1, 50)),)
+            shape = (int(rng.integers(1, 50)),) + tuple(int(d) for d in rng.integers(1, 9, size=trial % 3 + 1))
             x = rng.normal(rng.normal(0.0, 10.0), rng.uniform(1e-3, 1e3), size=shape)
             if trial % 4 == 1:
                 x = np.round(x)
             elif trial % 4 == 2:
                 x *= 2.0 ** int(rng.integers(-1000, 1000))
             with np.errstate(all="ignore"):  # squares of 2^1000 overflow, of 2^-1000 underflow
-                mu, sigma = detector._mean_and_std(x.copy())
-                assert np.array_equal(mu, x.mean(axis=-1), equal_nan=True), trial
-                assert np.array_equal(sigma, x.std(axis=-1), equal_nan=True), trial
+                mu, sigma, dev = detector._mean_and_std(x)
+                assert np.array_equal(dev, x - mu, equal_nan=True), trial
+                if x[0].size > 1:
+                    assert np.array_equal(mu, x.mean(axis=0), equal_nan=True), trial
+                    assert np.array_equal(sigma, x.std(axis=0), equal_nan=True), trial
+                cols = x.reshape(shape[0], -1)
+                for j, col in enumerate(cols.T):
+                    m = left_to_right_sum(col) / col.size
+                    v = left_to_right_sum([(a - m) * (a - m) for a in col]) / col.size
+                    assert mu.ravel()[j] == m or (np.isnan(m) and np.isnan(mu.ravel()[j])), trial
+                    assert sigma.ravel()[j] == np.sqrt(v) or np.isnan(v), trial
 
 
 class TestDynamicAggregate:

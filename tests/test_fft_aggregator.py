@@ -525,3 +525,4 @@ class TestWholeModelPass:
             names = poison_scratch()
             assert fft_aggregate(updates, strategy) == first
         assert {"kde.sorted", "kde.scaled", "kde.values", "kde.weight", "kde.score", "kde.diff", "kde.keep"} <= names
+        assert {"literal.sorted", "literal.signal", "literal.spectrum", "literal.mags"} <= names

@@ -70,6 +70,15 @@ class TestFft:
                 assert np.max(np.abs(got - dft_naive(row))) < 1e-12
                 assert np.array_equal(got, fft(row))
 
+    def test_out_receives_the_same_result(self):
+        rng = np.random.default_rng(8)
+        for shape in ((1,), (50,), (37, 50), (3, 4, 21)):
+            x = rng.normal(size=shape)
+            out = np.full(shape, np.nan + 0j)
+            got = fft(x, out=out)
+            assert got is out or np.shares_memory(got, out)
+            assert np.array_equal(out, fft(x))
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             fft(np.array([]))
