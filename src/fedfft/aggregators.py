@@ -16,6 +16,7 @@ from .tensors import (
     ClientUpdate,
     ModelWeights,
     layer_matrices,
+    layer_slices,
     pairwise_sq_distances,
     sq_distance_bounds,
     sq_distance_row,
@@ -59,20 +60,19 @@ def fed_avg(updates: Sequence[ClientUpdate]) -> ModelWeights:
     validate_uniform(updates)
     total = float(sum(u.dataset_size for u in updates))
     coeffs = np.array([u.dataset_size / total for u in updates])
-    return ModelWeights(
-        np.tensordot(coeffs, np.stack([u.weights.layers[li] for u in updates]), axes=1)
-        for li in range(len(updates[0].weights.layers))
-    )
+    rows = stack_flat([u.weights for u in updates])
+    # one product per layer, on a contiguous copy of its columns: BLAS rounds
+    # a product over the whole stack, or over a strided view, differently
+    return updates[0].weights.with_flat(np.concatenate([
+        np.tensordot(coeffs, np.ascontiguousarray(rows[:, part]), axes=1)
+        for part in layer_slices(updates[0].weights.shapes)
+    ]))
 
 
 def coordinate_median(updates: Sequence[ClientUpdate]) -> ModelWeights:
     """Per-coordinate median; even K takes the midpoint of the central pair."""
     mats = layer_matrices(updates)
-    template = updates[0].weights
-    return ModelWeights(
-        np.median(mat, axis=0).reshape(layer.shape)
-        for mat, layer in zip(mats, template.layers)
-    )
+    return updates[0].weights.with_flat(np.concatenate([np.median(mat, axis=0) for mat in mats]))
 
 
 def trimmed_mean(updates: Sequence[ClientUpdate], trim: TrimParam | int) -> ModelWeights:
@@ -84,14 +84,11 @@ def trimmed_mean(updates: Sequence[ClientUpdate], trim: TrimParam | int) -> Mode
     K = mats[0].shape[0]
     if 2 * n >= K:
         raise TrimTooLarge(f"2*{n} >= {K} clients")
-    template = updates[0].weights
-    out = []
-    for mat, layer in zip(mats, template.layers):
-        # equal values are interchangeable here: only a zero's sign can tell
-        # them apart, and numpy's sum starts from +0.0, so no order of them
-        # changes the mean
-        out.append(np.sort(mat, axis=0)[n : K - n].mean(axis=0).reshape(layer.shape))
-    return ModelWeights(out)
+    # equal values are interchangeable here: only a zero's sign can tell them
+    # apart, and numpy's sum starts from +0.0, so no order of them changes
+    # the mean
+    means = [np.sort(mat, axis=0)[n : K - n].mean(axis=0) for mat in mats]
+    return updates[0].weights.with_flat(np.concatenate(means))
 
 
 def krum_select(updates: Sequence[ClientUpdate], param: KrumParam | int) -> int:

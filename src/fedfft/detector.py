@@ -72,7 +72,7 @@ import numpy as np
 
 from .aggregators import fed_avg
 from .fft_aggregator import FftStrategy, fft_aggregate
-from .tensors import ClientUpdate, ModelWeights, scratch, validate_uniform
+from .tensors import ClientUpdate, ModelWeights, scratch, stack_flat, validate_uniform
 
 DECISION_FEDAVG = "fedavg"
 DECISION_FFT = "fft"
@@ -473,7 +473,7 @@ def mal_test(
     K = len(updates)
     if cfg.subset_size >= K:
         raise SubsetTooLarge(f"subset_size {cfg.subset_size} must be < K={K}")
-    cols = np.stack([u.weights.flat() for u in updates], axis=1)
+    cols = stack_flat([u.weights for u in updates]).T
     streams = [(a.size, np.random.default_rng([seed, li])) for li, a in enumerate(updates[0].weights.layers)]
     return _coordinate_scores(cols, cfg, streams)
 

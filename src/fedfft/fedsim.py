@@ -19,7 +19,7 @@ from .adversary import AttackSpec, apply_attack
 from .aggregators import KrumParam, TrimParam, coordinate_median, fed_avg, krum, trimmed_mean
 from .detector import DetectorConfig, dynamic_aggregate
 from .fft_aggregator import FftStrategy, fft_aggregate
-from .tensors import ClientUpdate, ModelWeights
+from .tensors import ClientUpdate, ModelWeights, layer_slices
 
 DECISION_NA = "n/a"
 
@@ -244,7 +244,8 @@ class _StepBuffers(NamedTuple):
     grads: list[np.ndarray]
 
     @classmethod
-    def new(cls, layers: Sequence[np.ndarray], n: int) -> _StepBuffers:
+    def new(cls, layers: Sequence[np.ndarray], n: int, grads: list | None = None) -> _StepBuffers:
+        """A workspace for batches of up to n rows; ``grads`` defaults to fresh arrays."""
         w1, _, w2, _ = layers
         lead = w1.shape[:-2]
         units, rows = (*lead, n, w1.shape[-1]), (*lead, n, 1)
@@ -256,7 +257,7 @@ class _StepBuffers(NamedTuple):
             np.empty(units),
             np.empty(units, dtype=bool),
             np.empty(units, dtype=np.int64),
-            [np.empty_like(a) for a in layers],
+            [np.empty_like(a) for a in layers] if grads is None else grads,
         )
 
     def rows(self, m: int) -> _StepBuffers:
@@ -313,12 +314,13 @@ def local_updates(
     """Mini-batch SGD from ``weights`` on every client's shard, clients batched.
 
     ``train_x`` (K, n, d) and ``train_y`` (K, n) hold K shards of one length
-    n. Client k shuffles its shard once per epoch with ``rngs[k]``. Blocks
-    of clients step as (B, ...) stacks of every layer, one stacked step per
-    batch written into one workspace per block, and each client's result is
-    bit-identical to stepping it alone.
-    Each client's layers are wrapped in ModelWeights once, at the end, so
-    weights that diverged raise ValueError there.
+    n. Client k shuffles its shard once per epoch with ``rngs[k]``. Client k
+    trains row k of one (K, P) round matrix. Blocks of clients step their
+    rows as (B, ...) per-layer views, one stacked step per batch written into
+    one workspace per block, and each client's result is bit-identical to
+    stepping it alone. One finiteness check over the matrix then raises
+    ValueError for weights that diverged, and its read-only rows are the
+    returned models, with no copy.
     """
     if train_x.ndim != 3 or train_y.shape != train_x.shape[:2]:
         raise ValueError(
@@ -329,32 +331,35 @@ def local_updates(
     if len(rngs) != K or len(client_ids) != K:
         raise ValueError(f"need one rng and one client id per shard, for {K} shards")
     block = _sgd_block_clients(model, weights.num_params, min(batch_size, n))
-    updates = []
+    shapes = weights.shapes
+    matrix = np.empty((K, weights.num_params))
+    grad_rows = np.empty((min(block, K), weights.num_params))
     for lo in range(0, K, block):
         hi = min(lo + block, K)
-        params = [np.repeat(a[None], hi - lo, axis=0) for a in weights.layers]
-        work = _StepBuffers.new(params, min(batch_size, n))
+        params, grad = matrix[lo:hi], grad_rows[: hi - lo]
+        params[:] = weights.flat()
+        layers = _layer_views(params, shapes)
+        work = _StepBuffers.new(layers, min(batch_size, n), _layer_views(grad, shapes))
         rows = np.arange(hi - lo)[:, None]
         for _ in range(epochs):
             order = np.stack([rngs[k].permutation(n) for k in range(lo, hi)])
             xs, ys = train_x[lo:hi][rows, order], train_y[lo:hi][rows, order]
             for start in range(0, n, batch_size):
-                grads = model._gradients(
-                    params, xs[:, start : start + batch_size], ys[:, start : start + batch_size], work
+                model._gradients(
+                    layers, xs[:, start : start + batch_size], ys[:, start : start + batch_size], work
                 )
                 # bit for bit ``p -= learning_rate * g``, with no temporary
-                for p, g in zip(params, grads):
-                    g *= learning_rate
-                    p -= g
-        updates.extend(
-            ClientUpdate(
-                client_id=client_ids[k],
-                weights=ModelWeights(p[k - lo] for p in params),
-                dataset_size=n,
-            )
-            for k in range(lo, hi)
-        )
-    return updates
+                grad *= learning_rate
+                params -= grad
+    return [
+        ClientUpdate(client_id=client_ids[k], weights=w, dataset_size=n)
+        for k, w in enumerate(ModelWeights.from_rows(matrix, shapes))
+    ]
+
+
+def _layer_views(rows: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """The (B, *shape) view of every layer in a (B, P) matrix of flat models."""
+    return [rows[:, part].reshape(-1, *s) for part, s in zip(layer_slices(shapes), shapes)]
 
 
 def local_update(

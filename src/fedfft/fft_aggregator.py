@@ -42,8 +42,8 @@ from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
-from .spectral import fft, silverman_bandwidth
-from .tensors import ClientUpdate, ModelWeights, scratch, validate_uniform
+from .spectral import fft, sorted_silverman_bandwidth
+from .tensors import ClientUpdate, ModelWeights, scratch, stack_flat, validate_uniform
 
 LITERAL = "literal"
 KDE_MODE = "kde"
@@ -231,12 +231,14 @@ def _kde_values(cols: np.ndarray) -> np.ndarray:
     np.copyto(s, cols)
     s.sort(axis=1)
     values = s[:, 0].copy()
-    active = np.nonzero(s[:, 0] != s[:, -1])[0]
-    s = s[active]
+    active = np.flatnonzero(s[:, 0] != s[:, -1])
+    if active.size < len(s):
+        s = s[active]
     _, e = np.frexp(np.maximum(-s[:, :1], s[:, -1:]))
     e = np.minimum(np.maximum(e, -_SCALE_EXPONENT), _SCALE_EXPONENT)
     z = np.multiply(s, np.ldexp(1.0, -e), out=scratch("kde.scaled", s.shape))
-    h = np.maximum(silverman_bandwidth(z, axis=1), _H_FLOOR)
+    # z is sorted like s, as 2^-e > 0
+    h = np.maximum(sorted_silverman_bandwidth(z), _H_FLOOR)
     # |z| < 2^3 grows to below 2^(3 + _KERNEL_EXPONENT) = 2^1021 at most, so
     # no difference of two values overflows
     m = np.minimum(-np.frexp(h)[1], _KERNEL_EXPONENT)
@@ -286,5 +288,5 @@ def fft_select(v, strategy: FftStrategy = FftStrategy()) -> Selection:
 def fft_aggregate(updates: Sequence[ClientUpdate], strategy: FftStrategy = FftStrategy()) -> ModelWeights:
     """Select a value for every coordinate of the model in one pass, and reassemble it."""
     validate_uniform(updates)
-    cols = np.stack([u.weights.flat() for u in updates], axis=1)
+    cols = stack_flat([u.weights for u in updates]).T
     return updates[0].weights.with_flat(_selected_values(cols, strategy))

@@ -3,15 +3,18 @@ memory, pairwise squared distances (exact, and certified bounds from one Gram
 product), and the weight-dump file format.
 
 Everything downstream (aggregators, attacks, the simulation loop) works on
-:class:`ModelWeights`: an ordered list of layer tensors stored as float64
-arrays. Coordinates are indexed ``(layer, i)`` where ``i`` walks the layer in
-row-major (C) order, so the same index means the same scalar for every client.
+:class:`ModelWeights`: one read-only float64 buffer per model, with its layer
+tensors as views of it. Coordinates are indexed ``(layer, i)`` where ``i``
+walks the layer in row-major (C) order, and the buffer holds the layers in
+order, so the same index means the same scalar for every client.
 All containers are immutable after construction and safe to share across
 threads.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import threading
@@ -40,58 +43,84 @@ class BadWeightDump(ValueError):
     """A weight-dump document is malformed or has an unsupported version."""
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64, order="C")
-    out.setflags(write=False)
-    return out
+@functools.lru_cache(maxsize=64)
+def layer_slices(shapes: tuple[tuple[int, ...], ...]) -> tuple[slice, ...]:
+    """Where each layer of these shapes lies in a model's flat buffer."""
+    ends = list(itertools.accumulate(math.prod(s) for s in shapes))
+    return tuple(slice(end - math.prod(s), end) for s, end in zip(shapes, ends))
+
+
+def _check_finite(rows: np.ndarray, shapes: tuple[tuple[int, ...], ...]) -> None:
+    """Raise ValueError naming the first layer (and row, of several) holding a
+    non-finite value; one pass over ``rows`` when all are finite."""
+    if np.isfinite(rows).all():
+        return
+    for k, row in enumerate(rows):
+        for li, part in enumerate(layer_slices(shapes)):
+            if not np.isfinite(row[part]).all():
+                where = f"row {k} " if len(rows) > 1 else ""
+                raise ValueError(f"{where}layer {li} contains non-finite values")
 
 
 @dataclass(frozen=True)
 class ModelWeights:
-    """Ordered list of layer tensors; float64, finite, read-only."""
+    """Ordered list of layer tensors; float64, finite, read-only, at least one.
+
+    The layers are reshaped views of one read-only (P,) buffer, which
+    :meth:`flat` returns without a copy; ``shapes`` and ``num_params`` are
+    fixed when the model is built.
+    """
 
     layers: tuple[np.ndarray, ...]
 
     def __init__(self, layers: Iterable[np.ndarray]):
-        frozen = tuple(_freeze(a) for a in layers)
-        for li, a in enumerate(frozen):
+        arrays = [np.asarray(a, dtype=np.float64) for a in layers]
+        if not arrays:
+            raise ValueError("a model needs at least one layer")
+        for li, a in enumerate(arrays):
             if a.size == 0:
                 raise ValueError(f"layer {li} is empty")
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"layer {li} contains non-finite values")
-        object.__setattr__(self, "layers", frozen)
+        flat = np.concatenate([a.ravel() for a in arrays])
+        shapes = tuple(a.shape for a in arrays)
+        _check_finite(flat[None], shapes)
+        self._adopt(flat, shapes)
 
-    @property
-    def shapes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(a.shape for a in self.layers)
+    def _adopt(self, flat: np.ndarray, shapes: tuple[tuple[int, ...], ...]) -> ModelWeights:
+        flat.setflags(write=False)
+        object.__setattr__(self, "_flat", flat)
+        object.__setattr__(self, "shapes", shapes)
+        object.__setattr__(self, "num_params", flat.size)
+        layers = tuple(flat[part].reshape(s) for part, s in zip(layer_slices(shapes), shapes))
+        object.__setattr__(self, "layers", layers)
+        return self
 
-    @property
-    def num_params(self) -> int:
-        return sum(a.size for a in self.layers)
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, shapes: tuple[tuple[int, ...], ...]) -> list[ModelWeights]:
+        """The models whose buffers are the rows of a (K, P) float64 matrix,
+        with no copy; the matrix becomes read-only. Raises ValueError naming
+        the first row and layer with a non-finite value."""
+        _check_finite(rows, shapes)
+        rows.setflags(write=False)
+        return [cls.__new__(cls)._adopt(row, shapes) for row in rows]
 
     def flat(self) -> np.ndarray:
-        """All coordinates as one 1-D array, layers concatenated in order."""
-        return np.concatenate([a.ravel(order="C") for a in self.layers])
+        """All coordinates as one read-only 1-D array, layers concatenated in
+        order: the model's own buffer, so copy it before writing."""
+        return self._flat
 
     def with_flat(self, flat: np.ndarray) -> "ModelWeights":
-        """New ModelWeights with this object's shapes and the given flat values."""
-        flat = np.asarray(flat, dtype=np.float64)
+        """New ModelWeights with this object's shapes and a copy of the given flat values."""
+        flat = np.array(flat, dtype=np.float64).reshape(-1)
         if flat.size != self.num_params:
             raise ShapeMismatch(
                 f"flat vector has {flat.size} values, template has {self.num_params}"
             )
-        out, ofs = [], 0
-        for a in self.layers:
-            out.append(flat[ofs : ofs + a.size].reshape(a.shape))
-            ofs += a.size
-        return ModelWeights(out)
+        return ModelWeights.from_rows(flat[None], self.shapes)[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ModelWeights):
             return NotImplemented
-        return self.shapes == other.shapes and all(
-            np.array_equal(a, b) for a, b in zip(self.layers, other.layers)
-        )
+        return self.shapes == other.shapes and np.array_equal(self._flat, other._flat)
 
 
 @dataclass(frozen=True)
@@ -124,31 +153,31 @@ def validate_uniform(updates: Sequence[ClientUpdate]) -> None:
     ref = updates[0].weights.shapes
     for u in updates[1:]:
         shapes = u.weights.shapes
+        if shapes == ref:
+            continue
         if len(shapes) != len(ref):
             raise ShapeMismatch(
                 f"client {u.client_id} has {len(shapes)} layers, expected {len(ref)}",
                 client_id=u.client_id,
             )
-        for li, (got, want) in enumerate(zip(shapes, ref)):
-            if got != want:
-                raise ShapeMismatch(
-                    f"client {u.client_id} layer {li} has shape {got}, expected {want}",
-                    client_id=u.client_id,
-                    layer_index=li,
-                )
+        li = next(li for li, (got, want) in enumerate(zip(shapes, ref)) if got != want)
+        raise ShapeMismatch(
+            f"client {u.client_id} layer {li} has shape {shapes[li]}, expected {ref[li]}",
+            client_id=u.client_id,
+            layer_index=li,
+        )
 
 
 def layer_matrices(updates: Sequence[ClientUpdate]) -> list[np.ndarray]:
     """Per layer, a (K, n_layer) matrix of all clients' flattened values.
 
     Row order is the caller-supplied client order; column i of layer li holds
-    every client's value at coordinate ``(layer, i)``.
+    every client's value at coordinate ``(layer, i)``. The matrices are
+    column views of one (K, P) stack of the clients' flat buffers.
     """
     validate_uniform(updates)
-    return [
-        np.stack([u.weights.layers[li].ravel(order="C") for u in updates])
-        for li in range(len(updates[0].weights.layers))
-    ]
+    rows = np.stack([u.weights.flat() for u in updates])
+    return [rows[:, part] for part in layer_slices(updates[0].weights.shapes)]
 
 
 _scratch = threading.local()
@@ -176,14 +205,11 @@ def scratch(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
 def stack_flat(weights: Sequence[ModelWeights]) -> np.ndarray:
     """(K, P) matrix whose row k is ``weights[k].flat()``, in this thread's scratch.
 
-    The rows are written straight from each model's layers, with no per-model
-    flat copy. Like any :func:`scratch` array, the matrix is the caller's only
-    until the same thread calls this function again.
+    Like any :func:`scratch` array, the matrix is the caller's only until the
+    same thread calls this function again.
     """
     rows = scratch("tensors.stack_flat", (len(weights), weights[0].num_params))
-    for row, w in zip(rows, weights):
-        np.concatenate([a.ravel() for a in w.layers], out=row)
-    return rows
+    return np.stack([w.flat() for w in weights], out=rows)
 
 
 # Rows per difference chunk of the exact distances: the difference buffer

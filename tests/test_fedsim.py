@@ -299,6 +299,41 @@ class TestBatchedSgd:
         assert one == many[2]
 
 
+class TestRoundMatrix:
+    """local_updates trains every client in one (K, P) matrix whose rows become the models."""
+
+    def test_a_client_diverging_in_a_later_block_raises(self, monkeypatch):
+        task = SyntheticTask(clients=7, per_client=40, seed=9)
+        data = gen_task(task)
+        model = MlpModel(dim=task.dim, classes=task.classes)
+        w = model.init_weights(0)
+        # a budget below one client's needs makes a block of each client
+        monkeypatch.setattr(fedsim, "_SGD_BLOCK_BYTES", 1)
+        block = fedsim._sgd_block_clients(model, w.num_params, 32)
+        assert -(-task.clients // block) >= 3
+        x = data.train_x.copy()
+        x[6] *= 1e200
+        rngs = [np.random.default_rng(k) for k in range(task.clients)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="row 6 layer [0-3] contains non-finite"):
+                local_updates(model, w, x, data.train_y, 2, 32, 0.05, rngs, range(7))
+
+    def test_models_are_read_only_rows_of_one_matrix(self):
+        task = SyntheticTask(clients=4, per_client=40, seed=10)
+        data = gen_task(task)
+        model = MlpModel(dim=task.dim, classes=task.classes)
+        rngs = [np.random.default_rng(k) for k in range(task.clients)]
+        updates = local_updates(model, model.init_weights(0), data.train_x, data.train_y, 1, 32, 0.05, rngs, range(4))
+        for u in updates:
+            flat = u.weights.flat()
+            assert not flat.flags.writeable
+            with pytest.raises(ValueError):
+                flat[0] = 1.0
+            with pytest.raises(ValueError):
+                u.weights.layers[1][0] = 1.0
+        assert updates[0].weights.flat().base is updates[-1].weights.flat().base
+
+
 class TestStepBuffers:
     def test_relu_backward_matches_select_bytes(self):
         special = [np.nan, -np.nan, 0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 5e-324, -5e-324]

@@ -50,6 +50,43 @@ class TestModelWeights:
         w = mw([[1.0, 2.0], [3.0, 4.0]], [5.0])
         assert w.with_flat(w.flat()) == w
 
+    def test_rejects_no_layers(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            ModelWeights([])
+
+    def test_flat_is_the_read_only_buffer_of_the_layers(self):
+        w = mw([[1.0, 2.0], [3.0, 4.0]], [5.0], [[6.0], [7.0]])
+        flat = w.flat()
+        assert flat is w.flat()
+        assert np.array_equal(flat, np.concatenate([a.ravel() for a in w.layers]))
+        assert all(np.shares_memory(flat, a) for a in w.layers)
+        assert not flat.flags.writeable
+        with pytest.raises(ValueError):
+            flat[0] = 9.0
+        assert w.shapes == ((2, 2), (1,), (2, 1)) and w.num_params == 7
+
+    def test_constructor_and_with_flat_copy_their_input(self):
+        layers = [np.array([[1.0, 2.0]]), np.array([3.0])]
+        w = ModelWeights(layers)
+        values = np.array([4.0, 5.0, 6.0])
+        v = w.with_flat(values)
+        layers[0][0, 0] = layers[1][0] = values[:] = -1.0
+        assert w.flat().tolist() == [1.0, 2.0, 3.0]
+        assert v.flat().tolist() == [4.0, 5.0, 6.0]
+        assert not np.shares_memory(v.flat(), w.flat())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("layer", [0, 1, 2])
+    def test_non_finite_value_names_its_layer(self, layer, bad):
+        layers = [np.ones((2, 3)), np.ones(3), np.ones((3, 2))]
+        layers[layer].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^layer {layer} contains non-finite values$"):
+            ModelWeights(layers)
+        flat = np.concatenate([a.ravel() for a in layers])
+        template = ModelWeights([np.zeros(a.shape) for a in layers])
+        with pytest.raises(ValueError, match=f"^layer {layer} contains non-finite values$"):
+            template.with_flat(flat)
+
 
 class TestValidateUniform:
     def test_identical_shapes_ok(self):
@@ -63,6 +100,11 @@ class TestValidateUniform:
     def test_empty(self):
         with pytest.raises(EmptyUpdateSet):
             validate_uniform([])
+
+    def test_layer_mismatch_names_client_and_layer(self):
+        with pytest.raises(ShapeMismatch, match="client 4 layer 1 has shape") as err:
+            validate_uniform([update(0, [1.0], [[2.0, 3.0]]), update(4, [1.0], [2.0, 3.0])])
+        assert (err.value.client_id, err.value.layer_index) == (4, 1)
 
 
 class TestCoordinateViews:
@@ -100,6 +142,16 @@ class TestCoordinateViews:
             assert sum(m.shape[1] for m in mats) == ups[0].weights.num_params
             for i, u in enumerate(ups):
                 assert np.array_equal(np.concatenate([m[i] for m in mats]), u.weights.flat())
+
+
+    def test_columns_are_each_layers_values(self):
+        rng = np.random.default_rng(1)
+        ups = [update(k, rng.normal(size=(2, 3)), rng.normal(size=3), rng.normal(size=(3, 1))) for k in range(4)]
+        mats = layer_matrices(ups)
+        for li, mat in enumerate(mats):
+            assert mat.shape == (4, ups[0].weights.layers[li].size)
+            for k, u in enumerate(ups):
+                assert np.array_equal(mat[k], u.weights.layers[li].ravel())
 
 
 class TestScratch:
