@@ -16,7 +16,6 @@ from .tensors import (
     ClientUpdate,
     ModelWeights,
     layer_matrices,
-    layer_slices,
     pairwise_sq_distances,
     sq_distance_bounds,
     sq_distance_row,
@@ -60,13 +59,10 @@ def fed_avg(updates: Sequence[ClientUpdate]) -> ModelWeights:
     validate_uniform(updates)
     total = float(sum(u.dataset_size for u in updates))
     coeffs = np.array([u.dataset_size / total for u in updates])
-    rows = stack_flat([u.weights for u in updates])
-    # one product per layer, on a contiguous copy of its columns: BLAS rounds
-    # a product over the whole stack, or over a strided view, differently
-    return updates[0].weights.with_flat(np.concatenate([
-        np.tensordot(coeffs, np.ascontiguousarray(rows[:, part]), axes=1)
-        for part in layer_slices(updates[0].weights.shapes)
-    ]))
+    return ModelWeights(
+        np.tensordot(coeffs, np.stack([u.weights.layers[li] for u in updates]), axes=1)
+        for li in range(len(updates[0].weights.layers))
+    )
 
 
 def coordinate_median(updates: Sequence[ClientUpdate]) -> ModelWeights:

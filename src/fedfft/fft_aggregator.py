@@ -238,7 +238,7 @@ def _kde_values(cols: np.ndarray) -> np.ndarray:
     e = np.minimum(np.maximum(e, -_SCALE_EXPONENT), _SCALE_EXPONENT)
     z = np.multiply(s, np.ldexp(1.0, -e), out=scratch("kde.scaled", s.shape))
     # z is sorted like s, as 2^-e > 0
-    h = np.maximum(sorted_silverman_bandwidth(z), _H_FLOOR)
+    h = np.maximum(sorted_silverman_bandwidth(z, np.std(z, axis=1)), _H_FLOOR)
     # |z| < 2^3 grows to below 2^(3 + _KERNEL_EXPONENT) = 2^1021 at most, so
     # no difference of two values overflows
     m = np.minimum(-np.frexp(h)[1], _KERNEL_EXPONENT)

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import scratch
-
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
 
@@ -115,17 +113,10 @@ def silverman_bandwidth(sample, axis: int = -1):
     return float(h) if h.ndim == 0 else h
 
 
-def sorted_silverman_bandwidth(s: np.ndarray, sd: np.ndarray | None = None) -> np.ndarray:
-    """:func:`silverman_bandwidth` of each row of ``s``, sorted along its last axis.
-
-    ``sd`` holds each row's standard deviation. By default it is that of the
-    rows of ``s``, computed with np.std's own ufunc sequence, so bit for bit
-    ``np.std(s, axis=-1)``, with the deviations in this thread's scratch.
-    """
+def sorted_silverman_bandwidth(s: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """:func:`silverman_bandwidth` of each row of ``s``, sorted along its last
+    axis, given each row's standard deviation ``sd``."""
     n = s.shape[-1]
-    if sd is None:
-        dev = np.subtract(s, np.add.reduce(s, axis=-1, keepdims=True) / n, out=scratch("silverman.dev", s.shape))
-        sd = np.sqrt(np.add.reduce(np.square(dev, out=dev), axis=-1) / n)
     iqr = _sorted_quantile(s, 0.75) - _sorted_quantile(s, 0.25)
     spread = np.where(iqr > 0, np.minimum(sd, iqr / 1.34), sd)
     return 0.9 * spread * n ** (-0.2)

@@ -87,6 +87,7 @@ class ModelWeights:
 
     def _adopt(self, flat: np.ndarray, shapes: tuple[tuple[int, ...], ...]) -> ModelWeights:
         flat.setflags(write=False)
+        flat = flat.view()  # a view of a read-only base cannot be made writeable again
         object.__setattr__(self, "_flat", flat)
         object.__setattr__(self, "shapes", shapes)
         object.__setattr__(self, "num_params", flat.size)
@@ -110,7 +111,9 @@ class ModelWeights:
 
     def with_flat(self, flat: np.ndarray) -> "ModelWeights":
         """New ModelWeights with this object's shapes and a copy of the given flat values."""
-        flat = np.array(flat, dtype=np.float64).reshape(-1)
+        flat = np.array(flat, dtype=np.float64)
+        flat.setflags(write=False)  # the copy is the base of the model's views
+        flat = flat.reshape(-1)
         if flat.size != self.num_params:
             raise ShapeMismatch(
                 f"flat vector has {flat.size} values, template has {self.num_params}"

@@ -331,6 +331,8 @@ class TestRoundMatrix:
                 flat[0] = 1.0
             with pytest.raises(ValueError):
                 u.weights.layers[1][0] = 1.0
+            with pytest.raises(ValueError):
+                flat.setflags(write=True)
         assert updates[0].weights.flat().base is updates[-1].weights.flat().base
 
 

@@ -8,6 +8,7 @@ from fedfft.spectral import (
     kde_density,
     kde_density_direct,
     silverman_bandwidth,
+    sorted_silverman_bandwidth,
 )
 
 
@@ -180,6 +181,9 @@ class TestSilvermanBandwidth:
                 assert np.array_equal(got, want, equal_nan=True), trial
                 got_t = silverman_bandwidth(batch.T, axis=0)
                 assert np.array_equal(got_t, want, equal_nan=True), trial
+                s = np.sort(batch, axis=1)  # the sorted entry point, as kde calls it
+                got_s = sorted_silverman_bandwidth(s, np.std(s, axis=1))
+                assert np.array_equal(got_s, percentile_silverman(s, axis=1), equal_nan=True), trial
                 for row in batch[:2]:
                     one = silverman_bandwidth(row)
                     assert isinstance(one, float)

@@ -75,6 +75,13 @@ class TestModelWeights:
         assert v.flat().tolist() == [4.0, 5.0, 6.0]
         assert not np.shares_memory(v.flat(), w.flat())
 
+    def test_buffer_cannot_be_made_writeable_again(self):
+        w = mw([[1.0, 2.0]], [3.0])
+        for model in (w, w.with_flat([4.0, 5.0, 6.0]), w.with_flat(np.ones((3, 1)))):
+            for a in (model.flat(), *model.layers):
+                with pytest.raises(ValueError):
+                    a.setflags(write=True)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("layer", [0, 1, 2])
     def test_non_finite_value_names_its_layer(self, layer, bad):
