@@ -4,7 +4,8 @@ the density at the client values that the server's kde rule picks from."""
 
 import numpy as np
 
-from fedfft import FftStrategy, dft_naive, fft, fft_select, kde_density
+from fedfft import FftStrategy, fft, fft_select, kde_density
+from fedfft.oracles import dft_naive
 from fedfft.spectral import silverman_bandwidth
 
 rng = np.random.default_rng(0)

@@ -6,8 +6,8 @@ FFT-density aggregation rule (`fft_aggregator`), a KS-based contamination
 detector with a dynamic FedAvg/FFT switch (`detector`), model-poisoning
 attacks (`adversary`), and a deterministic desk-scale simulation harness
 (`fedsim`). The ``fedfft`` command line (`cli`) runs experiments, sweeps,
-offline aggregation of weight dumps, KS tests, and a self-test of the
-numeric oracles.
+offline aggregation of weight dumps, KS tests, and a self-test against the
+reference implementations in `oracles`, which this package does not import.
 """
 
 from .adversary import (
@@ -49,13 +49,12 @@ from .fedsim import (
     SyntheticTask,
     TrainConfig,
     gen_task,
-    grad_check,
     local_update,
     local_updates,
     run_experiment,
 )
 from .fft_aggregator import FftStrategy, Selection, fft_aggregate, fft_select
-from .spectral import DensityEstimate, dft_naive, fft, kde_density
+from .spectral import DensityEstimate, fft, kde_density
 from .tensors import (
     ClientUpdate,
     ModelWeights,

@@ -15,7 +15,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 import time
 from pathlib import Path
@@ -367,11 +366,16 @@ def cmd_ks_test(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# selftest: quick versions of the numeric oracle suites
+# selftest: quick versions of the numeric oracle suites, against fedfft.oracles
 # ---------------------------------------------------------------------------
 
+def _one_layer_updates(rows: np.ndarray) -> list[ClientUpdate]:
+    return [ClientUpdate(k, ModelWeights([row]), 1) for k, row in enumerate(rows)]
+
+
 def _suite_fft_vs_dft() -> bool:
-    from .spectral import dft_naive, fft
+    from .oracles import dft_naive
+    from .spectral import fft
 
     rng = np.random.default_rng(7)
     for n in list(range(1, 65)) + [97, 127, 128, 257]:
@@ -386,28 +390,16 @@ def _suite_fft_vs_dft() -> bool:
 
 
 def _suite_ks_bruteforce() -> bool:
-    from .detector import (
-        DetectorConfig,
-        _band_decisions,
-        _critical_band,
-        _coordinate_scores,
-        _pvalue_from_effective_size,
-        gaussian_ks_statistic,
-        ks_statistic,
-    )
+    from .detector import DetectorConfig, gaussian_ks_statistic, ks_statistic, mal_test
+    from .oracles import ecdf_distance, gaussian_ks_distance
 
     rng = np.random.default_rng(8)
     for _ in range(200):
         a = rng.integers(0, 5, rng.integers(1, 7)).astype(float)
         b = rng.integers(0, 5, rng.integers(1, 7)).astype(float)
-        grid = np.unique(np.concatenate([a, b]))
-        brute = max(
-            abs(np.mean(a <= t) - np.mean(b <= t)) for t in grid
-        )
-        if ks_statistic(a, b) != brute:
+        if ks_statistic(a, b) != ecdf_distance(a, b):
             return False
-    # the one-sample distance the detector scores with, on (rows x n)
-    # batches: the sup is reached at a sample point, from either side
+    # the one-sample distance the detector scores with, on (rows x n) batches
     for _ in range(20):
         n = int(rng.integers(1, 21))
         batch = np.round(rng.normal(size=(8, n)), 1)
@@ -415,102 +407,44 @@ def _suite_ks_bruteforce() -> bool:
         sigma = rng.uniform(0.5, 2.0, 8)
         got = gaussian_ks_statistic(batch, mu, sigma)
         for s, m, sd, d in zip(batch, mu, sigma, got):
-            cdf = 0.5 * (1.0 + np.array([math.erf((x - m) / sd / math.sqrt(2.0)) for x in s]))
-            below = np.array([np.mean(s < x) for x in s])
-            upto = np.array([np.mean(s <= x) for x in s])
-            if abs(d - max(np.max(np.abs(cdf - below)), np.max(np.abs(cdf - upto)))) > 1e-15:
+            if abs(d - gaussian_ks_distance(s, m, sd)) > 1e-15:
                 return False
     # the detector scores each draw at unit scale, so a power-of-two factor
     # on every client, even one whose squares overflow or underflow, moves
     # no score bit
     mat = rng.normal(size=(30, 40))
     mat[:8, ::2] += 4.0
-    cfg = DetectorConfig()
-    cols = mat.T
-    scores = _coordinate_scores(cols, cfg, [(40, np.random.default_rng(1))])
-    for factor in (2.0**600, 2.0**-600):
-        if not np.array_equal(_coordinate_scores(cols * factor, cfg, [(40, np.random.default_rng(1))]), scores):
-            return False
-    # the detector's critical band decides almost every draw, and each one
-    # as the draw's p-value does; half of the draws carry a shifted block
-    for n, level in ((45, 0.05), (15, 0.2), (7, 0.9)):
-        draws = rng.normal(size=(400, n))
-        draws[::2, : n // 3] += rng.uniform(0.0, 12.0, (200, 1))
-        mu, sigma = draws.mean(axis=-1), draws.std(axis=-1)
-        s = np.sort(draws, axis=-1)
-        # the band works position-major: one column per draw
-        dev = np.ascontiguousarray((s - mu[:, None]).T)
-        reject, left_open = _band_decisions(np.ascontiguousarray(s.T), dev, sigma, _critical_band(n, level))
-        exact = _pvalue_from_effective_size(gaussian_ks_statistic(s, mu, sigma), n) < level
-        if left_open.mean() > 0.01 or not 0.0 < exact.mean() < 1.0:
-            return False
-        if np.any(reject[~left_open] != exact[~left_open]):
-            return False
-    return True
-
-
-def _ks_draw_oracle(mat: np.ndarray, cfg, rng: np.random.Generator) -> np.ndarray:
-    """Contamination scores of a (K, n) matrix's columns, every draw by its p-value.
-
-    Draw by draw, Floyd's algorithm holds out S ranks from S uniforms, and
-    the retained sorted values are scaled by a power of two and summed left
-    to right, as the detector does in bulk.
-    """
-    from .detector import _pvalue_from_effective_size, gaussian_ks_statistic
-
-    k, n = mat.shape
-    size = k - cfg.subset_size
-    uniforms = rng.random((n, cfg.repetitions, cfg.subset_size))
-    draws, mus, sigmas = [], [], []
-    for c in range(n):
-        ranked = sorted(mat[:, c].tolist())
-        for u in uniforms[c]:
-            held: set[int] = set()
-            for ui, j in zip(u.tolist(), range(k - cfg.subset_size, k)):
-                t = int(ui * (j + 1))
-                held.add(j if t in held else t)
-            draw = [v for i, v in enumerate(ranked) if i not in held]
-            e = min(max(math.frexp(max(-draw[0], draw[-1]))[1], -1021), 1021)
-            draw = [math.ldexp(v, -e) for v in draw]
-            total = draw[0]
-            for v in draw[1:]:
-                total += v
-            mu = total / size
-            total = (draw[0] - mu) * (draw[0] - mu)
-            for v in draw[1:]:
-                total += (v - mu) * (v - mu)
-            draws.append(draw)
-            mus.append(mu)
-            sigmas.append(math.sqrt(total / size))
-    draws, mus, sigmas = np.array(draws), np.array(mus), np.array(sigmas)
-    flat = np.all(draws == draws[:, :1], axis=1)
-    live = ~flat & (sigmas > 0.0)
-    pvals = np.ones(len(draws))
-    pvals[live] = _pvalue_from_effective_size(gaussian_ks_statistic(draws[live], mus[live], sigmas[live]), size)
-    reject = np.where(flat | (sigmas == 0.0), ~flat, pvals < cfg.reject_level)
-    return reject.reshape(n, cfg.repetitions).mean(axis=1)
+    scores = mal_test(_one_layer_updates(mat), DetectorConfig(), seed=1)
+    return all(
+        np.array_equal(mal_test(_one_layer_updates(mat * factor), DetectorConfig(), seed=1), scores)
+        for factor in (2.0**600, 2.0**-600)
+    )
 
 
 def _suite_ks_band_vs_exact() -> bool:
-    from .detector import DetectorConfig, _coordinate_scores
+    from .detector import DetectorConfig, mal_test
+    from .oracles import ks_draw_scores
 
     # the detector's bulk pass (Floyd draws in rank space, decided by the
     # critical band) against every draw by its p-value, on matrices where a
     # quarter of the clients is shifted on half of the coordinates, with tied
-    # and unanimous coordinates among them
+    # and unanimous coordinates among them; 7 retained values at level 0.9
+    # take the band's widest bounds
     rng = np.random.default_rng(12)
     for k, cfg in (
         (8, DetectorConfig(subset_size=2, reject_level=0.5)),
         (20, DetectorConfig(reject_level=0.2)),
         (50, DetectorConfig()),
+        (12, DetectorConfig(reject_level=0.9)),
     ):
         mat = rng.normal(size=(k, 14))
         mat[: k // 4, ::2] += rng.uniform(3.0, 8.0, 7)
         mat[:, 3] = np.round(mat[:, 3])
         mat[:, 5] = mat[0, 5]
         seed = int(rng.integers(1 << 30))
-        got = _coordinate_scores(mat.T, cfg, [(mat.shape[1], np.random.default_rng(seed))])
-        want = _ks_draw_oracle(mat, cfg, np.random.default_rng(seed))
+        got = mal_test(_one_layer_updates(mat), cfg, seed)
+        # a one-layer model's draws come from the stream keyed (seed, 0)
+        want = ks_draw_scores(mat, cfg, np.random.default_rng([seed, 0]))
         if not (np.array_equal(got, want) and got.max() > 0.0 and got.min() == 0.0):
             return False
     return True
@@ -518,6 +452,7 @@ def _suite_ks_band_vs_exact() -> bool:
 
 def _suite_krum_exhaustive() -> bool:
     from .aggregators import krum_select
+    from .oracles import broadcast_sq_distances, exact_krum_pick, krum_scores
     from .tensors import pairwise_sq_distances
 
     rng = np.random.default_rng(9)
@@ -525,23 +460,14 @@ def _suite_krum_exhaustive() -> bool:
         K = int(rng.integers(4, 8))
         f = int(rng.integers(0, K - 3)) if K > 3 else 0
         flat = rng.normal(size=(K, 3))
-        updates = [
-            ClientUpdate(i, ModelWeights([flat[i]]), 1) for i in range(K)
-        ]
-        nn = K - f - 2
-        scores = []
-        for i in range(K):
-            d2 = sorted(float(np.sum((flat[i] - flat[j]) ** 2)) for j in range(K) if j != i)
-            scores.append(sum(d2[:nn]))
-        if krum_select(updates, f) != int(np.argmin(scores)):
+        if krum_select(_one_layer_updates(flat), f) != int(np.argmin(krum_scores(flat, f))):
             return False
     # Krum's distance kernel against the broadcast (K, K, P) tensor, duplicates
     # included; 9000 values pass numpy's 8192-element einsum buffer
     for K, P in ((1, 40), (2, 40), (3, 9000), (6, 9000)):
         rows = rng.normal(size=(K, P))
         rows[K // 2] = rows[0]
-        diffs = rows[:, None, :] - rows[None, :, :]
-        if not np.array_equal(pairwise_sq_distances(rows), np.einsum("ijk,ijk->ij", diffs, diffs)):
+        if not np.array_equal(pairwise_sq_distances(rows), broadcast_sq_distances(rows)):
             return False
     # the Gram-bounded pick against the exact matrix's, at 9000 values, on
     # duplicated rows and on near ties over a large common offset
@@ -551,46 +477,30 @@ def _suite_krum_exhaustive() -> bool:
         rows = rng.normal(size=(K, 9000))
         rows[K // 2 :] = rows[rng.integers(0, K // 2)]
         for cand in (rows, 1e3 + 1e-4 * rows):
-            d2 = pairwise_sq_distances(cand)
-            scores = np.sort(d2, axis=1)[:, 1 : K - f - 1].sum(axis=1)
-            updates = [ClientUpdate(i, ModelWeights([cand[i]]), 1) for i in range(K)]
-            if krum_select(updates, f) != int(np.argmin(scores)):
+            if krum_select(_one_layer_updates(cand), f) != exact_krum_pick(cand, f):
                 return False
     return True
 
 
 def _suite_minmax_gamma() -> bool:
     from .adversary import min_max_craft
-    from .tensors import ModelWeights
+    from .oracles import diameter, min_max_gamma_grid
 
     rng = np.random.default_rng(10)
     for _ in range(30):
         dim = int(rng.integers(1, 3))
         m = int(rng.integers(2, 5))
         pts = rng.normal(size=(m, dim)) * rng.uniform(0.5, 2.0)
-        mal = [ModelWeights([row]) for row in pts]
-        res = min_max_craft(mal)
-        mean = pts.mean(axis=0)
-        pert = res.perturbation_vec.flat()
-        diam = max(
-            float(np.linalg.norm(pts[i] - pts[j])) for i in range(m) for j in range(i + 1, m)
-        )
-        grid = np.linspace(0.0, max(4.0 * diam, 1.0), 100_000)
-        worst = np.max(
-            np.linalg.norm(
-                (mean[None, :] + grid[:, None] * pert[None, :])[:, None, :] - pts[None, :, :],
-                axis=2,
-            ),
-            axis=1,
-        )
-        best = float(grid[np.nonzero(worst <= diam)[0][-1]])
+        res = min_max_craft([ModelWeights([row]) for row in pts])
+        best = min_max_gamma_grid(pts, res.perturbation_vec.flat(), max(4.0 * diameter(pts), 1.0))
         if abs(res.gamma - best) > 1e-4 * max(1.0, best):
             return False
     return True
 
 
 def _suite_grad_check() -> bool:
-    from .fedsim import MlpModel, grad_check
+    from .fedsim import MlpModel
+    from .oracles import grad_check
 
     model = MlpModel(dim=4, hidden=5, classes=3)
     for seed in range(5):
@@ -603,33 +513,9 @@ def _suite_grad_check() -> bool:
     return True
 
 
-def _sgd_loop_oracle(start, x_train, y_train, epochs, batch, lr, rng) -> list[np.ndarray]:
-    """One client's SGD as a plain loop over its batches, with a one-model
-    kernel of its own (fresh arrays, a masked assignment for the ReLU)."""
-    params = [a.copy() for a in start]
-    n = x_train.shape[0]
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for i in range(0, n, batch):
-            idx = order[i : i + batch]
-            x, y = x_train[idx], y_train[idx]
-            w1, b1, w2, b2 = params
-            hidden = np.maximum(x @ w1 + b1, 0.0)
-            logits = hidden @ w2 + b2
-            expl = np.exp(logits - logits.max(axis=1, keepdims=True))
-            dlogits = expl / expl.sum(axis=1, keepdims=True)
-            dlogits[np.arange(idx.size), y] -= 1.0
-            dlogits /= idx.size
-            dhidden = dlogits @ w2.T
-            dhidden[hidden <= 0.0] = 0.0
-            grads = [x.T @ dhidden, dhidden.sum(axis=0), hidden.T @ dlogits, dlogits.sum(axis=0)]
-            for p, g in zip(params, grads):
-                p -= lr * g
-    return params
-
-
 def _suite_local_sgd_loop() -> bool:
     from .fedsim import MlpModel, gen_task, local_updates
+    from .oracles import sgd_loop
 
     # 23 training rows per shard: batches of 8, 8 and a short 7
     cases = [(clients, hidden, 8) for clients, hidden in ((1, 4), (3, 4), (7, 4), (5, 64))]
@@ -657,36 +543,16 @@ def _suite_local_sgd_loop() -> bool:
             except ValueError:
                 return False
             for k, (shard, rng) in enumerate(zip(data.clients, rngs())):
-                want = _sgd_loop_oracle(start.layers, shard.train_x, shard.train_y, epochs, batch, lr, rng)
+                want = sgd_loop(start, shard.train_x, shard.train_y, epochs, batch, lr, rng)
                 got = batched[k].weights.layers
                 if batched[k].client_id != k or any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
                     return False
     return True
 
 
-def _kde_pick_oracle(col: np.ndarray) -> float | None:
-    """The kde's pick by a double loop over the distinct values, or None on a near tie.
-
-    A near tie is a second score within 1e-9 of the best, relative. Two
-    distinct values tie exactly: the one more clients sent wins, then the smaller.
-    """
-    from .spectral import silverman_bandwidth
-
-    s = np.sort(col)
-    e = min(max(math.frexp(max(-s[0], s[-1]))[1], -1021), 1021)
-    h = max(float(silverman_bandwidth(s * 2.0**-e)), 5e-324)
-    distinct = np.unique(s)
-    z = distinct * 2.0**-e
-    scores = [math.fsum(math.exp(-0.5 * q * q) for q in (x - z) / h if abs(q) <= 40.0) for x in z]
-    best = max(scores)
-    near = [x for x, score in zip(distinct, scores) if score >= best * (1.0 - 1e-9)]
-    if len(distinct) == 2:
-        near = [max(near, key=lambda x: (np.count_nonzero(s == x), -x))]
-    return near[0] if len(near) == 1 else None
-
-
 def _suite_kde_direct() -> bool:
-    from .spectral import kde_density, kde_density_direct
+    from .oracles import kde_density_direct, kde_pick
+    from .spectral import kde_density
 
     rng = np.random.default_rng(11)
     for _ in range(20):
@@ -716,10 +582,9 @@ def _suite_kde_direct() -> bool:
             ],
             axis=1,
         )
-        updates = [ClientUpdate(i, ModelWeights([row]), 1) for i, row in enumerate(cols)]
-        picked = fft_aggregate(updates, FftStrategy()).layers[0]
+        picked = fft_aggregate(_one_layer_updates(cols), FftStrategy()).layers[0]
         for col, got in zip(cols.T, picked):
-            want = _kde_pick_oracle(col)
+            want = kde_pick(col)
             total += 1
             if want is not None:
                 checked += 1

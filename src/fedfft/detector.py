@@ -145,22 +145,26 @@ def _kolmogorov_sf(lam):
     return np.clip(np.where(small, np.where(lam > 0.0, dual, 1.0), 2.0 * total), 0.0, 1.0)[()]
 
 
-def _pvalue_from_effective_size(d, ne: float):
-    sq = math.sqrt(ne)
+def kolmogorov_pvalue(d, n: float):
+    """Asymptotic p-value of KS distance ``d`` at effective sample size ``n``.
+
+    Stephens' small-sample scaling lambda = (sqrt(n) + 0.12 + 0.11/sqrt(n))
+    * d, then the Kolmogorov tail Q(lambda). Elementwise over an array of
+    distances; a scalar gives a scalar. A one-sample test passes its sample
+    size, a two-sample test n*m/(n+m).
+    """
+    sq = math.sqrt(n)
     return _kolmogorov_sf((sq + 0.12 + 0.11 / sq) * d)
 
 
 def ks_pvalue(d: float, n: int, m: int) -> float:
-    """Asymptotic two-sample p-value for distance ``d`` at sizes ``n``, ``m``.
-
-    Uses the effective size ne = n*m/(n+m) with the Stephens small-sample
-    scaling lambda = (sqrt(ne) + 0.12 + 0.11/sqrt(ne)) * d.
-    """
+    """Asymptotic two-sample p-value for distance ``d`` at sizes ``n``, ``m``:
+    :func:`kolmogorov_pvalue` at the effective size n*m/(n+m)."""
     if n < 1 or m < 1:
         raise EmptySample("sample sizes must be >= 1")
     if not 0.0 <= d <= 1.0:
         raise ValueError("KS distance must lie in [0, 1]")
-    return float(_pvalue_from_effective_size(d, n * m / (n + m)))
+    return float(kolmogorov_pvalue(d, n * m / (n + m)))
 
 
 def ks_test(a, b) -> KsResult:
@@ -256,7 +260,7 @@ def _normal_quantile(p: float) -> float:
 def _critical_band(n: int, level: float) -> np.ndarray | None:
     """Bounds on n sorted standardised values that decide ``p-value < level``.
 
-    The critical distance d* solves ``_pvalue_from_effective_size(d, n) =
+    The critical distance d* solves ``kolmogorov_pvalue(d, n) =
     level`` by bisection (the p-value falls as d grows). As Phi is monotone,
     a sorted row z lies farther than d from Normal(0, 1) exactly when some
     position i has z_i < Phi^-1((i+1)/n - d) or z_i > Phi^-1(i/n + d).
@@ -271,15 +275,15 @@ def _critical_band(n: int, level: float) -> np.ndarray | None:
     lo, hi = 0.0, 1.0
     for _ in range(_BAND_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        if _pvalue_from_effective_size(mid, n) < level:
+        if kolmogorov_pvalue(mid, n) < level:
             hi = mid
         else:
             lo = mid
     inner, outer = hi - _BAND_MARGIN, hi + _BAND_MARGIN
     if not (0.0 < inner and outer < 1.0):
         return None
-    p_inner = _pvalue_from_effective_size(hi - 0.5 * _BAND_MARGIN, n)
-    p_outer = _pvalue_from_effective_size(hi + 0.5 * _BAND_MARGIN, n)
+    p_inner = kolmogorov_pvalue(hi - 0.5 * _BAND_MARGIN, n)
+    p_outer = kolmogorov_pvalue(hi + 0.5 * _BAND_MARGIN, n)
     if not p_outer < level <= p_inner:
         return None
     band = np.array(
@@ -449,7 +453,7 @@ def _coordinate_scores(
             reject, exact = _band_decisions(s, dev, sigma, band)
         if exact.any():
             s, mu, sigma = s[:, exact].T, mu[exact], sigma[exact]
-            pvals = _pvalue_from_effective_size(gaussian_ks_statistic(s, mu, sigma), size)
+            pvals = kolmogorov_pvalue(gaussian_ks_statistic(s, mu, sigma), size)
             flat = np.all(s == s[..., :1], axis=-1)
             reject[exact] = np.where(flat | (sigma == 0.0), ~flat, pvals < cfg.reject_level)
         scores[lo : lo + n] = np.mean(reject.reshape(n, reps), axis=-1)

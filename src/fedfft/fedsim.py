@@ -387,38 +387,6 @@ def local_update(
     )[0]
 
 
-def grad_check(
-    model: MlpModel,
-    weights: ModelWeights,
-    x: np.ndarray,
-    y: np.ndarray,
-    step: float = 1e-5,
-) -> float:
-    """Max relative error between backprop and central finite differences.
-
-    Relative error per parameter is |analytic - numeric| divided by
-    max(|analytic|, |numeric|, 1e-8), so exactly matching (including both
-    zero) scores 0.
-    """
-    analytic = model.gradients(weights, x, y)
-    worst = 0.0
-    layers = [a.copy() for a in weights.layers]
-    for li, layer in enumerate(layers):
-        flat = layer.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            loss_hi = model.loss(ModelWeights(layers), x, y)
-            flat[i] = orig - step
-            loss_lo = model.loss(ModelWeights(layers), x, y)
-            flat[i] = orig
-            numeric = (loss_hi - loss_lo) / (2.0 * step)
-            a = float(analytic[li].ravel()[i])
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # round loop
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""The FFT, a naive DFT oracle, and FFT-accelerated Gaussian KDE.
+"""The FFT and FFT-accelerated Gaussian KDE.
 
 ``fft`` is numpy's transform at the sequence's own length (the data is never
 zero-padded, which would change what bin an argmax lands on). It works along
 the last axis, so a batch of sequences of one length goes through in one
-call. ``dft_naive`` is the quadratic reference implementation it is tested
-against.
+call. It is tested against ``oracles.dft_naive``, the quadratic transform.
 
 The density estimator bins the sample onto a fine uniform grid with 4-point
 (cubic Lagrange) weights and convolves with a Gaussian kernel via the FFT,
@@ -36,7 +35,7 @@ def fft(x, out: np.ndarray | None = None) -> np.ndarray:
 
     numpy's FFT on complex128 input. Leading axes are a batch: every row along
     the last axis is transformed independently, and each row comes out
-    bit-identical to a 1-D call on it. Agrees with :func:`dft_naive` to
+    bit-identical to a 1-D call on it. Agrees with ``oracles.dft_naive`` to
     ~1e-12 absolute. ``out``, a complex128 array of the input's shape that
     does not overlap it, receives the same result in place of a new array.
     """
@@ -46,16 +45,6 @@ def fft(x, out: np.ndarray | None = None) -> np.ndarray:
     if x.shape[-1] < 1:
         raise ValueError("fft needs at least one sample")
     return np.fft.fft(x, axis=-1, out=out)
-
-
-def dft_naive(x) -> np.ndarray:
-    """Textbook O(N^2) DFT, X(k) = sum_m x(m) exp(-2*pi*i*k*m/N)."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1 or x.shape[0] < 1:
-        raise ValueError("dft_naive expects a non-empty 1-D sequence")
-    n = x.shape[0]
-    k = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(k, k) / n) @ x
 
 
 def _convolve_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -203,11 +192,3 @@ def kde_density(
     # so fine node i lives at convolution index i + kradius + 1
     dens = conv[kradius + 1 : kradius + 1 + nf : ov][:grid_size] / (n * h * SQRT_2PI)
     return DensityEstimate(grid=grid, density=np.maximum(dens, 0.0), bandwidth=h)
-
-
-def kde_density_direct(sample, grid: np.ndarray) -> np.ndarray:
-    """Direct O(n * G) Gaussian KDE on an explicit grid (test oracle)."""
-    sample = np.asarray(sample, dtype=np.float64).ravel()
-    h = silverman_bandwidth(sample)
-    z = (np.asarray(grid)[:, None] - sample[None, :]) / h
-    return np.exp(-0.5 * z * z).sum(axis=1) / (sample.size * h * SQRT_2PI)

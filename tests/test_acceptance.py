@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from fedfft import oracles
 from fedfft.adversary import (
     ATTACK_MIN_MAX,
     ATTACK_RANDOM_WEIGHTS,
@@ -37,7 +38,6 @@ from fedfft.fedsim import (
     SyntheticTask,
     TrainConfig,
     attacker_ids_for,
-    grad_check,
     run_experiment,
 )
 from fedfft.fft_aggregator import FftStrategy
@@ -62,11 +62,8 @@ def test_criterion_01_fft_matches_naive_dft():
     started = time.perf_counter()
     worst = 0.0
     for n in range(1, 301):
-        k = np.arange(n)
-        dft_matrix = np.exp(-2j * np.pi * np.outer(k, k) / n)
         inputs = rng.normal(size=(20, n))
-        reference = inputs @ dft_matrix.T
-        for x, want in zip(inputs, reference):
+        for x, want in zip(inputs, oracles.dft_naive(inputs)):
             worst = max(worst, float(np.max(np.abs(fft(x) - want))))
     elapsed = time.perf_counter() - started
     report(
@@ -91,9 +88,7 @@ def test_criterion_02_ks_statistic_exhaustive_and_series_value():
         for offset, j in enumerate(range(i, len(multisets))):
             if ks_statistic(multisets[i], multisets[j]) != brute_row[offset]:
                 mismatches += 1
-    series = 2.0 * sum(
-        (-1) ** (j - 1) * math.exp(-2.0 * j * j * 1.358 * 1.358) for j in range(1, 1000)
-    )
+    series = oracles.kolmogorov_series(1.358)
     q = _kolmogorov_sf(1.358)
     ok = mismatches == 0 and abs(q - 0.050) <= 0.002 and abs(q - series) < 1e-9
     report(
@@ -110,13 +105,7 @@ def test_criterion_03_krum_and_trimmed_mean_oracles():
         k = int(rng.integers(4, 8))
         f = int(rng.integers(0, k - 3 + 1))
         vals = rng.normal(size=(k, int(rng.integers(1, 5))))
-        ups = updates_from_matrix(vals)
-        nn = k - f - 2
-        scores = [
-            sum(sorted(float(np.sum((vals[i] - vals[j]) ** 2)) for j in range(k) if j != i)[:nn])
-            for i in range(k)
-        ]
-        if krum_select(ups, KrumParam(f)) != int(np.argmin(scores)):
+        if krum_select(updates_from_matrix(vals), KrumParam(f)) != int(np.argmin(oracles.krum_scores(vals, f))):
             krum_bad += 1
 
     trim_bad = 0
@@ -144,23 +133,13 @@ def test_criterion_04_minmax_gamma_oracle():
         dim = int(rng.integers(1, 3))
         pts = rng.normal(size=(m, dim)) * rng.uniform(0.2, 5.0)
         res = min_max_craft([ModelWeights([p]) for p in pts])
-        diameter = max(
-            float(np.linalg.norm(pts[i] - pts[j])) for i in range(m) for j in range(i + 1, m)
-        )
+        diameter = oracles.diameter(pts)
         worst = max(float(np.linalg.norm(res.crafted.flat() - p)) for p in pts)
         worst_residual = max(worst_residual, (worst - diameter) / (1.0 + diameter))
-        mean = pts.mean(axis=0)
-        pert = res.perturbation_vec.flat()
         # the feasible gamma always lies below the diameter, so the 1e5-point
         # grid covers [0, diameter]; its own quantum is one step
-        grid = np.linspace(0.0, diameter, 100_000)
+        best = oracles.min_max_gamma_grid(pts, res.perturbation_vec.flat(), diameter)
         step = diameter / 99_999
-        crafted = mean[None, :] + grid[:, None] * pert[None, :]
-        feasible = (
-            np.max(np.linalg.norm(crafted[:, None, :] - pts[None, :, :], axis=2), axis=1)
-            <= diameter
-        )
-        best = float(grid[np.nonzero(feasible)[0][-1]])
         if best > 0:
             worst_rel = max(worst_rel, max(0.0, abs(res.gamma - best) - step) / best)
 
@@ -193,7 +172,7 @@ def test_criterion_05_gradient_check_100_seeds():
         ])
         x = rng.normal(size=(8, 4))
         y = rng.integers(0, 3, 8)
-        worst = max(worst, grad_check(model, weights, x, y))
+        worst = max(worst, oracles.grad_check(model, weights, x, y))
     report(
         "criterion 5 (gradient check)",
         worst < 1e-5,

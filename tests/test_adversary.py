@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedfft import adversary
+from fedfft import adversary, oracles
 from fedfft.adversary import (
     ATTACK_MIN_MAX,
     ATTACK_NONE,
@@ -98,11 +98,7 @@ class TestMinMaxCraft:
 
     def _feasibility(self, points, res):
         crafted = res.crafted.flat()
-        diameter = max(
-            np.linalg.norm(points[i] - points[j])
-            for i in range(len(points))
-            for j in range(i + 1, len(points))
-        )
+        diameter = oracles.diameter(points)
         worst = max(np.linalg.norm(crafted - p) for p in points)
         return worst, diameter
 
@@ -132,30 +128,15 @@ class TestMinMaxCraft:
             dim = int(rng.integers(1, 3))
             pts = rng.normal(size=(m, dim)) * rng.uniform(0.25, 4.0)
             res = min_max_craft([mw(p) for p in pts])
-            mean = pts.mean(axis=0)
-            pert = res.perturbation_vec.flat()
-            diameter = max(
-                np.linalg.norm(pts[i] - pts[j])
-                for i in range(m)
-                for j in range(i + 1, m)
-            )
-            grid = np.linspace(0.0, max(4.0 * diameter, 1.0), 100_000)
-            crafted = mean[None, :] + grid[:, None] * pert[None, :]
-            worst = np.max(
-                np.linalg.norm(crafted[:, None, :] - pts[None, :, :], axis=2), axis=1
-            )
-            best = float(grid[np.nonzero(worst <= diameter)[0][-1]])
+            top = max(4.0 * oracles.diameter(pts), 1.0)
+            best = oracles.min_max_gamma_grid(pts, res.perturbation_vec.flat(), top)
             assert res.gamma == pytest.approx(best, rel=1e-4, abs=1e-4)
 
     @staticmethod
     def _direct_bisection(pts, pvec):
         """The gamma search on direct norms: doubling from 1, cap, 60 halvings."""
         mean = pts.mean(axis=0)
-        m = len(pts)
-        diameter = 0.0
-        for i in range(m):
-            for j in range(i + 1, m):
-                diameter = max(diameter, float(np.linalg.norm(pts[i] - pts[j])))
+        diameter = oracles.diameter(pts)
 
         def feasible(gamma):
             crafted = mean + gamma * pvec

@@ -21,6 +21,7 @@ from fedfft.aggregators import (
     krum_select,
     trimmed_mean,
 )
+from fedfft.oracles import exact_krum_pick, krum_scores
 from fedfft.tensors import ClientUpdate, EmptyUpdateSet, ModelWeights, pairwise_sq_distances
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,14 +33,6 @@ def update(cid, values, size=1):
 
 def column(result):
     return result.layers[0].tolist()
-
-
-def exact_krum_pick(rows, f):
-    """Krum's pick from the whole exact distance matrix."""
-    with np.errstate(over="ignore"):
-        d2 = pairwise_sq_distances(rows)
-        scores = np.sort(d2, axis=1)[:, 1 : len(rows) - f - 1].sum(axis=1)
-    return int(np.argmin(scores))
 
 
 class TestFedAvg:
@@ -170,16 +163,8 @@ class TestKrum:
                 for tied in (vals[rng.integers(0, 3, k)], np.round(2.0 * vals)):
                     cases.append((tied, int(rng.integers(0, k - 3 + 1))))
         for vals, f in cases:
-            k = len(vals)
-            ups = [update(i, vals[i]) for i in range(k)]
-            nn = k - f - 2
-            scores = []
-            for i in range(k):
-                d2 = sorted(
-                    float(np.sum((vals[i] - vals[j]) ** 2)) for j in range(k) if j != i
-                )
-                scores.append(sum(d2[:nn]))
-            assert krum_select(ups, f) == int(np.argmin(scores))
+            ups = [update(i, vals[i]) for i in range(len(vals))]
+            assert krum_select(ups, f) == int(np.argmin(krum_scores(vals, f)))
 
     def test_near_ties_on_a_large_common_offset_match_exact_pick(self):
         # the Gram estimate's own error here is of the order of the distances,

@@ -1,6 +1,4 @@
-import functools
 import math
-import operator
 import sys
 import threading
 import warnings
@@ -26,6 +24,15 @@ from fedfft.detector import (
     _kolmogorov_sf,
 )
 from fedfft.fft_aggregator import FftStrategy, fft_aggregate
+from fedfft.oracles import (
+    ecdf_distance,
+    floyd_held_out,
+    gaussian_ks_distance,
+    kolmogorov_dual_series,
+    kolmogorov_series,
+    ks_draw_scores,
+    left_to_right_sum,
+)
 from fedfft.tensors import ClientUpdate, ModelWeights
 
 
@@ -63,10 +70,7 @@ class TestKsStatistic:
         for _ in range(300):
             a = rng.integers(0, 5, size=rng.integers(1, 9)).astype(float)
             b = rng.integers(0, 5, size=rng.integers(1, 9)).astype(float)
-            brute = max(
-                abs(float(np.mean(a <= t)) - float(np.mean(b <= t))) for t in range(5)
-            )
-            assert ks_statistic(a, b) == brute
+            assert ks_statistic(a, b) == ecdf_distance(a, b)
 
     def test_empty_sample(self):
         with pytest.raises(EmptySample):
@@ -98,16 +102,6 @@ class TestKsPvalue:
         res = ks_test([1, 2, 3, 4], [2, 3, 4, 5])
         assert res.statistic == 0.25
         assert res.p_value == ks_pvalue(0.25, 4, 4)
-
-
-def all_math_erf_statistic(sample, mu, sigma):
-    """The one-sample KS distance with math.erf at every position: the batch's oracle."""
-    s = np.sort(np.asarray(sample, dtype=np.float64))
-    n = s.size
-    cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in (s - mu) / sigma * (1.0 / math.sqrt(2.0))]))
-    below = np.max(np.abs(cdf - np.arange(n) / n))
-    above = np.max(np.abs(cdf - np.arange(1, n + 1) / n))
-    return max(below, above)
 
 
 class TestGaussianKs:
@@ -155,13 +149,7 @@ class TestGaussianKs:
             got = gaussian_ks_statistic(batch, mu, sigma)
             assert got.shape == (rows,)
             for r in range(rows):
-                brute = 0.0
-                for x in batch[r]:
-                    cdf = 0.5 * (1.0 + math.erf((x - mu[r]) / sigma[r] * (1.0 / math.sqrt(2.0))))
-                    below = np.sum(batch[r] < x) / n
-                    upto = np.sum(batch[r] <= x) / n
-                    brute = max(brute, abs(cdf - below), abs(cdf - upto))
-                assert got[r] == brute
+                assert got[r] == gaussian_ks_distance(batch[r], mu[r], sigma[r])
 
     def test_batch_rows_match_1d_call(self):
         rng = np.random.default_rng(5)
@@ -191,16 +179,7 @@ class TestGaussianKs:
             got = gaussian_ks_statistic(batch, mu, sigma)
             for r in range(3):
                 assert got[r] == gaussian_ks_statistic(batch[r], mu[r], sigma[r])
-                assert got[r] == all_math_erf_statistic(batch[r], mu[r], sigma[r])
-
-
-def alternating_series(lam):
-    return 2.0 * math.fsum((-1) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam) for j in range(1, 200))
-
-
-def theta_series(lam):
-    total = math.fsum(math.exp(-((2 * j - 1) ** 2) * math.pi**2 / (8.0 * lam * lam)) for j in range(1, 30))
-    return 1.0 - math.sqrt(2.0 * math.pi) / lam * total
+                assert got[r] == gaussian_ks_distance(batch[r], mu[r], sigma[r])
 
 
 class TestKolmogorovSf:
@@ -220,18 +199,18 @@ class TestKolmogorovSf:
         assert abs(_kolmogorov_sf(0.0011) - 1.0) <= 1e-15
         assert abs(_kolmogorov_sf(0.002) - 1.0) <= 1e-15
         for lam in np.concatenate([np.geomspace(1e-3, 0.49, 40), [0.499999]]):
-            assert abs(_kolmogorov_sf(float(lam)) - theta_series(float(lam))) <= 2e-16
+            assert abs(_kolmogorov_sf(float(lam)) - kolmogorov_dual_series(float(lam))) <= 2e-16
 
     def test_large_lambda_uses_alternating_series(self):
         for lam in np.concatenate([[0.5], np.linspace(0.5, 3.0, 60)]):
-            assert abs(_kolmogorov_sf(float(lam)) - max(0.0, alternating_series(float(lam)))) <= 2e-16
+            assert abs(_kolmogorov_sf(float(lam)) - max(0.0, kolmogorov_series(float(lam)))) <= 2e-16
 
     def test_series_agree_at_and_above_crossover(self):
         assert detector._KOLMOGOROV_CROSSOVER <= 0.5
         for lam in np.linspace(0.5, 1.5, 101):
             lam = float(lam)
-            assert abs(alternating_series(lam) - theta_series(lam)) <= 1e-15
-            assert abs(_kolmogorov_sf(lam) - theta_series(lam)) <= 1e-15
+            assert abs(kolmogorov_series(lam) - kolmogorov_dual_series(lam)) <= 1e-15
+            assert abs(_kolmogorov_sf(lam) - kolmogorov_dual_series(lam)) <= 1e-15
 
     def test_nan_lambda_gives_zero(self):
         assert _kolmogorov_sf(float("nan")) == 0.0
@@ -299,11 +278,11 @@ class TestMalTest:
             mat = fuzz_matrix(rng, trial % 8, K, int(rng.integers(1, 30)))
             seed = int(rng.integers(1 << 30))
             got = one_stream_scores(mat, cfg, np.random.default_rng(seed))
-            want = exact_layer_scores(mat, cfg, np.random.default_rng(seed))
+            want = ks_draw_scores(mat, cfg, np.random.default_rng(seed))
             assert np.array_equal(got, want), (trial, K, cfg)
             if trial % 8 in (0, 1, 2, 5, 6):
                 # near unit scale the scaling changes no bit of any draw
-                unscaled = exact_layer_scores(mat, cfg, np.random.default_rng(seed), scaled=False)
+                unscaled = ks_draw_scores(mat, cfg, np.random.default_rng(seed), scaled=False)
                 assert np.array_equal(got, unscaled), (trial, K, cfg)
         # the grid holds levels with no band: the p-value of 6 retained values
         # never falls to 1e-6
@@ -509,55 +488,6 @@ def fuzz_matrix(rng, kind, K, P):
     return mat
 
 
-def floyd_held_out(u, k):
-    """The ranks one draw holds out: Floyd's algorithm, one uniform per step."""
-    held = set()
-    for ui, j in zip(u, range(k - len(u), k)):
-        t = int(ui * (j + 1))
-        held.add(j if t in held else t)
-    return held
-
-
-def left_to_right_sum(values):
-    return functools.reduce(operator.add, values)
-
-
-def exact_layer_scores(mat, cfg, rng, scaled=True):
-    """Scores with every draw decided by its p-value: the oracle for the band.
-
-    Draw by draw, in coordinate then repetition order, S uniforms from
-    ``rng`` pick the held-out ranks (:func:`floyd_held_out`); the draw keeps
-    the coordinate's sorted values at the other ranks. Its mean and variance
-    are sums taken left to right over those values. A draw whose values are
-    all equal does not reject, and a draw with sigma 0 whose values are not
-    all equal does. With ``scaled``, each draw is first divided by the power
-    of two that brings its largest magnitude into [0.5, 1), as far as a
-    normal factor allows; without it, the draws are scored as drawn.
-    """
-    K, n = mat.shape
-    size = K - cfg.subset_size
-    uniforms = rng.random((n, cfg.repetitions, cfg.subset_size))
-    reject = np.zeros((n, cfg.repetitions), dtype=bool)
-    for c in range(n):
-        ranked = np.sort(mat[:, c])
-        for r in range(cfg.repetitions):
-            held = floyd_held_out(uniforms[c, r], K)
-            draw = np.array([ranked[i] for i in range(K) if i not in held])
-            if scaled:
-                e = math.frexp(float(np.max(np.abs(draw))))[1]
-                draw = draw * 2.0 ** -min(max(e, -1021), 1021)
-            mu = left_to_right_sum(draw) / size
-            var = left_to_right_sum([(v - mu) * (v - mu) for v in draw]) / size
-            sigma = math.sqrt(var)
-            flat = bool(np.all(draw == draw[0]))
-            if flat or sigma == 0.0:
-                reject[c, r] = not flat
-            else:
-                d = gaussian_ks_statistic(draw, mu, sigma)
-                reject[c, r] = detector._pvalue_from_effective_size(d, size) < cfg.reject_level
-    return np.mean(reject, axis=-1)
-
-
 LAYER_SHAPES = ((7, 13), (29,), (3, 5, 4))
 
 
@@ -588,7 +518,7 @@ class TestWholeModelPass:
         edges = np.cumsum([0] + [math.prod(shape) for shape in LAYER_SHAPES])
         want = np.concatenate(
             [
-                exact_layer_scores(mat[:, a:b], cfg, np.random.default_rng([9, li]))
+                ks_draw_scores(mat[:, a:b], cfg, np.random.default_rng([9, li]))
                 for li, (a, b) in enumerate(zip(edges[:-1], edges[1:]))
             ]
         )

@@ -10,11 +10,11 @@ from fedfft.fedsim import (
     SyntheticTask,
     TrainConfig,
     gen_task,
-    grad_check,
     local_update,
     local_updates,
     run_experiment,
 )
+from fedfft.oracles import grad_check, sgd_loop
 from fedfft.tensors import ModelWeights
 
 
@@ -139,21 +139,7 @@ class TestLocalUpdate:
         x = np.array([[1.2, -0.7]])
         y = np.array([1])
         lr = 0.1
-
-        z = x @ w1 + b1
-        h = np.maximum(z, 0.0)
-        logits = h @ w2 + b2
-        e = np.exp(logits - logits.max())
-        p = e / e.sum()
-        dlog = p.copy()
-        dlog[0, 1] -= 1.0
-        gw2 = h.T @ dlog
-        gb2 = dlog[0]
-        dh = dlog @ w2.T
-        dh[h <= 0] = 0.0
-        gw1 = x.T @ dh
-        gb1 = dh[0]
-        expected = [w1 - lr * gw1, b1 - lr * gb1, w2 - lr * gw2, b2 - lr * gb2]
+        expected = sgd_loop(weights, x, y, 1, 1, lr, np.random.default_rng(0))
 
         from fedfft.fedsim import ClientData
 
@@ -183,35 +169,6 @@ class TestLocalUpdate:
                 local_update(model, w, data.clients[0], 2, 32, 1e300, np.random.default_rng(0))
 
 
-def loop_local_update(weights, x_train, y_train, epochs, batch_size, learning_rate, rng):
-    """One client's SGD as a plain loop over its batches, with a one-model
-    kernel of its own: the oracle for the batched step."""
-    params = [a.copy() for a in weights.layers]
-    n = x_train.shape[0]
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            x, y = x_train[idx], y_train[idx]
-            w1, b1, w2, b2 = params
-            hidden = np.maximum(x @ w1 + b1, 0.0)
-            logits = hidden @ w2 + b2
-            logits = logits - logits.max(axis=1, keepdims=True)
-            expl = np.exp(logits)
-            dlogits = expl / expl.sum(axis=1, keepdims=True)
-            dlogits[np.arange(x.shape[0]), y] -= 1.0
-            dlogits /= x.shape[0]
-            gw2 = hidden.T @ dlogits
-            gb2 = dlogits.sum(axis=0)
-            dhidden = dlogits @ w2.T
-            dhidden[hidden <= 0.0] = 0.0
-            gw1 = x.T @ dhidden
-            gb1 = dhidden.sum(axis=0)
-            for p, g in zip(params, [gw1, gb1, gw2, gb2]):
-                p -= learning_rate * g
-    return params
-
-
 def assert_matches_loop(task, hidden, epochs, batch_size=32, learning_rate=0.05, seed=0):
     data = gen_task(task)
     model = MlpModel(dim=task.dim, hidden=hidden, classes=task.classes)
@@ -223,7 +180,7 @@ def assert_matches_loop(task, hidden, epochs, batch_size=32, learning_rate=0.05,
     )
     assert [u.client_id for u in got] == list(range(task.clients))
     for k, shard in enumerate(data.clients):
-        want = loop_local_update(w, shard.train_x, shard.train_y, epochs, batch_size, learning_rate, key(k))
+        want = sgd_loop(w, shard.train_x, shard.train_y, epochs, batch_size, learning_rate, key(k))
         assert got[k].dataset_size == shard.train_x.shape[0]
         for li, (a, b) in enumerate(zip(got[k].weights.layers, want)):
             assert np.array_equal(a.view(np.int64), b.view(np.int64)), (k, li)

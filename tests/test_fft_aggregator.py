@@ -7,7 +7,8 @@ import pytest
 
 from fedfft import fft_aggregator, tensors
 from fedfft.fft_aggregator import EmptyVector, FftStrategy, fft_aggregate, fft_select
-from fedfft.spectral import dft_naive, kde_density_direct, silverman_bandwidth
+from fedfft.oracles import TIE_MARGIN, dft_naive, kde_density_direct, kde_pick
+from fedfft.spectral import silverman_bandwidth
 from fedfft.tensors import ClientUpdate, ModelWeights
 
 LITERAL = FftStrategy(kind="literal")
@@ -69,6 +70,14 @@ class TestFftSelect:
                 assert fft_select(v, LITERAL).value == ordered[bin_]
                 checked += 1
         assert checked > 300
+
+    def test_literal_returns_the_second_smallest_value(self):
+        # with DC excluded, the magnitude argmax of a sorted Gaussian column
+        # lands on bin 1, so literal is a fixed order statistic: every one of
+        # these 5000 columns at K = 50 gives its second-smallest value
+        cols = np.random.default_rng(13).normal(size=(5000, 50))
+        out = fft_aggregate(updates_from_matrix(cols.T), LITERAL).layers[0]
+        assert np.array_equal(out, np.sort(cols, axis=1)[:, 1])
 
     def test_kde_cluster_beats_outlier(self):
         v = np.concatenate([np.linspace(-0.01, 0.01, 9), [50.0]])
@@ -156,7 +165,7 @@ class TestKdeModeProperties:
         for _ in range(25):
             v = rng.normal(size=12)
             shift = float(rng.normal(0.0, 10.0))
-            if oracle_pick(v) is None or oracle_pick(v + shift) is None:
+            if kde_pick(v) is None or kde_pick(v + shift) is None:
                 continue
             assert fft_select(v + shift, KDE).client == fft_select(v, KDE).client
             checked += 1
@@ -185,48 +194,12 @@ class TestKdeModeProperties:
         assert checked >= 15
 
 
-# Densities within this relative margin of the best one count as a near tie,
-# which rounding may decide either way, so the oracle gives no pick there.
-TIE_MARGIN = 1e-9
-
-
-def oracle_pick(col):
-    """The kde's pick by a direct double loop over the distinct values, or None.
-
-    The row is scaled by 2^-e (e the exponent of its largest magnitude,
-    clipped to +-1021) so that its spread cannot overflow, and h is the
-    Silverman bandwidth of the sorted, scaled row. Each distinct value x
-    scores sum_y exp(-((x - y) / h)^2 / 2) over the distinct values y. The
-    best score wins; an exact tie goes to the value the most clients sent,
-    then to the smaller value. None when some other score lies
-    within TIE_MARGIN of the best (relative), since rounding decides such a
-    near tie, unless the row holds two distinct values: their scores 1 + t
-    and t + 1 tie exactly.
-    """
-    s = np.sort(np.asarray(col, dtype=np.float64))
-    e = min(max(math.frexp(max(-s[0], s[-1]))[1], -1021), 1021)
-    z = s * 2.0**-e
-    h = max(float(silverman_bandwidth(z)), 5e-324)
-    distinct = sorted(set(z.tolist()))
-    scores = []
-    for x in distinct:
-        # |(x - y) / h| > 40 gives exp(-800) = 0.0, and could overflow on squaring
-        q = [(x - y) / h for y in distinct]
-        scores.append(math.fsum(math.exp(-0.5 * t * t) for t in q if abs(t) <= 40.0))
-    best = max(scores)
-    near = [x for x, score in zip(distinct, scores) if score >= best * (1.0 - TIE_MARGIN)]
-    if len(distinct) == 2:
-        # 1 + t against t + 1: an exact tie
-        near = max(near, key=lambda t: (np.count_nonzero(z == t), -t)),
-    return s[np.nonzero(z == near[0])[0][0]] if len(near) == 1 else None
-
-
 def check_oracle(cols, got):
     """Assert every pick is a value of its row, and the oracle's where it is unambiguous; returns how many were."""
     checked = 0
     for row, value in zip(cols, got):
         assert value in row
-        want = oracle_pick(row)
+        want = kde_pick(row)
         if want is not None:
             assert value == want, row
             checked += 1

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from fedfft.oracles import dft_naive, kde_density_direct
 from fedfft.spectral import (
     DegenerateSample,
-    dft_naive,
     fft,
     kde_density,
-    kde_density_direct,
     silverman_bandwidth,
     sorted_silverman_bandwidth,
 )

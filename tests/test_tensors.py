@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fedfft import tensors
+from fedfft.oracles import broadcast_sq_distances
 from fedfft.tensors import (
     BadWeightDump,
     ClientUpdate,
@@ -188,15 +189,6 @@ class TestScratch:
 
 
 class TestPairwiseSqDistances:
-    @staticmethod
-    def broadcast_oracle(rows, block=10):
-        # the (K, K, P) difference tensor, built `block` rows of i at a time
-        out = []
-        for i in range(0, len(rows), block):
-            d = rows[i : i + block, None, :] - rows[None, :, :]
-            out.append(np.einsum("ijk,ijk->ij", d, d))
-        return np.concatenate(out)
-
     # 9001 values pass numpy's 8192-element buffer, where einsum's summation
     # order depends on how many rows an operand has
     @pytest.mark.parametrize("p", [301, 9001])
@@ -210,7 +202,7 @@ class TestPairwiseSqDistances:
             rows[20:40] = rows[5]
         got = pairwise_sq_distances(rows)
         assert got.shape == (k, k)
-        assert np.array_equal(got, self.broadcast_oracle(rows))
+        assert np.array_equal(got, broadcast_sq_distances(rows))
         assert np.array_equal(got, got.T)
         assert np.all(np.diag(got) == 0.0)
 
@@ -249,7 +241,7 @@ class TestSqDistanceRow:
     def test_last_chunk_of_one_row_matches_broadcast_tensor(self, rows_per_chunk, monkeypatch):
         monkeypatch.setattr(tensors, "_DIFF_ROWS", rows_per_chunk)
         rows = _distance_rows(2 * rows_per_chunk + 1, 9001, rows_per_chunk)
-        want = TestPairwiseSqDistances.broadcast_oracle(rows)
+        want = broadcast_sq_distances(rows)
         for i in range(len(rows)):
             assert np.array_equal(sq_distance_row(rows, i), want[i]), i
         assert np.array_equal(pairwise_sq_distances(rows), want)
