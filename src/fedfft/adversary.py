@@ -31,6 +31,11 @@ ATTACK_NONE = "none"
 ATTACK_RANDOM_WEIGHTS = "random_weights"
 ATTACK_MIN_MAX = "min_max"
 
+# Every attack kind, and whether its submission reads the attackers' own
+# trained updates. Random weights take only the layer shapes, so any model of
+# those shapes may stand in for an attacker's update without changing a byte.
+READS_TRAINED = {ATTACK_NONE: True, ATTACK_RANDOM_WEIGHTS: False, ATTACK_MIN_MAX: True}
+
 INVERSE_UNIT_VECTOR = "inverse_unit_vector"
 INVERSE_STD = "inverse_std"
 INVERSE_SIGN = "inverse_sign"
@@ -60,7 +65,7 @@ class AttackSpec:
     start_round: int = 1
 
     def __post_init__(self):
-        if self.kind not in (ATTACK_NONE, ATTACK_RANDOM_WEIGHTS, ATTACK_MIN_MAX):
+        if self.kind not in READS_TRAINED:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if self.perturbation not in (INVERSE_UNIT_VECTOR, INVERSE_STD, INVERSE_SIGN):
             raise ValueError(f"unknown perturbation {self.perturbation!r}")
@@ -216,7 +221,8 @@ def apply_attack(
     Benign updates pass through unmodified (same objects); dataset sizes are
     never touched. Random attackers draw from per-attacker substreams of
     ``rng`` in ascending id order, so the result is independent of list
-    order.
+    order. A kind that does not read trained updates (:data:`READS_TRAINED`)
+    reads an attacker's entry only for its layer shapes.
     """
     known = {u.client_id for u in updates}
     missing = set(attacker_ids) - known

@@ -496,7 +496,10 @@ def run_experiment(
 
     The attacker set is sampled once per run and held fixed across rounds;
     the attack itself activates at ``cfg.attack.start_round``. All clients
-    participate every round. ``round_hook``, if given, observes
+    participate every round. An attacker whose submission the attack replaces
+    without reading it (:data:`adversary.READS_TRAINED`) is not trained once
+    the attack is on: the global model stands in for its update until
+    ``apply_attack`` replaces it. ``round_hook``, if given, observes
     ``(round, post-attack updates, aggregated weights)`` after each round.
     """
     data = gen_task(task)
@@ -505,21 +508,36 @@ def run_experiment(
 
     attacker_count = cfg.attack.attacker_count(task.clients)
     attacker_ids = attacker_ids_for(cfg, task)
+    untrained = set() if adversary.READS_TRAINED[cfg.attack.kind] else attacker_ids
+    honest = None  # the other clients' ids and shards, selected at the first skip
 
     records: list[RoundRecord] = []
     for rnd in range(1, cfg.rounds + 1):
+        attacked = cfg.attack.kind != adversary.ATTACK_NONE and rnd >= cfg.attack.start_round
+        skip = untrained if attacked else set()
+        if skip and honest is None:
+            ids = [k for k in range(task.clients) if k not in skip]
+            honest = ids, data.train_x[ids], data.train_y[ids]
+        ids, train_x, train_y = honest if skip else (range(task.clients), data.train_x, data.train_y)
         updates = local_updates(
             model,
             weights,
-            data.train_x,
-            data.train_y,
+            train_x,
+            train_y,
             cfg.epochs,
             cfg.batch_size,
             cfg.learning_rate,
-            [np.random.default_rng([cfg.seed, rnd, k]) for k in range(task.clients)],
-            range(task.clients),
+            [np.random.default_rng([cfg.seed, rnd, k]) for k in ids],
+            ids,
         )
-        if cfg.attack.kind != adversary.ATTACK_NONE and rnd >= cfg.attack.start_round:
+        if skip:
+            # the attack reads only the layer shapes of these entries
+            trained, n = iter(updates), data.train_y.shape[1]
+            updates = [
+                ClientUpdate(k, weights, n) if k in skip else next(trained)
+                for k in range(task.clients)
+            ]
+        if attacked:
             updates = apply_attack(
                 updates,
                 cfg.attack,

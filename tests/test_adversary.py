@@ -287,3 +287,36 @@ class TestApplyAttack:
         with pytest.raises(ValueError):
             AttackSpec(start_round=0)
         assert AttackSpec(attacker_fraction=0.3).attacker_count(20) == 6
+
+
+ATTACK_KINDS = sorted(v for k, v in vars(adversary).items() if k.startswith("ATTACK_"))
+
+
+class TestReadsTrained:
+    """Each attack kind declares whether its submission reads the attackers'
+    trained updates; a kind that does not may be handed any model of their
+    shapes in their place."""
+
+    def test_every_kind_is_declared(self):
+        assert sorted(adversary.READS_TRAINED) == ATTACK_KINDS
+
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    def test_declaration_matches_what_the_attack_reads(self, kind):
+        rng = np.random.default_rng(12)
+        shapes = [(3, 4), (4,), (4, 2)]
+        trained = [ClientUpdate(i, mw(*(rng.normal(size=s) for s in shapes)), 10 + i) for i in range(8)]
+        stand_in = mw(*(rng.normal(size=s) for s in shapes))
+        attackers = {1, 4, 6}
+        swapped = [
+            ClientUpdate(u.client_id, stand_in, u.dataset_size) if u.client_id in attackers else u
+            for u in trained
+        ]
+        spec = AttackSpec(kind=kind, attacker_fraction=0.375)
+        outputs = [
+            [
+                (u.client_id, u.dataset_size, u.weights.flat().tobytes())
+                for u in apply_attack(ups, spec, attackers, np.random.default_rng(13))
+            ]
+            for ups in (trained, swapped)
+        ]
+        assert (outputs[0] == outputs[1]) == (not adversary.READS_TRAINED[kind])

@@ -60,3 +60,29 @@ def test_tracer_installs_and_restores_every_binding(monkeypatch):
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
     assert [cls.__dict__[attr] for cls, attr in METHODS] == methods
+
+
+def test_one_attack_span_per_attacked_round(monkeypatch):
+    monkeypatch.syspath_prepend(BENCH)
+    from tracing import Tracer
+
+    cfg = fedsim.TrainConfig(
+        rounds=5,
+        aggregator=fedsim.AggregatorSpec(kind="median"),
+        attack=adversary.AttackSpec(
+            kind=adversary.ATTACK_RANDOM_WEIGHTS, attacker_fraction=0.4, start_round=3
+        ),
+    )
+    tracer = Tracer()
+    tracer.install()
+    try:
+        tracer.round = 1
+
+        def hook(rnd, _updates, _weights):
+            tracer.round = rnd + 1
+
+        fedsim.run_experiment(cfg, fedsim.SyntheticTask(clients=5, per_client=20), hook)
+    finally:
+        tracer.uninstall()
+    rounds = [span[4] for span in tracer.spans if span[0] == "adversary.apply_attack"]
+    assert rounds == [3, 4, 5]

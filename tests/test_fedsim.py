@@ -1,14 +1,18 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from fedfft import fedsim
-from fedfft.adversary import AttackSpec
+from fedfft.adversary import ATTACK_MIN_MAX, ATTACK_NONE, ATTACK_RANDOM_WEIGHTS, AttackSpec, apply_attack
 from fedfft.detector import DetectorConfig
 from fedfft.fedsim import (
     AggregatorSpec,
     MlpModel,
     SyntheticTask,
     TrainConfig,
+    aggregate,
+    attacker_ids_for,
     gen_task,
     local_update,
     local_updates,
@@ -454,3 +458,86 @@ class TestRunExperiment:
         run_experiment(cfg_clean, task, round_hook=hook_clean)
         assert seen[1] == clean[1]
         assert seen[2] != clean[2]
+
+
+def attacked_config(kind, clients, start_round):
+    task = SyntheticTask(clients=clients, per_client=40, seed=clients + start_round)
+    cfg = TrainConfig(
+        rounds=4,
+        aggregator=AggregatorSpec(kind="dynamic", detector=DetectorConfig(subset_size=2)),
+        attack=AttackSpec(kind=kind, attacker_fraction=0.34, start_round=start_round),
+        seed=clients,
+    )
+    return cfg, task
+
+
+def round_bytes(rnd, updates, weights):
+    sent = [(u.client_id, u.dataset_size, u.weights.flat().tobytes()) for u in updates]
+    return rnd, sent, weights.flat().tobytes()
+
+
+def reference_run(cfg, task):
+    """run_experiment from public pieces: every client trains, then the attack."""
+    data = gen_task(task)
+    model = MlpModel(dim=task.dim, hidden=cfg.hidden, classes=task.classes)
+    weights = model.init_weights(cfg.seed)
+    attackers = attacker_ids_for(cfg, task)
+    seen, records = [], []
+    for rnd in range(1, cfg.rounds + 1):
+        updates = local_updates(
+            model, weights, data.train_x, data.train_y, cfg.epochs, cfg.batch_size, cfg.learning_rate,
+            [np.random.default_rng([cfg.seed, rnd, k]) for k in range(task.clients)], range(task.clients),
+        )
+        if cfg.attack.kind != ATTACK_NONE and rnd >= cfg.attack.start_round:
+            rng = np.random.default_rng([cfg.seed, rnd, fedsim._SALT_ATTACK_RNG])
+            updates = apply_attack(updates, cfg.attack, attackers, rng)
+        weights, decision, score = aggregate(
+            cfg.aggregator, updates, len(attackers), seed=cfg.seed * 100003 + rnd
+        )
+        accuracy, loss = model.evaluate(weights, data.global_test_x, data.global_test_y)
+        seen.append(round_bytes(rnd, updates, weights))
+        records.append(fedsim.RoundRecord(rnd, decision, score, accuracy, loss))
+    return seen, records
+
+
+@pytest.mark.parametrize("kind", [ATTACK_RANDOM_WEIGHTS, ATTACK_MIN_MAX, ATTACK_NONE])
+@pytest.mark.parametrize("clients", [6, 12, 20])
+@pytest.mark.parametrize("start_round", [1, 3])
+class TestUntrainedAttackers:
+    """Attackers whose submission the attack replaces unread are not trained,
+    and every byte a run produces stays that of training everyone."""
+
+    def test_run_matches_training_everyone(self, monkeypatch, kind, clients, start_round):
+        cfg, task = attacked_config(kind, clients, start_round)
+        model = MlpModel(dim=task.dim, hidden=cfg.hidden, classes=task.classes)
+        num_params = model.init_weights(0).num_params
+        batch = min(cfg.batch_size, gen_task(task).train_x.shape[1])
+        # blocks of a third of the honest clients, so that they span three or more
+        honest = clients - cfg.attack.attacker_count(clients)
+        unit = fedsim._SGD_BLOCK_BYTES // fedsim._sgd_block_clients(model, num_params, batch)
+        monkeypatch.setattr(fedsim, "_SGD_BLOCK_BYTES", max(1, honest // 3) * unit)
+        assert -(-honest // fedsim._sgd_block_clients(model, num_params, batch)) >= 3
+
+        seen = []
+        records = run_experiment(cfg, task, lambda *args: seen.append(round_bytes(*args)))
+        want_seen, want_records = reference_run(cfg, task)
+        assert seen == want_seen
+        assert records == want_records
+
+    def test_trains_attackers_only_when_the_attack_reads_them(self, monkeypatch, kind, clients, start_round):
+        cfg, task = attacked_config(kind, clients, start_round)
+        trained = []
+        signature = inspect.signature(local_updates)
+
+        def recording(*args, **kwargs):
+            trained.append(list(signature.bind(*args, **kwargs).arguments["client_ids"]))
+            return local_updates(*args, **kwargs)
+
+        monkeypatch.setattr(fedsim, "local_updates", recording)
+        run_experiment(cfg, task)
+        attackers = attacker_ids_for(cfg, task)
+        assert attackers
+        for rnd, ids in enumerate(trained, start=1):
+            skipped = kind == ATTACK_RANDOM_WEIGHTS and rnd >= start_round
+            assert ids == [k for k in range(clients) if not (skipped and k in attackers)], rnd
+        assert len(trained) == cfg.rounds
