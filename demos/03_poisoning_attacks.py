@@ -13,7 +13,6 @@ from fedfft import (
     ModelWeights,
     apply_attack,
     min_max_craft,
-    perturbation_vector,
 )
 
 rng = np.random.default_rng(2)
@@ -50,4 +49,4 @@ for kind in ("inverse_unit_vector", "inverse_std", "inverse_sign"):
     print(f"{kind:>20}: gamma={res.gamma:.4f}  worst dist {worst:.4f} <= diameter {diam:.4f}")
 
 print("\nperturbation (inverse sign):",
-      perturbation_vector(colluders, "inverse_sign").layers[0])
+      min_max_craft(colluders, "inverse_sign").perturbation_vec.layers[0])

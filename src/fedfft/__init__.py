@@ -21,7 +21,6 @@ from .adversary import (
     MinMaxResult,
     apply_attack,
     min_max_craft,
-    perturbation_vector,
     random_weights,
 )
 from .aggregators import (

@@ -101,27 +101,13 @@ def random_weights(template: ModelWeights, rng: np.random.Generator) -> ModelWei
     )
 
 
-def perturbation_vector(malicious: Sequence[ModelWeights], kind: str) -> ModelWeights:
-    """Attack direction derived from the colluders' pooled weights.
+def _direction(stack: np.ndarray, mean: np.ndarray, kind: str) -> np.ndarray:
+    """Attack direction from the colluders' (M, P) stack and its mean row.
 
     ``inverse_unit_vector``: -mean / ||mean|| over all coordinates jointly.
     ``inverse_std``: per-coordinate negative population std across colluders.
     ``inverse_sign``: per-coordinate -sign(mean), with sign(0) = 0.
     """
-    stack, mean = _pooled(malicious)
-    return malicious[0].with_flat(_direction(stack, mean, kind))
-
-
-def _pooled(malicious: Sequence[ModelWeights]) -> tuple[np.ndarray, np.ndarray]:
-    """The colluders' (M, P) stack, in scratch memory, and its mean row."""
-    if not malicious:
-        raise ValueError("need at least one malicious update")
-    stack = stack_flat(malicious)
-    return stack, stack.mean(axis=0)
-
-
-def _direction(stack: np.ndarray, mean: np.ndarray, kind: str) -> np.ndarray:
-    """:func:`perturbation_vector`'s flat values."""
     if kind == INVERSE_UNIT_VECTOR:
         # numpy's own pairwise sum, not BLAS's dot, whose threads split the
         # sum and move its last bit with the thread count
@@ -189,7 +175,10 @@ def min_max_craft(malicious: Sequence[ModelWeights], kind: str = INVERSE_UNIT_VE
     certified bounds narrow to a few pairs, rechecked exactly
     (:func:`_sq_diameter`).
     """
-    stack, mean = _pooled(malicious)
+    if not malicious:
+        raise ValueError("need at least one malicious update")
+    stack = stack_flat(malicious)
+    mean = stack.mean(axis=0)
     pvec = _direction(stack, mean, kind)
     pert = malicious[0].with_flat(pvec)
 

@@ -73,9 +73,7 @@ def coordinate_median(updates: Sequence[ClientUpdate]) -> ModelWeights:
 
 def trimmed_mean(updates: Sequence[ClientUpdate], trim: TrimParam | int) -> ModelWeights:
     """Per coordinate: sort, drop the n smallest and n largest, mean the rest."""
-    n = trim.n if isinstance(trim, TrimParam) else int(trim)
-    if n < 0:
-        raise TrimTooLarge("trim count must be non-negative")
+    n = (trim if isinstance(trim, TrimParam) else TrimParam(int(trim))).n
     mats = layer_matrices(updates)
     K = mats[0].shape[0]
     if 2 * n >= K:
@@ -105,7 +103,7 @@ def krum_select(updates: Sequence[ClientUpdate], param: KrumParam | int) -> int:
     (K-1)/2 distinct rows are candidates (rows sharing a large common offset
     leave the bounds loose), the whole exact distance matrix decides instead.
     """
-    f = param.f if isinstance(param, KrumParam) else int(param)
+    f = (param if isinstance(param, KrumParam) else KrumParam(int(param))).f
     validate_uniform(updates)
     K = len(updates)
     neighbors = K - f - 2

@@ -40,7 +40,6 @@ from .tensors import (
     ShapeMismatch,
     load_weight_dump,
     save_weight_dump,
-    validate_uniform,
 )
 
 CSV_HEADER = [
@@ -157,27 +156,16 @@ def _check_fit(train: TrainConfig, task: SyntheticTask) -> None:
         raise ConfigError(f"aggregator {train.aggregator.label}: {exc}") from exc
 
 
-# the contamination test cannot reject on this many retained values or fewer
-# (see DetectorConfig)
-_BLIND_RETAINED = 6
-
-
 def _warn_blind_dynamic(trains: Sequence[TrainConfig], task: SyntheticTask) -> None:
-    """One stderr warning if a ``dynamic`` rule retains too few values to reject."""
-    blind = sorted(
-        {
-            t.aggregator.detector.subset_size
-            for t in trains
-            if t.aggregator.kind == "dynamic"
-            and task.clients - t.aggregator.detector.subset_size <= _BLIND_RETAINED
-        }
-    )
+    """One stderr warning if a ``dynamic`` rule's test cannot reject at this K."""
+    detectors = [t.aggregator.detector for t in trains if t.aggregator.kind == "dynamic"]
+    blind = sorted({d.subset_size for d in detectors if d.cannot_reject(task.clients)})
     if blind:
         sizes = ", ".join(str(b) for b in blind)
         print(
             f"warning: dynamic with {task.clients} clients and subset_size {sizes} retains "
-            f"{_BLIND_RETAINED} or fewer values per coordinate, where its contamination "
-            "test cannot reject: it runs as plain FedAvg whatever the attack",
+            "so few values per coordinate that its contamination test cannot reject at its "
+            "reject_level: it runs as plain FedAvg whatever the attack",
             file=sys.stderr,
         )
 
@@ -330,7 +318,6 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         updates.append(ClientUpdate(client_id=i, weights=weights, dataset_size=1))
-    validate_uniform(updates)
     result, _, _ = aggregate(spec, updates, 0, 0)
     save_weight_dump(result, args.out)
     print(f"wrote {args.out}")

@@ -30,10 +30,11 @@ contamination, so its rejection rate never moves off the null rate.
 
 Each draw is first multiplied by 2^-e, with e the binary exponent of its
 largest magnitude (clipped to [-1021, 1021], so that the factor is a normal
-float). A KS test against a Gaussian fitted on the draw itself does not
-depend on the draw's scale, and scaling by a power of two is exact, so a
-draw whose mean, sigma and standardised values stay in the normal range
-scores bit for bit as it would unscaled. Yet no draw's squares overflow or
+float; ``tensors.unit_scale``, which the kde shares). A KS test against a
+Gaussian fitted on the draw itself does not depend on the draw's scale,
+and scaling by a power of two is exact, so a draw whose mean, sigma and
+standardised values stay in the normal range scores bit for bit as it
+would unscaled. Yet no draw's squares overflow or
 underflow: every draw of finite values that are not all equal has a finite
 positive sigma and finite standardised values, whatever the clients sent.
 The one-sample distance evaluates the Gaussian CDF with ``math.erf`` at
@@ -72,15 +73,21 @@ import numpy as np
 
 from .aggregators import fed_avg
 from .fft_aggregator import FftStrategy, fft_aggregate
-from .tensors import ClientUpdate, ModelWeights, scratch, stack_flat, validate_uniform
+from .tensors import (
+    ClientUpdate,
+    ModelWeights,
+    layer_slices,
+    scratch,
+    stack_flat,
+    unit_scale,
+    validate_uniform,
+)
 
 DECISION_FEDAVG = "fedavg"
 DECISION_FFT = "fft"
 
 # most (coordinates x repetitions x clients) elements one scoring chunk holds
 _SCORE_CHUNK = 1 << 16
-# a draw is scaled by 2^-e with |e| at most this, so that 2^-e is a normal float
-_SCALE_EXPONENT = 1021
 
 
 class EmptySample(ValueError):
@@ -214,11 +221,11 @@ class DetectorConfig:
     """Knobs of the contamination test and the switch.
 
     The test cannot reject when K - subset_size, the number of retained
-    values, is 6 or fewer: the KS distance of so few values from a Gaussian
-    fitted on those same values stays below about 0.49 (n = 5) and 0.51
-    (n = 6), which gives p-values of about 0.12 and 0.06, above the default
-    ``reject_level``. With the default ``subset_size`` of 5, the dynamic rule
-    is therefore plain FedAvg at K <= 11 whatever the attack.
+    values, is 6 or fewer and ``reject_level`` is 0.05 or below: the KS
+    distance of so few values from a Gaussian fitted on those same values
+    stays below about 0.49 (n = 5) and 0.51 (n = 6), which gives p-values of
+    about 0.12 and 0.06. With the defaults, the dynamic rule is therefore
+    plain FedAvg at K <= 11 whatever the attack (:meth:`cannot_reject`).
     """
 
     repetitions: int = 10
@@ -235,6 +242,10 @@ class DetectorConfig:
             raise ValueError("reject_level must lie in (0, 1)")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
+
+    def cannot_reject(self, clients: int) -> bool:
+        """Whether the test is blind at this client count, by the rule above."""
+        return clients - self.subset_size <= 6 and self.reject_level <= 0.05
 
 
 # the band's two edges lie this far either side of the critical distance d*;
@@ -390,22 +401,18 @@ def _retained_mask(u: np.ndarray, k: int) -> np.ndarray:
     return keep
 
 
-def _coordinate_scores(
-    cols: np.ndarray, cfg: DetectorConfig, streams: Sequence[tuple[int, np.random.Generator]]
-) -> np.ndarray:
+def _coordinate_scores(cols: np.ndarray, cfg: DetectorConfig, uniforms: np.ndarray) -> np.ndarray:
     """Contamination score of every coordinate (row) of a (P, K) matrix.
 
-    ``streams`` splits the rows into consecutive runs, one ``(rows,
-    generator)`` pair per run; each run's held-out subsets are drawn from its
-    generator in row order, S uniforms per draw. Rows go in chunks that may
-    span runs, and the scores do not depend on the chunk size. A draw's
-    subset is a set of ranks (:func:`_retained_mask`), so its score depends
-    only on the values it retains, not on the order of the clients. A draw
-    rejects when its p-value is below ``cfg.reject_level``. Each draw is
-    scored at unit scale (see the module notes). The critical band of
-    :func:`_critical_band` decides almost every draw; the draws it leaves
-    open take the exact path through their p-value, so every reject bit is
-    the exact path's.
+    ``uniforms`` is (P, repetitions, subset_size), in [0, 1): row i holds
+    the S uniforms of each of coordinate i's draws. Rows go in chunks, and
+    the scores do not depend on the chunk size. A draw's subset is a set of
+    ranks (:func:`_retained_mask`), so its score depends only on the values
+    it retains, not on the order of the clients. A draw rejects when its
+    p-value is below ``cfg.reject_level``. Each draw is scored at unit scale
+    (see the module notes). The critical band of :func:`_critical_band`
+    decides almost every draw; the draws it leaves open take the exact path
+    through their p-value, so every reject bit is the exact path's.
     """
     P, K = cols.shape
     reps = cfg.repetitions
@@ -413,38 +420,18 @@ def _coordinate_scores(
     band = _critical_band(size, cfg.reject_level)
     step = max(1, _SCORE_CHUNK // (reps * K))
     scores = np.empty(P)
-    runs = iter(streams)
-    left, rng = 0, None
     for lo in range(0, P, step):
         block = cols[lo : lo + step]
         n = block.shape[0]
         draws = n * reps
-        # the chunk's uniforms, from the generator of each run it spans in
-        # turn, so that every generator is consumed as a pass over its run
-        # alone would consume it
-        uniforms = scratch("ks.uniforms", (n, reps, cfg.subset_size))
-        filled = 0
-        while filled < n:
-            if left == 0:
-                left, rng = next(runs)
-                continue
-            part = min(left, n - filled)
-            rng.random(out=uniforms[filled : filled + part])
-            filled += part
-            left -= part
         ranked = scratch("ks.sorted", block.shape)
         np.copyto(ranked, block)
         ranked.sort(axis=1)
-        keep = _retained_mask(uniforms.reshape(draws, -1), K).reshape(n, reps, K)
+        keep = _retained_mask(uniforms[lo : lo + n].reshape(draws, -1), K).reshape(n, reps, K)
         # each draw's retained values in ascending order, one column per draw
         s = scratch("ks.retained", (size, draws))
         np.copyto(s, np.broadcast_to(ranked[:, None, :], keep.shape)[keep].reshape(draws, size).T)
-        # 2^-e, e the exponent of the draw's largest magnitude, brings every
-        # draw near unit scale exactly; e is clipped so that 2^-e stays normal
-        # (with minimum and maximum, as np.clip costs several times more here)
-        _, e = np.frexp(np.maximum(-s[0], s[-1]))
-        e = np.minimum(np.maximum(e, -_SCALE_EXPONENT), _SCALE_EXPONENT)
-        s *= np.ldexp(1.0, -e)
+        s *= unit_scale(s[0], s[-1])
         mu, sigma, dev = _mean_and_std(s)
         if band is None:
             reject = np.zeros(draws, dtype=bool)
@@ -469,7 +456,8 @@ def mal_test(
 
     Every coordinate of the model is scored in one pass, in flattened order.
     Each layer's held-out subsets are drawn in coordinate order from one
-    random stream keyed by ``(seed, layer)``, S uniforms per draw;
+    random stream keyed by ``(seed, layer)``, S uniforms per draw, all of
+    them in one call into the layer's rows of one scratch block;
     coordinates are processed in chunks, and the scores depend neither on
     the chunk size nor on the order of ``updates``.
     """
@@ -478,8 +466,10 @@ def mal_test(
     if cfg.subset_size >= K:
         raise SubsetTooLarge(f"subset_size {cfg.subset_size} must be < K={K}")
     cols = stack_flat([u.weights for u in updates]).T
-    streams = [(a.size, np.random.default_rng([seed, li])) for li, a in enumerate(updates[0].weights.layers)]
-    return _coordinate_scores(cols, cfg, streams)
+    uniforms = scratch("ks.uniforms", (len(cols), cfg.repetitions, cfg.subset_size))
+    for li, part in enumerate(layer_slices(updates[0].weights.shapes)):
+        np.random.default_rng([seed, li]).random(out=uniforms[part])
+    return _coordinate_scores(cols, cfg, uniforms)
 
 
 def dynamic_aggregate(

@@ -43,7 +43,7 @@ from typing import ClassVar, NamedTuple, Sequence
 import numpy as np
 
 from .spectral import fft, sorted_silverman_bandwidth
-from .tensors import ClientUpdate, ModelWeights, scratch, stack_flat, validate_uniform
+from .tensors import ClientUpdate, ModelWeights, scratch, stack_flat, unit_scale, validate_uniform
 
 LITERAL = "literal"
 KDE_MODE = "kde"
@@ -95,10 +95,9 @@ _KDE_CHUNK = 1 << 18
 # _EXP_ZERO.
 _KDE_FAR_SPAN = 37.0
 _EXP_ZERO = -746.0
-# Each row is scaled by 2^-e with |e| at most _SCALE_EXPONENT, so that 2^-e
-# is a normal float, and then by 2^m with m at most _KERNEL_EXPONENT. A
-# bandwidth never falls below _H_FLOOR, so no difference is divided by 0.
-_SCALE_EXPONENT = 1021
+# Each row is scaled by tensors.unit_scale, and then by 2^m with m at most
+# _KERNEL_EXPONENT. A bandwidth never falls below _H_FLOOR, so no
+# difference is divided by 0.
 _KERNEL_EXPONENT = 1018
 _H_FLOOR = float(np.nextafter(0.0, 1.0))
 
@@ -214,8 +213,8 @@ def _kde_values(cols: np.ndarray) -> np.ndarray:
     """Density-peak selection for each row of an (n, K) matrix, K >= 2.
 
     Each row is sorted and multiplied by 2^-e, e the binary exponent of its
-    largest magnitude (clipped so that 2^-e is a normal float), so that its
-    standard deviation cannot overflow. The Silverman bandwidth h of the
+    largest magnitude (:func:`tensors.unit_scale`), so that its standard
+    deviation cannot overflow. The Silverman bandwidth h of the
     sorted, scaled row (raised to the smallest positive float if it
     underflows to 0) depends on the values only, not on the client order.
     The row and h are then multiplied by 2^m, which brings h near 1 unless
@@ -234,9 +233,7 @@ def _kde_values(cols: np.ndarray) -> np.ndarray:
     active = np.flatnonzero(s[:, 0] != s[:, -1])
     if active.size < len(s):
         s = s[active]
-    _, e = np.frexp(np.maximum(-s[:, :1], s[:, -1:]))
-    e = np.minimum(np.maximum(e, -_SCALE_EXPONENT), _SCALE_EXPONENT)
-    z = np.multiply(s, np.ldexp(1.0, -e), out=scratch("kde.scaled", s.shape))
+    z = np.multiply(s, unit_scale(s[:, :1], s[:, -1:]), out=scratch("kde.scaled", s.shape))
     # z is sorted like s, as 2^-e > 0
     h = np.maximum(sorted_silverman_bandwidth(z, np.std(z, axis=1)), _H_FLOOR)
     # |z| < 2^3 grows to below 2^(3 + _KERNEL_EXPONENT) = 2^1021 at most, so

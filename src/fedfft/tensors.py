@@ -1,6 +1,7 @@
 """Layered weight containers, a per-layer client matrix, per-thread scratch
-memory, pairwise squared distances (exact, and certified bounds from one Gram
-product), and the weight-dump file format.
+memory, the power-of-two scaling of a sample to unit magnitude, pairwise
+squared distances (exact, and certified bounds from one Gram product), and
+the weight-dump file format.
 
 Everything downstream (aggregators, attacks, the simulation loop) works on
 :class:`ModelWeights`: one read-only float64 buffer per model, with its layer
@@ -171,18 +172,6 @@ def validate_uniform(updates: Sequence[ClientUpdate]) -> None:
         )
 
 
-def layer_matrices(updates: Sequence[ClientUpdate]) -> list[np.ndarray]:
-    """Per layer, a (K, n_layer) matrix of all clients' flattened values.
-
-    Row order is the caller-supplied client order; column i of layer li holds
-    every client's value at coordinate ``(layer, i)``. The matrices are
-    column views of one (K, P) stack of the clients' flat buffers.
-    """
-    validate_uniform(updates)
-    rows = np.stack([u.weights.flat() for u in updates])
-    return [rows[:, part] for part in layer_slices(updates[0].weights.shapes)]
-
-
 _scratch = threading.local()
 
 
@@ -213,6 +202,32 @@ def stack_flat(weights: Sequence[ModelWeights]) -> np.ndarray:
     """
     rows = scratch("tensors.stack_flat", (len(weights), weights[0].num_params))
     return np.stack([w.flat() for w in weights], out=rows)
+
+
+def layer_matrices(updates: Sequence[ClientUpdate]) -> list[np.ndarray]:
+    """Per layer, a (K, n_layer) matrix of all clients' flattened values.
+
+    Row order is the caller-supplied client order; column i of layer li holds
+    every client's value at coordinate ``(layer, i)``. The matrices are
+    column views of the :func:`stack_flat` stack, so they too are the
+    caller's only until the same thread stacks again.
+    """
+    validate_uniform(updates)
+    rows = stack_flat([u.weights for u in updates])
+    return [rows[:, part] for part in layer_slices(updates[0].weights.shapes)]
+
+
+# unit_scale's 2^-e keeps |e| at most this, so that 2^-e is a normal float
+_SCALE_EXPONENT = 1021
+
+
+def unit_scale(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """2^-e, e the binary exponent of max(-low, high): multiplying a sample of
+    these extremes by it brings the sample near unit magnitude, exactly for
+    values that stay in the normal range."""
+    _, e = np.frexp(np.maximum(-low, high))
+    # minimum and maximum, as np.clip costs several times more here
+    return np.ldexp(1.0, -np.minimum(np.maximum(e, -_SCALE_EXPONENT), _SCALE_EXPONENT))
 
 
 # Rows per difference chunk of the exact distances: the difference buffer

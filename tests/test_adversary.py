@@ -22,7 +22,6 @@ from fedfft.adversary import (
     _sq_diameter,
     apply_attack,
     min_max_craft,
-    perturbation_vector,
     random_weights,
 )
 from fedfft.tensors import ClientUpdate, ModelWeights, pairwise_sq_distances
@@ -62,21 +61,22 @@ class TestRandomWeights:
 
 
 class TestPerturbationVector:
+    # these inputs have diameter 0 or raise first, so no gamma search runs
     def test_inverse_unit_vector_hand_case(self):
-        out = perturbation_vector([mw([3.0, 4.0])], INVERSE_UNIT_VECTOR)
+        out = min_max_craft([mw([3.0, 4.0])], INVERSE_UNIT_VECTOR).perturbation_vec
         assert np.allclose(out.layers[0], [-0.6, -0.8], atol=1e-15)
 
     def test_inverse_std_identical_updates(self):
-        out = perturbation_vector([mw([1.0, 2.0])] * 3, INVERSE_STD)
+        out = min_max_craft([mw([1.0, 2.0])] * 3, INVERSE_STD).perturbation_vec
         assert np.all(out.layers[0] == 0.0)
 
     def test_inverse_sign(self):
-        out = perturbation_vector([mw([2.0, -5.0, 0.0])], INVERSE_SIGN)
+        out = min_max_craft([mw([2.0, -5.0, 0.0])], INVERSE_SIGN).perturbation_vec
         assert out.layers[0].tolist() == [-1.0, 1.0, 0.0]
 
     def test_zero_norm(self):
         with pytest.raises(ZeroNorm):
-            perturbation_vector([mw([0.0, 0.0])], INVERSE_UNIT_VECTOR)
+            min_max_craft([mw([0.0, 0.0])], INVERSE_UNIT_VECTOR)
 
 
 class TestMinMaxCraft:

@@ -84,6 +84,11 @@ class TestTrimmedMean:
         ups = [update(k, [v]) for k, v in enumerate([-9.0, 0.0, 1.0, 2.0, 9.0])]
         assert column(trimmed_mean(ups, 2)) == [1.0]
 
+    def test_negative_int_count_is_refused_like_a_param(self):
+        ups = [update(k, [float(k)]) for k in range(4)]
+        with pytest.raises(ValueError, match="non-negative"):
+            trimmed_mean(ups, -1)
+
     def test_trim_too_large(self):
         ups = [update(k, [float(k)]) for k in range(4)]
         with pytest.raises(TrimTooLarge):
@@ -148,6 +153,12 @@ class TestKrum:
         ups = [update(k, [float(k)]) for k in range(3)]
         with pytest.raises(TooFewClients):
             krum(ups, 1)
+
+    def test_negative_int_count_is_refused_like_a_param(self):
+        ups = [update(k, [float(k)]) for k in range(6)]
+        for f in (-1, -3):
+            with pytest.raises(ValueError, match="non-negative"):
+                krum_select(ups, f)
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(3)

@@ -264,20 +264,22 @@ class TestSweep:
         assert len(rows) == 3
 
 
-def dynamic_config(clients, subset_size):
+def dynamic_config(clients, subset_size, reject_level=0.05):
+    detector = {"subset_size": subset_size, "reject_level": reject_level}
     return dict(
         SMALL_CONFIG,
         task=dict(SMALL_CONFIG["task"], clients=clients),
         train=dict(
             SMALL_CONFIG["train"],
-            aggregator={"kind": "dynamic", "detector": {"subset_size": subset_size}},
+            aggregator={"kind": "dynamic", "detector": detector},
             attack={"kind": "random_weights", "attacker_fraction": 0.3},
         ),
     )
 
 
 class TestSmallKWarning:
-    """dynamic warns once when K - subset_size <= 6, and runs as before."""
+    """dynamic warns once when K - subset_size <= 6 at reject_level <= 0.05,
+    and runs as before."""
 
     @pytest.mark.parametrize(
         "clients,subset_size,warned", [(3, 2, True), (8, 2, True), (9, 2, False), (11, 5, True), (12, 5, False)]
@@ -289,6 +291,14 @@ class TestSmallKWarning:
         assert err.count("warning:") == (1 if warned else 0)
         if warned:
             assert "cannot reject" in err and f"subset_size {subset_size}" in err
+
+    def test_no_warning_at_a_level_five_values_can_reject(self, tmp_path, capsys):
+        # five retained values reach p of about 0.12, below a level of 0.2,
+        # so the rule does switch
+        path = write_config(tmp_path, dynamic_config(8, 3, reject_level=0.2))
+        assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 0
+        assert "warning:" not in capsys.readouterr().err
+        assert ",fft," in (tmp_path / "out" / "rounds.csv").read_text()
 
     def test_warning_leaves_rounds_csv_unchanged(self, tmp_path, capsys):
         from fedfft.cli import _run_repeats, _write_rounds_csv, load_config
@@ -345,6 +355,13 @@ class TestAggregateCommand:
         paths = self.make_dumps(tmp_path, [[[1.0, 2.0]], [[1.0, 2.0, 3.0]]])
         out = str(tmp_path / "out.json")
         assert main(["aggregate", "--in", *paths, "--out", out]) == 4
+
+    @pytest.mark.parametrize("method", ["fedavg", "median", "trimmed_mean", "krum", "fft", "dynamic"])
+    def test_shape_mismatch_exit_four_for_every_method(self, tmp_path, method):
+        # too few dumps for krum and dynamic: the shapes are checked first
+        paths = self.make_dumps(tmp_path, [[[1.0, 2.0]], [[1.0, 2.0, 3.0]]])
+        out = str(tmp_path / "out.json")
+        assert main(["aggregate", "--in", *paths, "--method", method, "--out", out]) == 4
 
     def test_bad_file_exit_two(self, tmp_path, capsys):
         (good,) = self.make_dumps(tmp_path, [[[1.0, 2.0, 3.0]]])

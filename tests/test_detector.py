@@ -45,7 +45,8 @@ def updates_from_matrix(mat, size=1):
 
 def one_stream_scores(mat, cfg, rng):
     """Scores of the columns of a (K, n) matrix, every draw from one generator."""
-    return detector._coordinate_scores(mat.T, cfg, [(mat.shape[1], rng)])
+    uniforms = rng.random((mat.shape[1], cfg.repetitions, cfg.subset_size))
+    return detector._coordinate_scores(mat.T, cfg, uniforms)
 
 
 class TestKsStatistic:

@@ -23,6 +23,7 @@ from fedfft.tensors import (
     sq_distance_row,
     stack_flat,
     to_dump_dict,
+    unit_scale,
     validate_uniform,
 )
 
@@ -160,6 +161,24 @@ class TestCoordinateViews:
             assert mat.shape == (4, ups[0].weights.layers[li].size)
             for k, u in enumerate(ups):
                 assert np.array_equal(mat[k], u.weights.layers[li].ravel())
+
+
+    def test_matrices_view_the_scratch_stack(self):
+        ups = [update(k, [k, k + 1.0], [k * 10.0]) for k in range(3)]
+        mats = layer_matrices(ups)
+        assert all(np.shares_memory(m, stack_flat([u.weights for u in ups])) for m in mats)
+
+
+class TestUnitScale:
+    def test_largest_magnitude_lands_in_half_to_one(self):
+        low = np.array([-3.0, -1e-300, 0.0, -5e300])
+        high = np.array([2.0, 1e-301, 0.75, 1.0])
+        scaled = np.maximum(-low, high) * unit_scale(low, high)
+        assert np.all((0.5 <= scaled) & (scaled < 1.0))
+
+    def test_exponent_is_clipped_so_the_factor_stays_normal(self):
+        factor = unit_scale(np.array([-1.7e308, 0.0, -5e-324]), np.array([0.0, 5e-324, 0.0]))
+        assert factor.tolist() == [2.0**-1021, 2.0**1021, 2.0**1021]
 
 
 class TestScratch:
