@@ -23,7 +23,6 @@ from .tensors import (
     ModelWeights,
     pairwise_sq_distances,
     sq_distance_bounds,
-    sq_distance_row,
     stack_flat,
 )
 
@@ -127,20 +126,12 @@ def _sq_diameter(stack: np.ndarray) -> float:
 
     Only the pairs whose certified upper bound (:func:`sq_distance_bounds`)
     reaches the largest lower bound can hold it; their exact distances come
-    from one exact row per distinct lower endpoint. More than (M-1)/2 such
-    rows, or a non-finite bound, take the full exact matrix instead.
+    from one exact row per distinct lower endpoint.
     """
-    bounds = sq_distance_bounds(stack)
-    if bounds is not None:
-        lo, hi = bounds
-        first, second = np.nonzero(np.triu(hi >= lo.max(), 1))
-        starts = np.unique(first)
-        if len(starts) <= (len(stack) - 1) / 2:
-            return max(
-                (float(sq_distance_row(stack, k)[second[first == k]].max()) for k in starts),
-                default=0.0,
-            )
-    return float(pairwise_sq_distances(stack).max())
+    lo, hi = sq_distance_bounds(stack)
+    first, second = np.nonzero(np.triu(hi >= lo.max(), 1))
+    d2 = pairwise_sq_distances(stack, np.unique(first))
+    return float(d2[first, second].max(initial=0.0))
 
 
 def _largest_feasible(feasible) -> float:

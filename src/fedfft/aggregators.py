@@ -18,7 +18,6 @@ from .tensors import (
     layer_matrices,
     pairwise_sq_distances,
     sq_distance_bounds,
-    sq_distance_row,
     stack_flat,
     validate_uniform,
 )
@@ -98,10 +97,7 @@ def krum_select(updates: Sequence[ClientUpdate], param: KrumParam | int) -> int:
     score lies between the sums of its smallest lower and of its smallest
     upper bounds, and only a row whose lower score reaches the least upper
     score can win. Each group of equal candidate rows shares one exact row of
-    distances (:func:`~fedfft.tensors.sq_distance_row`), and the candidates
-    are ranked by those exact scores. When a bound is not finite, or more than
-    (K-1)/2 distinct rows are candidates (rows sharing a large common offset
-    leave the bounds loose), the whole exact distance matrix decides instead.
+    distances, and the candidates are ranked by those exact scores.
     """
     f = (param if isinstance(param, KrumParam) else KrumParam(int(param))).f
     validate_uniform(updates)
@@ -110,52 +106,33 @@ def krum_select(updates: Sequence[ClientUpdate], param: KrumParam | int) -> int:
     if neighbors < 1:
         raise TooFewClients(f"K - f - 2 = {neighbors} < 1 (K={K}, f={f})")
     rows = stack_flat([u.weights for u in updates])
+    lo, hi = sq_distance_bounds(rows)
+    # Lower, upper and exact scores are sums of at most K nonnegative terms,
+    # each rounded within a factor 1 +- gamma_K <= 1 +- 2Ku, so a minimal
+    # row's lower score stays below the least upper score times this slack.
+    slack = 1.0 + 16.0 * K * 2.0**-53
     # scores may overflow to inf on rows near +-1.7e308; inf still ranks
     with np.errstate(over="ignore"):
-        picked = _krum_from_bounds(rows, neighbors)
-        if picked is None:
-            picked = int(np.argmin(_krum_scores(pairwise_sq_distances(rows), neighbors)))
-    return picked
+        least = _krum_scores(hi, neighbors).min()
+        candidates = np.flatnonzero(_krum_scores(lo, neighbors) <= slack * least)
+        # equal rows have equal exact distances, so equal scores: a candidate
+        # shares the exact row of the first candidate whose every 64th value
+        # has the same bytes, once the two rows compare equal
+        first: dict[bytes, int] = {}
+        group = []
+        for k in candidates:
+            r = first.setdefault(rows[k, ::64].tobytes(), k)
+            group.append(r if r == k or np.array_equal(rows[k], rows[r]) else k)
+        # whole exact rows, so each score is summed as the whole exact
+        # matrix's would be, bit for bit
+        exact = _krum_scores(pairwise_sq_distances(rows, sorted(set(group))), neighbors)
+    # candidates ascend, so argmin's first minimum is the lowest index
+    return int(candidates[np.argmin(exact[group])])
 
 
 def _krum_scores(d2: np.ndarray, neighbors: int) -> np.ndarray:
     # each row's own zero distance sorts first; dropping it leaves the others
     return np.sort(d2, axis=1)[:, 1 : neighbors + 1].sum(axis=1)
-
-
-def _krum_from_bounds(rows: np.ndarray, neighbors: int) -> int | None:
-    """Krum's pick from the distance bounds and a few exact rows, or None."""
-    bounds = sq_distance_bounds(rows)
-    if bounds is None:
-        return None
-    lo, hi = bounds
-    K = len(rows)
-    # Lower, upper and exact scores are sums of at most K nonnegative terms,
-    # each rounded within a factor 1 +- gamma_K <= 1 +- 2Ku, so a minimal
-    # row's lower score stays below the least upper score times this slack.
-    slack = 1.0 + 16.0 * K * 2.0**-53
-    lower = _krum_scores(lo, neighbors)
-    candidates = np.flatnonzero(lower <= slack * _krum_scores(hi, neighbors).min())
-    reps: list[int] = []
-    group = []
-    for k in candidates:
-        # equal rows have equal exact distances, so equal scores
-        g = next(
-            (i for i, r in enumerate(reps) if lo[k, r] == 0.0 and np.array_equal(rows[k], rows[r])),
-            len(reps),
-        )
-        if g == len(reps):
-            if g + 1 > (K - 1) / 2:
-                return None
-            reps.append(int(k))
-        group.append(g)
-    # the exact rows in a (K, K) matrix, so each score is summed as the
-    # whole exact matrix's would be, bit for bit
-    d2 = np.zeros((K, K))
-    d2[reps] = [sq_distance_row(rows, r) for r in reps]
-    exact = _krum_scores(d2, neighbors)[reps]
-    # candidates ascend, so argmin's first minimum is the lowest index
-    return int(candidates[np.argmin(exact[group])])
 
 
 def krum(updates: Sequence[ClientUpdate], param: KrumParam | int) -> ModelWeights:

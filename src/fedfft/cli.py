@@ -450,12 +450,15 @@ def _suite_krum_exhaustive() -> bool:
         if krum_select(_one_layer_updates(flat), f) != int(np.argmin(krum_scores(flat, f))):
             return False
     # Krum's distance kernel against the broadcast (K, K, P) tensor, duplicates
-    # included; 9000 values pass numpy's 8192-element einsum buffer
-    for K, P in ((1, 40), (2, 40), (3, 9000), (6, 9000)):
+    # included, on row subsets of every size; 9000 values pass numpy's 8192-element einsum buffer
+    for K, P in ((1, 40), (2, 40), (3, 9000), (6, 9000), (11, 9000)):
         rows = rng.normal(size=(K, P))
         rows[K // 2] = rows[0]
-        if not np.array_equal(pairwise_sq_distances(rows), broadcast_sq_distances(rows)):
-            return False
+        want = broadcast_sq_distances(rows)
+        for which in [rng.choice(K, size, replace=False) for size in range(K + 1)]:
+            got = pairwise_sq_distances(rows, which)
+            if not np.array_equal(got[which], want[which]) or not np.array_equal(got.T[which], want.T[which]):
+                return False
     # the Gram-bounded pick against the exact matrix's, at 9000 values, on
     # duplicated rows and on near ties over a large common offset
     for _ in range(20):

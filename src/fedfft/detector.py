@@ -51,12 +51,13 @@ Phi^-1((i+1)/n - d). Bounds at d* + 1e-9 mark the draws that surely reject,
 bounds at d* - 1e-9 those that surely do not. A draw whose values are all
 equal never rejects, even when their mean rounds an ulp off them and sigma
 comes out positive, and a flat draw (sigma 0) whose values are not all
-equal always does, as on the exact path; a draw of finite values of either
-kind is decided directly. The rest take the exact path (distance,
-then p-value): draws between the two edges, draws whose sigma is not finite
-and positive or whose z is not finite (after the scaling, only draws whose
-values are not all finite), and every draw at a level where no such band
-exists. Every reject bit is therefore the exact path's.
+equal always does; a draw of finite values of either kind is decided
+directly. The rest take the exact path (distance, then p-value): draws
+between the two edges, draws whose sigma is not finite and positive or
+whose z is not finite (after the scaling, only draws whose values are not
+all finite), and every draw at a level where no such band exists, whose
+bounds are then all infinite. Every reject bit is therefore the
+draw-by-draw reference's (``oracles.ks_draw_scores``).
 
 Scores aggregate to a scalar per round; at or below the threshold the server
 averages (FedAvg), above it the server switches to FFT-density aggregation.
@@ -220,12 +221,12 @@ def gaussian_ks_statistic(sample, mu, sigma):
 class DetectorConfig:
     """Knobs of the contamination test and the switch.
 
-    The test cannot reject when K - subset_size, the number of retained
-    values, is 6 or fewer and ``reject_level`` is 0.05 or below: the KS
-    distance of so few values from a Gaussian fitted on those same values
-    stays below about 0.49 (n = 5) and 0.51 (n = 6), which gives p-values of
-    about 0.12 and 0.06. With the defaults, the dynamic rule is therefore
-    plain FedAvg at K <= 11 whatever the attack (:meth:`cannot_reject`).
+    The test cannot reject when n = K - subset_size, the number of retained
+    values, is so small that the widest distance n values reach from a
+    Gaussian fitted on those same values (:func:`_widest_self_fit`) has a
+    p-value at or above ``reject_level`` (:meth:`cannot_reject`). At the
+    default level 0.05 that holds for n <= 6, so with the defaults the
+    dynamic rule is plain FedAvg at K <= 11 whatever the attack.
     """
 
     repetitions: int = 10
@@ -245,7 +246,15 @@ class DetectorConfig:
 
     def cannot_reject(self, clients: int) -> bool:
         """Whether the test is blind at this client count, by the rule above."""
-        return clients - self.subset_size <= 6 and self.reject_level <= 0.05
+        n = clients - self.subset_size
+        return n <= 1 or bool(kolmogorov_pvalue(_widest_self_fit(n), n) >= self.reject_level)
+
+
+def _widest_self_fit(n: int) -> float:
+    """(n-1)/n - Phi(-1/sqrt(n-1)), n >= 2: the KS distance of n - 1 equal
+    values (at z = -1/sqrt(n-1)) and one other from the Gaussian fitted on
+    them. No n values are known to lie farther from their own fit."""
+    return (n - 1) / n - 0.5 * math.erfc(1.0 / math.sqrt(2.0 * (n - 1)))
 
 
 # the band's two edges lie this far either side of the critical distance d*;
@@ -268,7 +277,7 @@ def _normal_quantile(p: float) -> float:
 
 
 @functools.lru_cache
-def _critical_band(n: int, level: float) -> np.ndarray | None:
+def _critical_band(n: int, level: float) -> np.ndarray:
     """Bounds on n sorted standardised values that decide ``p-value < level``.
 
     The critical distance d* solves ``kolmogorov_pvalue(d, n) =
@@ -278,10 +287,10 @@ def _critical_band(n: int, level: float) -> np.ndarray | None:
 
     Returns a read-only (4, n) array: the lower and upper bounds at d* +
     ``_BAND_MARGIN``, which a row that surely rejects crosses, then those at
-    d* - ``_BAND_MARGIN``, within which a row surely does not reject. Returns
-    None, so that every row takes the exact path, when d* -+ the margin
-    leaves (0, 1) or the p-value does not bracket ``level`` at d* -+ half
-    the margin (a tiny level at small n, say).
+    d* - ``_BAND_MARGIN``, within which a row surely does not reject. When
+    d* -+ the margin leaves (0, 1) or the p-value does not bracket ``level``
+    at d* -+ half the margin (a tiny level at small n, say), they are the
+    bounds at 1 and -1, all infinite: a band that decides no row.
     """
     lo, hi = 0.0, 1.0
     for _ in range(_BAND_BISECTION_STEPS):
@@ -291,12 +300,10 @@ def _critical_band(n: int, level: float) -> np.ndarray | None:
         else:
             lo = mid
     inner, outer = hi - _BAND_MARGIN, hi + _BAND_MARGIN
-    if not (0.0 < inner and outer < 1.0):
-        return None
     p_inner = kolmogorov_pvalue(hi - 0.5 * _BAND_MARGIN, n)
     p_outer = kolmogorov_pvalue(hi + 0.5 * _BAND_MARGIN, n)
-    if not p_outer < level <= p_inner:
-        return None
+    if not (0.0 < inner and outer < 1.0 and p_outer < level <= p_inner):
+        inner, outer = -1.0, 1.0
     band = np.array(
         [
             [_normal_quantile(bound) for bound in bounds]
@@ -314,13 +321,13 @@ def _band_decisions(s: np.ndarray, dev: np.ndarray, sigma: np.ndarray, band: np.
     ``s`` is position-major: column j holds draw j's values in ascending
     order, so every operation below runs along one long row per position.
     ``dev`` holds ``s`` minus each draw's mean and is overwritten with the
-    standardised values. Band rows whose bound is -inf or +inf can decide
-    nothing and are skipped.
+    standardised values. Positions whose lower bound is -inf or upper bound
+    +inf can decide nothing and are skipped.
 
     A draw of finite values that are all equal never rejects, whatever its
     sigma rounds to (the mean of equal values can be an ulp off them), and a
     flat draw (sigma 0, finite values) rejects exactly when its values are
-    not all equal, the exact path's answers, so both are decided here. Any
+    not all equal; both are decided here, whatever the band. Any
     other draw is left open when it lies between the band's two edges, when
     its sigma is not finite and positive (or so small that 1/sigma
     overflows), or when its standardised values are not all finite. Its
@@ -410,9 +417,9 @@ def _coordinate_scores(cols: np.ndarray, cfg: DetectorConfig, uniforms: np.ndarr
     ranks (:func:`_retained_mask`), so its score depends only on the values
     it retains, not on the order of the clients. A draw rejects when its
     p-value is below ``cfg.reject_level``. Each draw is scored at unit scale
-    (see the module notes). The critical band of :func:`_critical_band`
-    decides almost every draw; the draws it leaves open take the exact path
-    through their p-value, so every reject bit is the exact path's.
+    (see the module notes). :func:`_band_decisions` decides almost every
+    draw, from the critical band of :func:`_critical_band`; the draws it
+    leaves open take the exact path through their p-value.
     """
     P, K = cols.shape
     reps = cfg.repetitions
@@ -433,16 +440,11 @@ def _coordinate_scores(cols: np.ndarray, cfg: DetectorConfig, uniforms: np.ndarr
         np.copyto(s, np.broadcast_to(ranked[:, None, :], keep.shape)[keep].reshape(draws, size).T)
         s *= unit_scale(s[0], s[-1])
         mu, sigma, dev = _mean_and_std(s)
-        if band is None:
-            reject = np.zeros(draws, dtype=bool)
-            exact = ~reject
-        else:
-            reject, exact = _band_decisions(s, dev, sigma, band)
+        reject, exact = _band_decisions(s, dev, sigma, band)
         if exact.any():
             s, mu, sigma = s[:, exact].T, mu[exact], sigma[exact]
             pvals = kolmogorov_pvalue(gaussian_ks_statistic(s, mu, sigma), size)
-            flat = np.all(s == s[..., :1], axis=-1)
-            reject[exact] = np.where(flat | (sigma == 0.0), ~flat, pvals < cfg.reject_level)
+            reject[exact] = pvals < cfg.reject_level
         scores[lo : lo + n] = np.mean(reject.reshape(n, reps), axis=-1)
     return scores
 

@@ -17,7 +17,7 @@ import numpy as np
 from .detector import DetectorConfig, kolmogorov_pvalue
 from .fedsim import MlpModel
 from .spectral import silverman_bandwidth
-from .tensors import ModelWeights, pairwise_sq_distances
+from .tensors import ModelWeights
 
 
 def dft_naive(x) -> np.ndarray:
@@ -180,9 +180,9 @@ def krum_scores(rows, f: int) -> list[float]:
 
 
 def exact_krum_pick(rows, f: int) -> int:
-    """Krum's pick from the whole exact distance matrix."""
+    """Krum's pick from the whole broadcast distance matrix."""
     with np.errstate(over="ignore"):
-        d2 = pairwise_sq_distances(rows)
+        d2 = broadcast_sq_distances(rows)
         scores = np.sort(d2, axis=1)[:, 1 : len(rows) - f - 1].sum(axis=1)
     return int(np.argmin(scores))
 

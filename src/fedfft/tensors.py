@@ -34,11 +34,6 @@ class EmptyUpdateSet(ValueError):
 class ShapeMismatch(ValueError):
     """Layer shapes disagree between clients (or between dump files)."""
 
-    def __init__(self, message: str, client_id: int | None = None, layer_index: int | None = None):
-        super().__init__(message)
-        self.client_id = client_id
-        self.layer_index = layer_index
-
 
 class BadWeightDump(ValueError):
     """A weight-dump document is malformed or has an unsupported version."""
@@ -160,16 +155,9 @@ def validate_uniform(updates: Sequence[ClientUpdate]) -> None:
         if shapes == ref:
             continue
         if len(shapes) != len(ref):
-            raise ShapeMismatch(
-                f"client {u.client_id} has {len(shapes)} layers, expected {len(ref)}",
-                client_id=u.client_id,
-            )
+            raise ShapeMismatch(f"client {u.client_id} has {len(shapes)} layers, expected {len(ref)}")
         li = next(li for li, (got, want) in enumerate(zip(shapes, ref)) if got != want)
-        raise ShapeMismatch(
-            f"client {u.client_id} layer {li} has shape {shapes[li]}, expected {ref[li]}",
-            client_id=u.client_id,
-            layer_index=li,
-        )
+        raise ShapeMismatch(f"client {u.client_id} layer {li} has shape {shapes[li]}, expected {ref[li]}")
 
 
 _scratch = threading.local()
@@ -235,25 +223,32 @@ def unit_scale(low: np.ndarray, high: np.ndarray) -> np.ndarray:
 _DIFF_ROWS = 8
 
 
-def pairwise_sq_distances(rows: np.ndarray) -> np.ndarray:
+def pairwise_sq_distances(rows: np.ndarray, which: Sequence[int] | None = None) -> np.ndarray:
     """(K, K) squared Euclidean distances between the rows of a (K, P) matrix.
 
-    Exact differences, one row against itself and the rows after it (see
-    :func:`sq_distance_row`), so memory is O(P) beyond the result rather
-    than the O(K^2 * P) of a broadcast difference tensor. Each entry equals
-    that tensor's ``einsum("ijk,ijk->ij")`` bit for bit; the result is
-    exactly symmetric with a zero diagonal.
+    Fills the rows listed in ``which`` and their columns, leaving the other
+    entries 0, or every entry when ``which`` is None or lists more than
+    (K-1)/2 rows, as the upper triangle then costs no more. Exact differences
+    (:func:`_sq_distance_row`), so memory is O(P) beyond the result rather
+    than the O(K^2 * P) of a broadcast difference tensor. Each filled entry
+    equals that tensor's ``einsum("ijk,ijk->ij")`` bit for bit; the result
+    is exactly symmetric with a zero diagonal.
     """
     K = rows.shape[0]
     d2 = np.zeros((K, K))
-    for k in range(K - 1):
-        d2[k, k:] = sq_distance_row(rows[k:], 0)
-        d2[k:, k] = d2[k, k:]
+    if which is None or len(which) > (K - 1) / 2:
+        for k in range(K - 1):
+            d2[k, k:] = _sq_distance_row(rows[k:], 0)
+            d2[k:, k] = d2[k, k:]
+    else:
+        for k in which:
+            d2[k] = _sq_distance_row(rows, k)
+            d2[:, k] = d2[k]
     return d2
 
 
-def sq_distance_row(rows: np.ndarray, k: int) -> np.ndarray:
-    """Row ``k`` of :func:`pairwise_sq_distances`, bit for bit, at O(K * P) cost.
+def _sq_distance_row(rows: np.ndarray, k: int) -> np.ndarray:
+    """Squared distances of every row to row ``k``, at O(K * P) cost.
 
     The difference of every row against row ``k``, _DIFF_ROWS rows at a time
     in one reused scratch buffer; x - y and y - x square to the same value.
@@ -277,15 +272,16 @@ _ROUNDOFF = 2.0**-53
 _TINY = 2.0**-1074  # the smallest subnormal: an underflowing product's error
 
 
-def sq_distance_bounds(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def sq_distance_bounds(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Certified (lo, hi) around every entry of :func:`pairwise_sq_distances`.
 
     Both are (K, K) with a zero diagonal, and ``lo <= d2 <= hi`` holds for
     the exact path's d2 as computed, entry by entry. They come from one Gram
     product G = rows @ rows.T as ||x||^2 + ||y||^2 - 2 x.y, so they cost one
-    BLAS call instead of K(K-1)/2 differences. Returns None when any bound is
-    non-finite or within a factor 2 of overflow (values near +-1.7e308),
-    where the margin below no longer holds.
+    BLAS call instead of K(K-1)/2 differences. An entry whose upper bound is
+    non-finite or within a factor 2 of overflow (values near +-1.7e308, or a
+    row whose squared norm overflows), where the margin below no longer
+    holds, gets the bounds (0, inf), which certify nothing.
 
     The margin. Let u = 2^-53, gamma_m = m u / (1 - m u), eta = 2^-1074, and
     S = ||x||^2 + ||y||^2 for rows x, y of length P. A length-P dot product
@@ -311,9 +307,10 @@ def sq_distance_bounds(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None
         est = norms - 2.0 * gram
         margin = 8.0 * gamma * norms + 8.0 * m * _TINY
         hi = est + margin
-        if not np.all(hi < 2.0**1023):  # also false for nan
-            return None
         lo = np.maximum(est - margin, 0.0)
+        failed = ~(hi < 2.0**1023)  # also true for nan
+    lo[failed] = 0.0
+    hi[failed] = np.inf
     np.fill_diagonal(lo, 0.0)
     np.fill_diagonal(hi, 0.0)
     return lo, hi

@@ -189,21 +189,25 @@ class TestMinMaxCraft:
         far = rng.normal(size=(8, 500))
         far[5, 3] = 1e150
         cases.append(far)
+        # rows whose Gram entries overflow leave their bounds (0, inf)
+        for rows in (slice(5, 6), slice(None)):
+            huge = rng.normal(size=(8, 500))
+            huge[rows, 3] = 1e200
+            cases.append(huge)
         for stack in cases:
             assert _sq_diameter(stack) == pairwise_sq_distances(stack).max()
 
     def test_diameter_rechecks_few_pairs(self, monkeypatch):
         stack = np.random.default_rng(15).normal(0.1, 0.3, size=(20, 17_668))
         want = pairwise_sq_distances(stack).max()
-        starts = []
-        monkeypatch.setattr(adversary, "pairwise_sq_distances", None)
+        listed = []
         monkeypatch.setattr(
             adversary,
-            "sq_distance_row",
-            lambda rows, k: starts.append(k) or pairwise_sq_distances(rows)[k],
+            "pairwise_sq_distances",
+            lambda rows, which: listed.append(list(which)) or pairwise_sq_distances(rows, which),
         )
         assert _sq_diameter(stack) == want
-        assert len(starts) <= 2
+        assert len(listed) == 1 and len(listed[0]) <= 2
 
     def test_craft_does_not_depend_on_blas_threads(self):
         # a threaded BLAS dot splits its sum, so its last bit moves with the

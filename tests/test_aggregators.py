@@ -202,6 +202,13 @@ class TestKrum:
             (np.full((5, 9000), 0.25), 1),
             (rng.normal(size=(3, 9000)), 0),
         ]
+        # one row, then every row, with a coordinate at 1e200: the Gram
+        # entries of each such row overflow and leave its bounds (0, inf)
+        one = rng.normal(0.0, 0.1, size=(12, 500))
+        one[3, 7] = 1e200
+        every = rng.normal(0.0, 0.1, size=(12, 500))
+        every[:, 7] = 1e200
+        cases += [(one, 2), (every, 2)]
         for rows, f in cases:
             ups = [update(i, rows[i]) for i in range(len(rows))]
             with warnings.catch_warnings():
@@ -215,15 +222,14 @@ class TestKrum:
         rows = rng.normal(0.0, 0.05, size=(50, 9000))
         rows[10:30] = rows.mean(axis=0) + 0.01
         want = exact_krum_pick(rows, 20)
-        exact_rows = []
-        monkeypatch.setattr(aggregators, "pairwise_sq_distances", None)
+        listed = []
         monkeypatch.setattr(
             aggregators,
-            "sq_distance_row",
-            lambda rows, k: exact_rows.append(k) or pairwise_sq_distances(rows)[k],
+            "pairwise_sq_distances",
+            lambda rows, which: listed.append(list(which)) or pairwise_sq_distances(rows, which),
         )
         assert krum_select([update(i, rows[i]) for i in range(50)], 20) == want == 10
-        assert exact_rows == [10]
+        assert listed == [[10]]
 
     def test_pick_does_not_depend_on_blas_threads(self):
         # the Gram products go through BLAS, whose rounding may move with its

@@ -278,8 +278,9 @@ def dynamic_config(clients, subset_size, reject_level=0.05):
 
 
 class TestSmallKWarning:
-    """dynamic warns once when K - subset_size <= 6 at reject_level <= 0.05,
-    and runs as before."""
+    """dynamic warns once when its K - subset_size retained values cannot
+    reach a p-value below reject_level (six or fewer at 0.05), and runs as
+    before."""
 
     @pytest.mark.parametrize(
         "clients,subset_size,warned", [(3, 2, True), (8, 2, True), (9, 2, False), (11, 5, True), (12, 5, False)]
@@ -291,6 +292,17 @@ class TestSmallKWarning:
         assert err.count("warning:") == (1 if warned else 0)
         if warned:
             assert "cannot reject" in err and f"subset_size {subset_size}" in err
+
+    @pytest.mark.parametrize(
+        "clients,subset_size,level,warned",
+        [(4, 2, 0.2, True), (5, 2, 0.2, True), (6, 2, 0.1, True), (8, 3, 0.2, False), (8, 2, 0.1, False)],
+    )
+    def test_run_warns_at_levels_above_five_percent(self, tmp_path, capsys, clients, subset_size, level, warned):
+        # two to four retained values cannot reject at 0.1-0.2 either; five
+        # reach a p-value of about 0.12 and six of about 0.06
+        path = write_config(tmp_path, dynamic_config(clients, subset_size, reject_level=level))
+        assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err.count("warning:") == (1 if warned else 0)
 
     def test_no_warning_at_a_level_five_values_can_reject(self, tmp_path, capsys):
         # five retained values reach p of about 0.12, below a level of 0.2,

@@ -286,9 +286,9 @@ class TestMalTest:
                 unscaled = ks_draw_scores(mat, cfg, np.random.default_rng(seed), scaled=False)
                 assert np.array_equal(got, unscaled), (trial, K, cfg)
         # the grid holds levels with no band: the p-value of 6 retained values
-        # never falls to 1e-6
-        assert detector._critical_band(6, 1e-6) is None
-        assert detector._critical_band(45, 0.05) is not None
+        # never falls to 1e-6, so every bound is infinite and decides nothing
+        assert np.all(np.isinf(detector._critical_band(6, 1e-6)))
+        assert np.isfinite(detector._critical_band(45, 0.05)).any()
 
     def test_band_leaves_degenerate_draws_open(self):
         band = detector._critical_band(10, 0.05)
@@ -315,7 +315,10 @@ class TestMalTest:
             mat[:, 60:] = rng.normal(0.0, 0.05, size=(50, 60))
             mat[:20, 100:] = rng.normal(0.0, 5.0, size=(20, 20))
         cfg = DetectorConfig()
-        monkeypatch.setattr(detector, "_critical_band", lambda n, level: None)
+        # no p-value of 45 values falls to 1e-300: a band that decides nothing
+        empty = detector._critical_band(45, 1e-300)
+        assert np.array_equal(empty, np.array([[-np.inf], [np.inf], [np.inf], [-np.inf]]).repeat(45, axis=1))
+        monkeypatch.setattr(detector, "_critical_band", lambda n, level: empty)
         want = one_stream_scores(mat, cfg, np.random.default_rng(8))
         monkeypatch.undo()
         seen = spy_exact_path(monkeypatch)
@@ -641,3 +644,45 @@ class TestDynamicAggregate:
                 assert score == base_score, factor
             else:
                 assert score == pytest.approx(base_score, abs=1e-12), factor
+
+
+class TestBlindSpot:
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_widest_self_fit_is_that_of_one_value_apart(self, n):
+        sample = np.array([0.0] * (n - 1) + [1.0])
+        got = gaussian_ks_statistic(sample, sample.mean(), sample.std())
+        assert detector._widest_self_fit(n) == pytest.approx(got, rel=1e-15)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_no_random_sample_fits_itself_worse(self, n):
+        # normal, heavy-tailed and tied samples, each against its own fit
+        rng = np.random.default_rng(n)
+        samples = np.concatenate(
+            [
+                rng.normal(size=(2000, n)),
+                rng.standard_cauchy(size=(2000, n)),
+                rng.integers(0, 3, size=(2000, n)).astype(float),
+            ]
+        )
+        samples = samples[samples.std(axis=1) > 0.0]
+        d = gaussian_ks_statistic(samples, samples.mean(axis=1), samples.std(axis=1))
+        assert d.max() <= detector._widest_self_fit(n) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "clients,subset_size,level,blind",
+        [
+            (3, 2, 0.05, True),
+            (8, 2, 0.05, True),
+            (9, 2, 0.05, False),
+            (11, 5, 0.05, True),
+            (12, 5, 0.05, False),
+            (4, 2, 0.2, True),
+            (5, 2, 0.2, True),
+            (6, 2, 0.1, True),
+            (8, 3, 0.2, False),
+            (8, 2, 0.1, False),
+        ],
+    )
+    def test_cannot_reject(self, clients, subset_size, level, blind):
+        cfg = DetectorConfig(subset_size=subset_size, reject_level=level)
+        assert cfg.cannot_reject(clients) is blind

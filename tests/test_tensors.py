@@ -20,7 +20,6 @@ from fedfft.tensors import (
     save_weight_dump,
     scratch,
     sq_distance_bounds,
-    sq_distance_row,
     stack_flat,
     to_dump_dict,
     unit_scale,
@@ -102,18 +101,16 @@ class TestValidateUniform:
         validate_uniform([update(0, [1, 2, 3]), update(1, [4, 5, 6])])
 
     def test_length_mismatch(self):
-        with pytest.raises(ShapeMismatch) as err:
+        with pytest.raises(ShapeMismatch, match="^client 7 layer 0 has shape"):
             validate_uniform([update(0, [1, 2, 3]), update(7, [1, 2, 3, 4])])
-        assert err.value.client_id == 7
 
     def test_empty(self):
         with pytest.raises(EmptyUpdateSet):
             validate_uniform([])
 
     def test_layer_mismatch_names_client_and_layer(self):
-        with pytest.raises(ShapeMismatch, match="client 4 layer 1 has shape") as err:
+        with pytest.raises(ShapeMismatch, match=r"^client 4 layer 1 has shape \(2,\), expected \(1, 2\)$"):
             validate_uniform([update(0, [1.0], [[2.0, 3.0]]), update(4, [1.0], [2.0, 3.0])])
-        assert (err.value.client_id, err.value.layer_index) == (4, 1)
 
 
 class TestCoordinateViews:
@@ -245,6 +242,8 @@ class TestStackFlat:
 
 
 class TestSqDistanceRow:
+    # one listed row is filled with one row of differences against every row
+
     # around and past numpy's 8192-element einsum buffer, and the wide model's P
     @pytest.mark.parametrize("p", [8191, 8192, 8193, 9000, 17_668, 3 * 8192 + 5])
     def test_equals_pairwise_row_bit_for_bit(self, p):
@@ -254,7 +253,7 @@ class TestSqDistanceRow:
             rows = base[:k]
             d2 = pairwise_sq_distances(rows)
             for i in range(k):
-                assert np.array_equal(sq_distance_row(rows, i), d2[i]), (k, i)
+                assert np.array_equal(pairwise_sq_distances(rows, [i])[i], d2[i]), (k, i)
 
     @pytest.mark.parametrize("rows_per_chunk", [2, 3, 8])
     def test_last_chunk_of_one_row_matches_broadcast_tensor(self, rows_per_chunk, monkeypatch):
@@ -262,8 +261,29 @@ class TestSqDistanceRow:
         rows = _distance_rows(2 * rows_per_chunk + 1, 9001, rows_per_chunk)
         want = broadcast_sq_distances(rows)
         for i in range(len(rows)):
-            assert np.array_equal(sq_distance_row(rows, i), want[i]), i
+            assert np.array_equal(pairwise_sq_distances(rows, [i])[i], want[i]), i
         assert np.array_equal(pairwise_sq_distances(rows), want)
+
+    @pytest.mark.parametrize("p", [301, 9001])
+    def test_listed_rows_and_columns_match_the_full_matrix(self, p):
+        # up to (K-1)/2 listed rows fill only those rows and columns; more
+        # fill the whole matrix through the upper triangle
+        rng = np.random.default_rng(p)
+        for k in (1, 2, 3, 8, 9, 20):
+            rows = _distance_rows(k, p, p + k) if k >= 3 else rng.normal(size=(k, p))
+            full = pairwise_sq_distances(rows)
+            for size in range(k + 1):
+                which = rng.choice(k, size, replace=False)
+                got = pairwise_sq_distances(rows, which)
+                assert np.array_equal(got[which], full[which]), (k, size)
+                assert np.array_equal(got[:, which], full[:, which]), (k, size)
+                listed = np.zeros(k, dtype=bool)
+                listed[which] = True
+                filled = listed[:, None] | listed[None, :]
+                if size > (k - 1) / 2:
+                    assert np.array_equal(got, full), (k, size)
+                else:
+                    assert np.all(got[~filled] == 0.0), (k, size)
 
     def test_difference_buffer_holds_one_chunk_of_rows(self):
         # scratch buffers are per thread, so a new thread starts without one
@@ -272,7 +292,7 @@ class TestSqDistanceRow:
 
         def run():
             pairwise_sq_distances(rows)
-            sq_distance_row(rows, 7)
+            pairwise_sq_distances(rows, [7])
             sizes.append(vars(tensors._scratch)["tensors.diff"].nbytes)
 
         worker = threading.Thread(target=run)
@@ -284,9 +304,7 @@ class TestSqDistanceRow:
 class TestSqDistanceBounds:
     @staticmethod
     def assert_bracket(rows):
-        bounds = sq_distance_bounds(rows)
-        assert bounds is not None
-        lo, hi = bounds
+        lo, hi = sq_distance_bounds(rows)
         d2 = pairwise_sq_distances(rows)
         assert np.all(lo <= d2) and np.all(d2 <= hi)
         assert np.all(np.diag(lo) == 0.0) and np.all(np.diag(hi) == 0.0)
@@ -317,13 +335,40 @@ class TestSqDistanceBounds:
             for rows in (honest, outlier, tiny, small, np.ones((5, 40)), np.zeros((3, 2))):
                 self.assert_bracket(rows)
 
-    def test_none_near_overflow_without_warnings(self):
-        rows = np.zeros((4, 3))
-        rows[1, 0], rows[2, 0] = 1.7e308, -1.7e308
+    @staticmethod
+    def assert_unbounded_exactly_at(rows, failed):
+        """Bounds (0, inf) on the entries marked in ``failed``, finite
+        certified bounds on every other one."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert sq_distance_bounds(rows) is None
-            assert sq_distance_bounds(rows * 3.2e-155) is None  # a finite Gram, 1.2e308 apart
+            lo, hi = sq_distance_bounds(rows)
+        assert np.all(lo[failed] == 0.0) and np.all(hi[failed] == np.inf)
+        assert np.all(np.isfinite(hi[~failed]))
+        with np.errstate(over="ignore"):
+            d2 = pairwise_sq_distances(rows)
+        assert np.all(lo <= d2) and np.all(d2 <= hi)
+
+    def test_unbounded_near_overflow_without_warnings(self):
+        rows = np.zeros((4, 3))
+        rows[1, 0], rows[2, 0] = 1.7e308, -1.7e308
+        failed = np.zeros((4, 4), dtype=bool)
+        failed[[1, 2], :] = failed[:, [1, 2]] = True
+        np.fill_diagonal(failed, False)
+        self.assert_unbounded_exactly_at(rows, failed)
+        # a finite Gram: only the pair 1.2e308 apart is left unbounded
+        failed = np.zeros((4, 4), dtype=bool)
+        failed[1, 2] = failed[2, 1] = True
+        self.assert_unbounded_exactly_at(rows * 3.2e-155, failed)
+
+    def test_unbounded_only_on_a_row_whose_norm_overflows(self):
+        # one coordinate of one client at 1e200 overflows that row's Gram
+        # entries; every other pair keeps its certified bounds
+        rows = np.random.default_rng(3).normal(0.0, 0.1, size=(50, 17_668))
+        rows[3, 7] = 1e200
+        failed = np.zeros((50, 50), dtype=bool)
+        failed[3, :] = failed[:, 3] = True
+        failed[3, 3] = False
+        self.assert_unbounded_exactly_at(rows, failed)
 
 
 class TestWeightDump:
