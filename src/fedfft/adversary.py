@@ -12,6 +12,8 @@ from any colluder than the colluders are from each other.
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,6 +26,7 @@ from .tensors import (
     pairwise_sq_distances,
     sq_distance_bounds,
     stack_flat,
+    unit_scale,
 )
 
 ATTACK_NONE = "none"
@@ -93,11 +96,26 @@ def _glorot_sigma(shape: tuple[int, ...]) -> float:
     return float(np.sqrt(2.0 / (fan_in + fan_out)))
 
 
+@functools.lru_cache(maxsize=16)
+def _glorot_sigmas(shapes: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """The read-only (P,) vector of each coordinate's layer sigma."""
+    sigmas = np.concatenate([np.full(math.prod(s), _glorot_sigma(s)) for s in shapes])
+    sigmas.setflags(write=False)
+    return sigmas
+
+
 def random_weights(template: ModelWeights, rng: np.random.Generator) -> ModelWeights:
-    """Fresh Glorot-normal weights with the template's layer shapes."""
-    return ModelWeights(
-        rng.normal(0.0, _glorot_sigma(a.shape), a.shape) for a in template.layers
-    )
+    """Fresh Glorot-normal weights with the template's layer shapes.
+
+    One standard-normal draw over all coordinates, scaled by each layer's
+    sigma: the stream and the bytes of ``rng.normal(0.0, sigma, shape)``
+    layer by layer, which computes 0.0 + sigma * z (so -0.0 becomes 0.0).
+    """
+    sigmas = _glorot_sigmas(template.shapes)
+    flat = rng.standard_normal(sigmas.size)
+    flat *= sigmas
+    flat += 0.0
+    return ModelWeights.from_rows(flat[None], template.shapes)[0]
 
 
 def _direction(stack: np.ndarray, mean: np.ndarray, kind: str) -> np.ndarray:
@@ -108,12 +126,15 @@ def _direction(stack: np.ndarray, mean: np.ndarray, kind: str) -> np.ndarray:
     ``inverse_sign``: per-coordinate -sign(mean), with sign(0) = 0.
     """
     if kind == INVERSE_UNIT_VECTOR:
-        # numpy's own pairwise sum, not BLAS's dot, whose threads split the
-        # sum and move its last bit with the thread count
-        norm = float(np.sqrt(np.sum(mean * mean)))
+        # the norm of the mean at unit magnitude, which no square overflows;
+        # a power of two cancels out of the quotient exactly. numpy's own
+        # pairwise sum, not BLAS's dot, whose threads split the sum and move
+        # its last bit with the thread count
+        scaled = mean * unit_scale(mean.min(), mean.max())
+        norm = float(np.sqrt(np.sum(scaled * scaled)))
         if norm == 0.0:
             raise ZeroNorm("mean of malicious weights has zero norm")
-        return -mean / norm
+        return -scaled / norm
     if kind == INVERSE_STD:
         return -stack.std(axis=0)
     if kind == INVERSE_SIGN:
@@ -134,14 +155,14 @@ def _sq_diameter(stack: np.ndarray) -> float:
     return float(d2[first, second].max(initial=0.0))
 
 
-def _largest_feasible(feasible) -> float:
+def _largest_feasible(feasible, cap: float) -> float:
     """The search of :func:`min_max_craft`: bracket by doubling, then bisect."""
     lo, hi = 0.0, 1.0
     while feasible(hi):
         lo, hi = hi, 2.0 * hi
-        if hi > _GAMMA_CAP:
+        if hi > cap:
             warnings.warn("min-max gamma search hit its cap; perturbation is degenerate")
-            return _GAMMA_CAP
+            return cap
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
@@ -153,10 +174,11 @@ def min_max_craft(malicious: Sequence[ModelWeights], kind: str = INVERSE_UNIT_VE
 
     gamma is pushed as high as the colluders' mutual diameter allows:
     max_m ||crafted - W^m|| <= max_{m,l} ||W^m - W^l||. gamma = 0 is always
-    feasible, so the search doubles from 1 until the constraint breaks (cap
-    2^60), then bisects 60 times; if the cap is reached without a violation
-    (a degenerate near-zero perturbation direction) the cap is returned with
-    a warning.
+    feasible, so the search doubles from 1 until the constraint breaks, then
+    bisects 60 times. The cap is 2^60 over the scale s below (2^60 times the
+    colluders' largest magnitude, to within a factor 2); if it is reached
+    without a violation (a degenerate near-zero perturbation direction) the
+    cap is returned with a warning.
 
     Every probe reads the expansion ||mean - W^m + gamma * p||^2 =
     c_m + 2 gamma b_m + gamma^2 q, whose terms (c_m = ||mean - W^m||^2,
@@ -164,7 +186,11 @@ def min_max_craft(malicious: Sequence[ModelWeights], kind: str = INVERSE_UNIT_VE
     probe costs O(M) rather than O(M * P). The diameter is the square root of
     the largest exact pairwise squared distance, which one Gram product's
     certified bounds narrow to a few pairs, rechecked exactly
-    (:func:`_sq_diameter`).
+    (:func:`_sq_diameter`). The terms and the diameter are taken of the
+    colluders scaled by the power of two s that brings them to unit
+    magnitude (:func:`tensors.unit_scale`), and a probe of gamma reads them
+    at gamma * s, so no distance overflows; in the normal range every
+    rounding scales exactly, so each probe decides as the unscaled one.
     """
     if not malicious:
         raise ValueError("need at least one malicious update")
@@ -173,19 +199,22 @@ def min_max_craft(malicious: Sequence[ModelWeights], kind: str = INVERSE_UNIT_VE
     pvec = _direction(stack, mean, kind)
     pert = malicious[0].with_flat(pvec)
 
+    scale = float(unit_scale(stack.min(), stack.max()))
+    stack *= scale  # stack_flat's own copy
     diameter = float(np.sqrt(_sq_diameter(stack)))
-    offs = mean - stack
+    offs = mean * scale - stack
     c = np.einsum("ij,ij->i", offs, offs)
     # numpy's own reductions, as BLAS's results depend on its thread count
     b = np.einsum("ij,j->i", offs, pvec)
     q = float(np.sum(pvec * pvec))
 
     def feasible(gamma: float) -> bool:
-        worst = float(np.sqrt(np.max(c + 2.0 * gamma * b + gamma * gamma * q)))
+        g = gamma * scale
+        worst = float(np.sqrt(np.max(c + 2.0 * g * b + g * g * q)))
         return worst <= diameter
 
     # coinciding colluders leave no room; a zero direction would pass every probe
-    gamma = 0.0 if diameter == 0.0 else _largest_feasible(feasible)
+    gamma = 0.0 if diameter == 0.0 else _largest_feasible(feasible, _GAMMA_CAP / scale)
     crafted = malicious[0].with_flat(mean + gamma * pvec)
     return MinMaxResult(crafted=crafted, gamma=gamma, perturbation_vec=pert)
 

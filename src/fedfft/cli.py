@@ -507,36 +507,46 @@ def _suite_local_sgd_loop() -> bool:
     from .fedsim import MlpModel, gen_task, local_updates
     from .oracles import sgd_loop
 
-    # 23 training rows per shard: batches of 8, 8 and a short 7
-    cases = [(clients, hidden, 8) for clients, hidden in ((1, 4), (3, 4), (7, 4), (5, 64))]
+    # 23 training rows per shard: batches of 8, 8 and a short 7, over three
+    # classes, and over 2, 8 and 10 (numpy's class-axis sum turns pairwise at 8)
+    cases = [(clients, hidden, 8, 3) for clients, hidden in ((1, 4), (3, 4), (7, 4), (5, 64))]
+    cases += [(4, 8, 8, classes) for classes in (2, 8, 10)]
     # and batches of one through a unit that no input reaches (its bias is
     # -1e300) but whose outgoing weights overflow its gradient: the ReLU mask
     # must give 0.0 there, where a multiply by the mask gives inf * 0 = NaN
-    cases.append((3, 8, 1))
+    cases.append((3, 8, 1, 3))
     epochs, lr = 2, 0.1
-    for clients, hidden, batch in cases:
-        task = SyntheticTask(dim=3, classes=3, per_client=29, clients=clients, seed=clients)
+    for clients, hidden, batch, classes in cases:
+        task = SyntheticTask(dim=3, classes=classes, per_client=29, clients=clients, seed=clients)
         data = gen_task(task)
-        model = MlpModel(dim=3, hidden=hidden, classes=3)
+        model = MlpModel(dim=3, hidden=hidden, classes=classes)
         start = model.init_weights(clients)
         if batch == 1:
             w1, b1, w2, b2 = (a.copy() for a in start.layers)
             b1[0] = -1e300
             w2[0] = [1.7e308, -1.7e308, 1.7e308]
             start = ModelWeights([w1, b1, w2, b2])
-        rngs = lambda: [np.random.default_rng([clients, k]) for k in range(clients)]  # noqa: E731
-        with np.errstate(over="ignore"):
-            try:
-                batched = local_updates(
-                    model, start, data.train_x, data.train_y, epochs, batch, lr, rngs(), range(clients)
-                )
-            except ValueError:
-                return False
-            for k, (shard, rng) in enumerate(zip(data.clients, rngs())):
-                want = sgd_loop(start, shard.train_x, shard.train_y, epochs, batch, lr, rng)
-                got = batched[k].weights.layers
-                if batched[k].client_id != k or any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
+        rng = lambda k: np.random.default_rng([clients, k])  # noqa: E731
+        # gen_task's stack view, and the contiguous copy of the odd shards
+        # that run_experiment trains once the attackers drop out
+        everyone = list(range(clients))
+        inputs = [(everyone, data.train_x, data.train_y)]
+        odd = everyone[1::2]
+        if odd:
+            inputs.append((odd, data.train_x[odd], data.train_y[odd]))
+        for ids, xs, ys in inputs:
+            with np.errstate(over="ignore"):
+                try:
+                    rngs = [rng(k) for k in ids]
+                    batched = local_updates(model, start, xs, ys, epochs, batch, lr, rngs, ids)
+                except ValueError:
                     return False
+                for k, update in zip(ids, batched):
+                    shard = data.clients[k]
+                    want = sgd_loop(start, shard.train_x, shard.train_y, epochs, batch, lr, rng(k))
+                    got = update.weights.layers
+                    if update.client_id != k or any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
+                        return False
     return True
 
 

@@ -163,7 +163,7 @@ class MlpModel:
 
     def gradients(self, weights: ModelWeights, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
         """Mean cross-entropy gradients for a batch, in layer order."""
-        return self._gradients(weights.layers, x, y)
+        return self._gradients(weights.layers, x, _one_hot(y, self.classes))
 
     # The layer-list forms below are the one implementation. They take either
     # one model's layers or (B, ...) stacks of them, with a (B, m, d) batch
@@ -183,7 +183,12 @@ class MlpModel:
         np.maximum(hidden, 0.0, out=hidden)
         probs = np.matmul(hidden, w2, out=work.logits)
         probs += b2[..., None, :]
-        probs -= probs.max(axis=-1, keepdims=True, out=work.row_max)
+        # the class-axis max, one column at a time: a max is exact in any
+        # order, and a few calls on narrow views beat one reduce over C
+        row_max = np.maximum(probs[..., :1], probs[..., -1:], out=work.row_max)
+        for c in range(1, probs.shape[-1] - 1):
+            np.maximum(row_max, probs[..., c : c + 1], out=row_max)
+        probs -= row_max
         np.exp(probs, out=probs)
         probs /= probs.sum(axis=-1, keepdims=True, out=work.row_sum)
         return hidden, probs
@@ -192,15 +197,17 @@ class MlpModel:
         self,
         layers: Sequence[np.ndarray],
         x: np.ndarray,
-        y: np.ndarray,
+        onehot: np.ndarray,
         work: _StepBuffers | None = None,
     ) -> list[np.ndarray]:
+        """The gradients for a batch whose labels are given as a bool
+        ``onehot`` of the probabilities' shape."""
         w2 = layers[2]
         n = x.shape[-2]
         work = _StepBuffers.new(layers, n) if work is None else work.rows(n)
         hidden, dlogits = self._forward(layers, x, work)
-        # subtracting 0.0 off the label's column leaves a probability as is
-        dlogits -= y[..., None] == np.arange(dlogits.shape[-1])
+        # subtracting 0.0 off the other columns leaves a probability as is
+        dlogits -= onehot
         dlogits /= n
         gw1, gb1, gw2, gb2 = work.grads
         # the transposed operands stay strided views, so each slice of a
@@ -295,9 +302,34 @@ def _sgd_block_clients(model: MlpModel, num_params: int, batch: int) -> int:
     """Clients per SGD block: as many as fit ``_SGD_BLOCK_BYTES``, at least one."""
     # per client: parameters and gradients; per batch row, its inputs, the
     # hidden, dhidden, int64 mask, logits, row max and row sum at 8 bytes a
-    # value, and the bool mask at one byte
-    row = 8 * (model.dim + 3 * model.hidden + model.classes + 2) + model.hidden
+    # value, and the bool mask and one-hot label at one byte
+    row = 8 * (model.dim + 3 * model.hidden + model.classes + 2) + model.hidden + model.classes
     return max(1, _SGD_BLOCK_BYTES // (16 * num_params + batch * row))
+
+
+def _one_hot(y: np.ndarray, classes: int) -> np.ndarray:
+    """Bool (..., classes) labels: True in column y, for every label of ``y``."""
+    hot = np.empty((*y.shape, classes), dtype=bool)
+    # a class at a time, as a compare broadcast over the class axis buffers
+    # 128 KB of operands
+    for c in range(classes):
+        np.equal(y, c, out=hot[..., c])
+    return hot
+
+
+def _shard_rows(stack: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rows of every shard of a (K, n, ...) stack as one (R, ...) view,
+    and how many of its rows lie from one shard's first row to the next's:
+    shard k's row i is row ``k * step + i``. A stack whose shards lie apart
+    by no whole, non-negative number of rows is copied once."""
+    if stack.strides[1] <= 0 or stack.strides[0] < 0 or stack.strides[0] % stack.strides[1]:
+        stack = np.ascontiguousarray(stack)
+    K, n = stack.shape[:2]
+    step = stack.strides[0] // stack.strides[1]
+    rows = np.lib.stride_tricks.as_strided(
+        stack, ((K - 1) * step + n, *stack.shape[2:]), stack.strides[1:], writeable=False
+    )
+    return rows, step
 
 
 def local_updates(
@@ -330,24 +362,47 @@ def local_updates(
     K, n = train_y.shape
     if len(rngs) != K or len(client_ids) != K:
         raise ValueError(f"need one rng and one client id per shard, for {K} shards")
-    block = _sgd_block_clients(model, weights.num_params, min(batch_size, n))
-    shapes = weights.shapes
+    if not K:
+        return []
+    if not n:
+        raise ValueError("shards must hold at least one training row")
+    batch = min(batch_size, n)
+    block = _sgd_block_clients(model, weights.num_params, batch)
+    shapes, B, d = weights.shapes, min(block, K), train_x.shape[2]
     matrix = np.empty((K, weights.num_params))
-    grad_rows = np.empty((min(block, K), weights.num_params))
+    grad_rows = np.empty((B, weights.num_params))
+    # a block's batches are gathered by row number from one view of the
+    # inputs' rows and from one one-hot label table for the call
+    x_rows, x_step = _shard_rows(train_x)
+    hot_rows = _one_hot(train_y, model.classes).reshape(K * n, -1)
+    x_at, hot_at = np.empty((B, n), dtype=np.intp), np.empty((B, n), dtype=np.intp)
+    hot = np.empty((B, n, hot_rows.shape[1]), dtype=bool)
+    inputs = np.empty(B * batch * d, dtype=train_x.dtype)
     for lo in range(0, K, block):
         hi = min(lo + block, K)
-        params, grad = matrix[lo:hi], grad_rows[: hi - lo]
+        b = hi - lo
+        params, grad = matrix[lo:hi], grad_rows[:b]
         params[:] = weights.flat()
         layers = _layer_views(params, shapes)
-        work = _StepBuffers.new(layers, min(batch_size, n), _layer_views(grad, shapes))
-        rows = np.arange(hi - lo)[:, None]
+        work = _StepBuffers.new(layers, batch, _layer_views(grad, shapes))
+        shards = np.arange(lo, hi)[:, None]
+        first_rows, to_hot = shards * x_step + np.arange(n), shards * (n - x_step)
         for _ in range(epochs):
-            order = np.stack([rngs[k].permutation(n) for k in range(lo, hi)])
-            xs, ys = train_x[lo:hi][rows, order], train_y[lo:hi][rows, order]
-            for start in range(0, n, batch_size):
-                model._gradients(
-                    layers, xs[:, start : start + batch_size], ys[:, start : start + batch_size], work
-                )
+            # client k shuffles its shard's row numbers in place, which draws
+            # from rngs[k] as permutation(n) does and permutes them alike
+            x_at[:b] = first_rows
+            for i, k in enumerate(range(lo, hi)):
+                rngs[k].shuffle(x_at[i])
+            # the same rows' numbers in the label table, k * n + i; every
+            # index is in range, and mode "clip" spares take the copy of
+            # ``out`` that its default mode makes
+            np.add(x_at[:b], to_hot, out=hot_at[:b])
+            np.take(hot_rows, hot_at[:b], axis=0, out=hot[:b], mode="clip")
+            for start in range(0, n, batch):
+                m = min(batch, n - start)
+                x = inputs[: b * m * d].reshape(b, m, d)
+                np.take(x_rows, x_at[:b, start : start + m], axis=0, out=x, mode="clip")
+                model._gradients(layers, x, hot[:b, start : start + m], work)
                 # bit for bit ``p -= learning_rate * g``, with no temporary
                 grad *= learning_rate
                 params -= grad

@@ -208,7 +208,7 @@ def min_max_gamma_grid(points: np.ndarray, perturbation: np.ndarray, top: float)
     mean + gamma * perturbation lies within the diameter of every row of ``points``."""
     grid = np.linspace(0.0, top, 100_000)
     crafted = points.mean(axis=0)[None, :] + grid[:, None] * perturbation[None, :]
-    worst = np.max(np.linalg.norm(crafted[:, None, :] - points[None, :, :], axis=2), axis=1)
+    worst = np.max([np.linalg.norm(crafted - row, axis=1) for row in points], axis=0)
     return float(grid[np.nonzero(worst <= diameter(points))[0][-1]])
 
 

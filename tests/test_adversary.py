@@ -50,6 +50,16 @@ class TestRandomWeights:
         assert abs(draws.mean()) < 4.0 * sigma / np.sqrt(draws.size)
         assert abs(draws.std() - sigma) < 0.02 * sigma
 
+    def test_bytes_and_stream_of_a_normal_draw_per_layer(self):
+        template = mw(np.zeros((3, 4)), np.zeros(4), np.zeros((2, 3, 5)), np.zeros(1))
+        got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+        for _ in range(3):  # each draw leaves the stream where the layer draws leave it
+            got = random_weights(template, got_rng)
+            for a, b in zip(got.layers, template.layers):
+                fan_in, fan_out = (int(np.prod(b.shape[:-1])), b.shape[-1]) if b.ndim >= 2 else (b.size, 1)
+                want = want_rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)), b.shape)
+                assert a.tobytes() == want.tobytes()
+
     def test_vector_fans(self):
         template = mw(np.zeros(1000))
         rng = np.random.default_rng(2)
@@ -175,6 +185,27 @@ class TestMinMaxCraft:
             assert abs(res.gamma - want) <= 1e-12 * want
             worst = max(float(np.linalg.norm(res.crafted.flat() - row)) for row in pts)
             assert worst <= diameter * (1.0 + 1e-12)
+
+    def test_huge_colluder_gives_a_unit_direction_and_an_uncapped_gamma(self):
+        # a mean coordinate beyond about 1.3e154 overflows the plain sum of squares
+        rng = np.random.default_rng(16)
+        pts = rng.normal(0.0, 0.1, size=(20, 17_668))
+        pts[7, 123] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow, no capped search
+            res = min_max_craft([mw(row) for row in pts])
+        pvec = res.perturbation_vec.flat()
+        assert float(np.sqrt(np.sum(pvec * pvec))) == pytest.approx(1.0, abs=1e-15)
+        assert 0.0 < res.gamma < _GAMMA_CAP * 2.0**665
+        # the grid oracle in a space where distances are those of the input
+        # scaled by 2^-664 (exact), and spanned by the offsets from the mean
+        # and the direction, so that its (grid, 21) arrays stay small
+        scaled = pts * 2.0**-664
+        offsets = scaled - scaled.mean(axis=0)
+        basis = np.linalg.qr(np.column_stack([offsets.T, pvec]))[0]
+        top = oracles.diameter(offsets @ basis)
+        best = oracles.min_max_gamma_grid(offsets @ basis, pvec @ basis, top)
+        assert abs(res.gamma * 2.0**-664 - best) <= 2.0 * top / 99_999
 
     def test_diameter_equals_exact_pairwise_maximum(self):
         rng = np.random.default_rng(14)

@@ -1,4 +1,6 @@
 import inspect
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,20 +175,24 @@ class TestLocalUpdate:
                 local_update(model, w, data.clients[0], 2, 32, 1e300, np.random.default_rng(0))
 
 
-def assert_matches_loop(task, hidden, epochs, batch_size=32, learning_rate=0.05, seed=0):
+def assert_matches_loop(task, hidden, epochs, batch_size=32, learning_rate=0.05, seed=0, ids=None):
+    """local_updates on the task's stack, or on the copy of the shards ``ids``
+    selects, against sgd_loop on each shard alone."""
     data = gen_task(task)
     model = MlpModel(dim=task.dim, hidden=hidden, classes=task.classes)
     w = model.init_weights(seed)
     key = lambda k: np.random.default_rng([seed, 1, k])  # noqa: E731
+    ids = list(range(task.clients)) if ids is None else ids
+    stack = (data.train_x, data.train_y) if len(ids) == task.clients else (data.train_x[ids], data.train_y[ids])
     got = local_updates(
-        model, w, data.train_x, data.train_y, epochs, batch_size, learning_rate,
-        [key(k) for k in range(task.clients)], range(task.clients),
+        model, w, *stack, epochs, batch_size, learning_rate, [key(k) for k in ids], ids
     )
-    assert [u.client_id for u in got] == list(range(task.clients))
-    for k, shard in enumerate(data.clients):
+    assert [u.client_id for u in got] == ids
+    for k, u in zip(ids, got):
+        shard = data.clients[k]
         want = sgd_loop(w, shard.train_x, shard.train_y, epochs, batch_size, learning_rate, key(k))
-        assert got[k].dataset_size == shard.train_x.shape[0]
-        for li, (a, b) in enumerate(zip(got[k].weights.layers, want)):
+        assert u.dataset_size == shard.train_x.shape[0]
+        for li, (a, b) in enumerate(zip(u.weights.layers, want)):
             assert np.array_equal(a.view(np.int64), b.view(np.int64)), (k, li)
 
 
@@ -199,6 +205,42 @@ class TestBatchedSgd:
     def test_bit_identical_to_per_client_loop(self, clients, hidden, epochs):
         task = SyntheticTask(dim=8, per_client=40, clients=clients, seed=clients + hidden)
         assert_matches_loop(task, hidden, epochs)
+
+    # numpy's class-axis sum, which the softmax keeps, turns pairwise at 8 classes
+    @pytest.mark.parametrize("classes", [2, 8, 10])
+    @pytest.mark.parametrize("clients, hidden", [(1, 16), (20, 16), (7, 256)])
+    def test_class_counts(self, classes, clients, hidden):
+        task = SyntheticTask(dim=6, classes=classes, per_client=50, clients=clients, seed=classes + clients)
+        assert_matches_loop(task, hidden, 2)
+
+    def test_stack_view_and_subset_copy(self):
+        # gen_task's (K, n, d) stack is a view that skips each shard's test
+        # rows; run_experiment trains an honest subset from a contiguous copy
+        task = SyntheticTask(per_client=60, clients=20, seed=11)
+        assert not gen_task(task).train_x.flags.c_contiguous
+        assert_matches_loop(task, 16, 2)
+        assert_matches_loop(task, 16, 2, ids=[0, 2, 3, 5, 8, 9, 11, 13, 14, 16, 17, 19])
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda a: np.ascontiguousarray(a)[:, ::2],  # shards 25.5 rows apart
+            lambda a: np.ascontiguousarray(a)[::-1],  # shards a negative row count apart
+            lambda a: a[:, ::-1],  # rows a negative stride apart
+            lambda a: np.broadcast_to(a[1], a.shape),  # shards 0 rows apart
+        ],
+    )
+    def test_any_stack_layout(self, layout):
+        task = SyntheticTask(per_client=64, clients=4, seed=12)
+        data = gen_task(task)
+        model = MlpModel(dim=task.dim, classes=task.classes)
+        w = model.init_weights(3)
+        x, y = layout(data.train_x), layout(data.train_y)
+        rngs = lambda: [np.random.default_rng(k) for k in range(4)]  # noqa: E731
+        got = local_updates(model, w, x, y, 2, 8, 0.05, rngs(), range(4))
+        for k, rng in enumerate(rngs()):
+            want = sgd_loop(w, x[k], y[k], 2, 8, 0.05, rng)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got[k].weights.layers, want))
 
     def test_short_last_batch(self):
         # 75 training rows: batches of 32, 32 and 11
@@ -246,6 +288,14 @@ class TestBatchedSgd:
             local_updates(model, w, np.zeros((2, 5, 2)), np.zeros((2, 4), dtype=int), 1, 2, 0.1, rngs, [0, 1])
         with pytest.raises(ValueError, match="one rng"):
             local_updates(model, w, np.zeros((2, 5, 2)), np.zeros((2, 5), dtype=int), 1, 2, 0.1, rngs[:1], [0, 1])
+
+    def test_no_shards_and_empty_shards(self):
+        model = MlpModel(dim=2, classes=2)
+        w = model.init_weights(0)
+        assert local_updates(model, w, np.zeros((0, 5, 2)), np.zeros((0, 5), dtype=int), 1, 2, 0.1, [], []) == []
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        with pytest.raises(ValueError, match="at least one training row"):
+            local_updates(model, w, np.zeros((2, 0, 2)), np.zeros((2, 0), dtype=int), 1, 2, 0.1, rngs, [0, 1])
 
     def test_local_update_is_the_one_client_case(self):
         task = SyntheticTask(clients=3, per_client=50, seed=8)
@@ -329,12 +379,68 @@ class TestStepBuffers:
             a.view(np.uint8)[...] = 0xFF
         for m in (16, 11, 1):
             x = rng.normal(size=(*lead, m, 5))
-            y = rng.integers(0, 3, (*lead, m))
-            fresh = model._gradients(layers, x, y)
-            reused = model._gradients(layers, x, y, work)
+            hot = fedsim._one_hot(rng.integers(0, 3, (*lead, m)), 3)
+            fresh = model._gradients(layers, x, hot)
+            reused = model._gradients(layers, x, hot, work)
             assert all(a is b for a, b in zip(reused, work.grads))
             for a, b in zip(reused, fresh):
                 assert a.tobytes() == b.tobytes()
+
+
+class TestAllocations:
+    """local_updates at sim-onset's shape (20 shards of 160 rows, an 8-16-4
+    model, batches of 32) allocates nothing of 128 KB, glibc's default mmap
+    threshold, at or above which each call would map and page-fault fresh
+    memory; the (K, P) result is 34 KB here. Byte counts are deterministic."""
+
+    @staticmethod
+    def _call(epochs):
+        data = gen_task(SyntheticTask(noise_sigma=1.0))
+        model = MlpModel(dim=8, hidden=16, classes=4)
+        rngs = [np.random.default_rng([0, 1, k]) for k in range(20)]
+        return lambda: local_updates(
+            model, model.init_weights(0), data.train_x, data.train_y, epochs, 32, 0.05, rngs, range(20)
+        )
+
+    @staticmethod
+    def _peak_growth(call):
+        call()  # caches filled, as in a round after the first
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+
+    def test_no_line_allocates_128_kb(self):
+        call = self._call(2)
+        call()
+        grown = []  # per line of fedsim run: its peak over what was live before it
+
+        def trace(frame, event, arg):
+            if frame.f_code.co_filename != fedsim.__file__:
+                return None
+            grown.append(tracemalloc.get_traced_memory()[1] - trace.live)
+            tracemalloc.reset_peak()
+            trace.live = tracemalloc.get_traced_memory()[0]
+            return trace
+
+        before = sys.gettrace()
+        tracemalloc.start()
+        try:
+            trace.live = tracemalloc.get_traced_memory()[0]
+            sys.settrace(trace)
+            call()
+        finally:
+            sys.settrace(before)
+            tracemalloc.stop()
+        assert len(grown) > 100
+        assert max(grown) < 128 << 10
+
+    def test_peak_does_not_grow_with_epochs(self):
+        one, three = (self._peak_growth(self._call(epochs)) for epochs in (1, 3))
+        assert three <= one + 1024
 
 
 class TestModel:
