@@ -33,7 +33,7 @@ from .fedsim import (
     aggregate,
     run_experiment,
 )
-from .fft_aggregator import FftStrategy, fft_aggregate
+from .fft_aggregator import FftStrategy
 from .tensors import (
     ClientUpdate,
     ModelWeights,
@@ -352,266 +352,17 @@ def cmd_ks_test(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# selftest: quick versions of the numeric oracle suites, against fedfft.oracles
-# ---------------------------------------------------------------------------
-
-def _one_layer_updates(rows: np.ndarray) -> list[ClientUpdate]:
-    return [ClientUpdate(k, ModelWeights([row]), 1) for k, row in enumerate(rows)]
-
-
-def _suite_fft_vs_dft() -> bool:
-    from .oracles import dft_naive
-    from .spectral import fft
-
-    rng = np.random.default_rng(7)
-    for n in list(range(1, 65)) + [97, 127, 128, 257]:
-        for _ in range(3):
-            x = rng.normal(size=n)
-            if np.max(np.abs(fft(x) - dft_naive(x))) >= 1e-9:
-                return False
-    # literal's batched selection agrees with fft_select only if every row of
-    # a batch transforms bit for bit as it does alone
-    batch = rng.normal(size=(37, 50))
-    return all(np.array_equal(got, fft(row)) for got, row in zip(fft(batch), batch))
-
-
-def _suite_ks_bruteforce() -> bool:
-    from .detector import DetectorConfig, gaussian_ks_statistic, ks_statistic, mal_test
-    from .oracles import ecdf_distance, gaussian_ks_distance
-
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        a = rng.integers(0, 5, rng.integers(1, 7)).astype(float)
-        b = rng.integers(0, 5, rng.integers(1, 7)).astype(float)
-        if ks_statistic(a, b) != ecdf_distance(a, b):
-            return False
-    # the one-sample distance the detector scores with, on (rows x n) batches
-    for _ in range(20):
-        n = int(rng.integers(1, 21))
-        batch = np.round(rng.normal(size=(8, n)), 1)
-        mu = rng.normal(0.0, 0.3, 8)
-        sigma = rng.uniform(0.5, 2.0, 8)
-        got = gaussian_ks_statistic(batch, mu, sigma)
-        for s, m, sd, d in zip(batch, mu, sigma, got):
-            if abs(d - gaussian_ks_distance(s, m, sd)) > 1e-15:
-                return False
-    # the detector scores each draw at unit scale, so a power-of-two factor
-    # on every client, even one whose squares overflow or underflow, moves
-    # no score bit
-    mat = rng.normal(size=(30, 40))
-    mat[:8, ::2] += 4.0
-    scores = mal_test(_one_layer_updates(mat), DetectorConfig(), seed=1)
-    return all(
-        np.array_equal(mal_test(_one_layer_updates(mat * factor), DetectorConfig(), seed=1), scores)
-        for factor in (2.0**600, 2.0**-600)
-    )
-
-
-def _suite_ks_band_vs_exact() -> bool:
-    from .detector import DetectorConfig, mal_test
-    from .oracles import ks_draw_scores
-
-    # the detector's bulk pass (Floyd draws in rank space, decided by the
-    # critical band) against every draw by its p-value, on matrices where a
-    # quarter of the clients is shifted on half of the coordinates, with tied
-    # and unanimous coordinates among them; 7 retained values at level 0.9
-    # take the band's widest bounds
-    rng = np.random.default_rng(12)
-    for k, cfg in (
-        (8, DetectorConfig(subset_size=2, reject_level=0.5)),
-        (20, DetectorConfig(reject_level=0.2)),
-        (50, DetectorConfig()),
-        (12, DetectorConfig(reject_level=0.9)),
-    ):
-        mat = rng.normal(size=(k, 14))
-        mat[: k // 4, ::2] += rng.uniform(3.0, 8.0, 7)
-        mat[:, 3] = np.round(mat[:, 3])
-        mat[:, 5] = mat[0, 5]
-        seed = int(rng.integers(1 << 30))
-        got = mal_test(_one_layer_updates(mat), cfg, seed)
-        # a one-layer model's draws come from the stream keyed (seed, 0)
-        want = ks_draw_scores(mat, cfg, np.random.default_rng([seed, 0]))
-        if not (np.array_equal(got, want) and got.max() > 0.0 and got.min() == 0.0):
-            return False
-    return True
-
-
-def _suite_krum_exhaustive() -> bool:
-    from .aggregators import krum_select
-    from .oracles import broadcast_sq_distances, exact_krum_pick, krum_scores
-    from .tensors import pairwise_sq_distances
-
-    rng = np.random.default_rng(9)
-    for _ in range(100):
-        K = int(rng.integers(4, 8))
-        f = int(rng.integers(0, K - 3)) if K > 3 else 0
-        flat = rng.normal(size=(K, 3))
-        if krum_select(_one_layer_updates(flat), f) != int(np.argmin(krum_scores(flat, f))):
-            return False
-    # Krum's distance kernel against the broadcast (K, K, P) tensor, duplicates
-    # included, on row subsets of every size; 9000 values pass numpy's 8192-element einsum buffer
-    for K, P in ((1, 40), (2, 40), (3, 9000), (6, 9000), (11, 9000)):
-        rows = rng.normal(size=(K, P))
-        rows[K // 2] = rows[0]
-        want = broadcast_sq_distances(rows)
-        for which in [rng.choice(K, size, replace=False) for size in range(K + 1)]:
-            got = pairwise_sq_distances(rows, which)
-            if not np.array_equal(got[which], want[which]) or not np.array_equal(got.T[which], want.T[which]):
-                return False
-    # the Gram-bounded pick against the exact matrix's, at 9000 values, on
-    # duplicated rows and on near ties over a large common offset
-    for _ in range(20):
-        K = int(rng.integers(4, 13))
-        f = int(rng.integers(0, K - 3 + 1))
-        rows = rng.normal(size=(K, 9000))
-        rows[K // 2 :] = rows[rng.integers(0, K // 2)]
-        for cand in (rows, 1e3 + 1e-4 * rows):
-            if krum_select(_one_layer_updates(cand), f) != exact_krum_pick(cand, f):
-                return False
-    return True
-
-
-def _suite_minmax_gamma() -> bool:
-    from .adversary import min_max_craft
-    from .oracles import diameter, min_max_gamma_grid
-
-    rng = np.random.default_rng(10)
-    for _ in range(30):
-        dim = int(rng.integers(1, 3))
-        m = int(rng.integers(2, 5))
-        pts = rng.normal(size=(m, dim)) * rng.uniform(0.5, 2.0)
-        res = min_max_craft([ModelWeights([row]) for row in pts])
-        best = min_max_gamma_grid(pts, res.perturbation_vec.flat(), max(4.0 * diameter(pts), 1.0))
-        if abs(res.gamma - best) > 1e-4 * max(1.0, best):
-            return False
-    return True
-
-
-def _suite_grad_check() -> bool:
-    from .fedsim import MlpModel
-    from .oracles import grad_check
-
-    model = MlpModel(dim=4, hidden=5, classes=3)
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        weights = model.init_weights(seed)
-        x = rng.normal(size=(8, 4))
-        y = rng.integers(0, 3, 8)
-        if grad_check(model, weights, x, y) >= 1e-5:
-            return False
-    return True
-
-
-def _suite_local_sgd_loop() -> bool:
-    from .fedsim import MlpModel, gen_task, local_updates
-    from .oracles import sgd_loop
-
-    # 23 training rows per shard: batches of 8, 8 and a short 7, over three
-    # classes, and over 2, 8 and 10 (numpy's class-axis sum turns pairwise at 8)
-    cases = [(clients, hidden, 8, 3) for clients, hidden in ((1, 4), (3, 4), (7, 4), (5, 64))]
-    cases += [(4, 8, 8, classes) for classes in (2, 8, 10)]
-    # and batches of one through a unit that no input reaches (its bias is
-    # -1e300) but whose outgoing weights overflow its gradient: the ReLU mask
-    # must give 0.0 there, where a multiply by the mask gives inf * 0 = NaN
-    cases.append((3, 8, 1, 3))
-    epochs, lr = 2, 0.1
-    for clients, hidden, batch, classes in cases:
-        task = SyntheticTask(dim=3, classes=classes, per_client=29, clients=clients, seed=clients)
-        data = gen_task(task)
-        model = MlpModel(dim=3, hidden=hidden, classes=classes)
-        start = model.init_weights(clients)
-        if batch == 1:
-            w1, b1, w2, b2 = (a.copy() for a in start.layers)
-            b1[0] = -1e300
-            w2[0] = [1.7e308, -1.7e308, 1.7e308]
-            start = ModelWeights([w1, b1, w2, b2])
-        rng = lambda k: np.random.default_rng([clients, k])  # noqa: E731
-        # gen_task's stack view, and the contiguous copy of the odd shards
-        # that run_experiment trains once the attackers drop out
-        everyone = list(range(clients))
-        inputs = [(everyone, data.train_x, data.train_y)]
-        odd = everyone[1::2]
-        if odd:
-            inputs.append((odd, data.train_x[odd], data.train_y[odd]))
-        for ids, xs, ys in inputs:
-            with np.errstate(over="ignore"):
-                try:
-                    rngs = [rng(k) for k in ids]
-                    batched = local_updates(model, start, xs, ys, epochs, batch, lr, rngs, ids)
-                except ValueError:
-                    return False
-                for k, update in zip(ids, batched):
-                    shard = data.clients[k]
-                    want = sgd_loop(start, shard.train_x, shard.train_y, epochs, batch, lr, rng(k))
-                    got = update.weights.layers
-                    if update.client_id != k or any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
-                        return False
-    return True
-
-
-def _suite_kde_direct() -> bool:
-    from .oracles import kde_density_direct, kde_pick
-    from .spectral import kde_density
-
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = int(rng.integers(2, 65))
-        s = rng.normal(0.0, rng.uniform(0.3, 2.0), n)
-        if np.all(s == s[0]):
-            continue
-        est = kde_density(s, 256)
-        ref = kde_density_direct(s, est.grid)
-        if np.max(np.abs(est.density - ref) / ref) >= 1e-6:
-            return False
-    # the banded pass against a double loop over the distinct values, on
-    # tie-heavy columns (repeated integers, mirrored clusters, one odd value)
-    # and on far-spread ones shaped like a random-weights attack, whose
-    # kernel terms take the guarded exp
-    checked = total = 0
-    for k in range(2, 51, 3):
-        spread = (2 * k) // 5
-        cols = np.stack(
-            [
-                rng.integers(-3, 4, k).astype(float),
-                np.resize(np.concatenate([[-1.5, 1.5], np.round(rng.normal(0.0, 0.1, 4), 1)]), k),
-                np.concatenate([np.full(k - 1, rng.normal()), [rng.normal(0.0, 5.0)]]),
-                np.concatenate([-np.abs(rng.normal(2.0, 0.2, k // 2)), np.abs(rng.normal(2.0, 0.2, k - k // 2))]),
-                np.concatenate([rng.normal(0.0, 0.3, spread), rng.normal(0.0, 0.01, k - spread)]),
-                np.concatenate([rng.normal(0.0, 0.3, spread), rng.normal(0.0, 0.01, k - spread)]),
-            ],
-            axis=1,
-        )
-        picked = fft_aggregate(_one_layer_updates(cols), FftStrategy()).layers[0]
-        for col, got in zip(cols.T, picked):
-            want = kde_pick(col)
-            total += 1
-            if want is not None:
-                checked += 1
-                if got != want:
-                    return False
-    return checked >= 0.8 * total
-
-
 def cmd_selftest(_: argparse.Namespace) -> int:
-    suites = [
-        ("fft-vs-naive-dft", _suite_fft_vs_dft),
-        ("ks-brute-force", _suite_ks_bruteforce),
-        ("ks-band-vs-exact", _suite_ks_band_vs_exact),
-        ("krum-exhaustive", _suite_krum_exhaustive),
-        ("minmax-gamma-grid", _suite_minmax_gamma),
-        ("gradient-finite-difference", _suite_grad_check),
-        ("local-sgd-loop", _suite_local_sgd_loop),
-        ("kde-direct-sum", _suite_kde_direct),
-    ]
+    from . import oracles  # imported here: no other command loads the references
+
     started = time.perf_counter()
     failed = 0
-    for name, suite in suites:
-        ok = suite()
-        print(f"{'PASS' if ok else 'FAIL'} {name}")
-        failed += 0 if ok else 1
+    for name, check in oracles.CHECKS.items():
+        case = check()
+        print(f"PASS {name}" if case is None else f"FAIL {name}: {case}")
+        failed += case is not None
     elapsed = time.perf_counter() - started
-    print(f"{len(suites) - failed}/{len(suites)} suites passed in {elapsed:.1f}s")
+    print(f"{len(oracles.CHECKS) - failed}/{len(oracles.CHECKS)} checks passed in {elapsed:.1f}s")
     if elapsed > 60.0:
         print("warning: selftest exceeded its 60 s budget", file=sys.stderr)
     return EXIT_OK if failed == 0 else EXIT_SELFTEST_FAIL
@@ -654,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ks.add_argument("sample_b")
     p_ks.set_defaults(func=cmd_ks_test)
 
-    p_self = sub.add_parser("selftest", help="run the numeric oracle suites")
+    p_self = sub.add_parser("selftest", help="run the numeric oracle checks")
     p_self.set_defaults(func=cmd_selftest)
     return parser
 

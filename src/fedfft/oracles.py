@@ -1,9 +1,11 @@
-"""Reference implementations that the fast paths are checked against.
+"""Reference implementations that the fast paths are checked against, and
+the checks that compare them.
 
-Each is written to be read, not to be fast: direct sums, loops and
-exhaustive searches over numpy arrays and ``math``. ``fedfft selftest`` and
-the test suite both take them from here. No module on a round's path
-imports this one, and neither does the package's ``__init__``.
+Each reference is written to be read, not to be fast: direct sums, loops
+and exhaustive searches over numpy arrays and ``math``. Each check in
+``CHECKS`` drives one reference over its own input family; ``fedfft
+selftest`` and the test suite both run the table. No module on a round's
+path imports this one, and neither does the package's ``__init__``.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ import operator
 
 import numpy as np
 
-from .detector import DetectorConfig, kolmogorov_pvalue
-from .fedsim import MlpModel
-from .spectral import silverman_bandwidth
-from .tensors import ModelWeights
+from .adversary import min_max_craft
+from .aggregators import krum_select
+from .detector import DetectorConfig, gaussian_ks_statistic, kolmogorov_pvalue, ks_statistic, mal_test
+from .fedsim import MlpModel, SyntheticTask, gen_task, local_updates
+from .fft_aggregator import FftStrategy, fft_aggregate
+from .spectral import fft, kde_density, silverman_bandwidth
+from .tensors import ClientUpdate, ModelWeights, pairwise_sq_distances
 
 
 def dft_naive(x) -> np.ndarray:
@@ -254,10 +259,10 @@ def grad_check(
 
     Relative error per parameter is |analytic - numeric| divided by
     max(|analytic|, |numeric|, 1e-8), so exactly matching (including both
-    zero) scores 0.
+    zero) scores 0, and a NaN on either side makes the result NaN.
     """
     analytic = model.gradients(weights, x, y)
-    worst = 0.0
+    errors = []
     layers = [a.copy() for a in weights.layers]
     for li, layer in enumerate(layers):
         flat = layer.ravel()
@@ -270,6 +275,267 @@ def grad_check(
             flat[i] = orig
             numeric = (loss_hi - loss_lo) / (2.0 * step)
             a = float(analytic[li].ravel()[i])
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst
+            errors.append(abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
+    # np.max, not max(): Python's max drops a NaN that is not its first argument
+    return float(np.max(errors))
+
+
+# ---------------------------------------------------------------------------
+# Checks: each drives one oracle over its own input family and returns None
+# when every case passes, or a string that names the first failing case.
+# ``fedfft selftest`` and the test suite both run CHECKS.
+# ---------------------------------------------------------------------------
+
+def _one_layer_updates(rows: np.ndarray) -> list[ClientUpdate]:
+    return [ClientUpdate(k, ModelWeights([row]), 1) for k, row in enumerate(rows)]
+
+
+def check_fft() -> str | None:
+    """``spectral.fft`` against :func:`dft_naive`, three normal rows at every
+    length 1-128 and at 257, and each row of a batch bit for bit as alone."""
+    rng = np.random.default_rng(7)
+    for n in [*range(1, 129), 257]:
+        x = rng.normal(size=(3, n))
+        err = float(np.max(np.abs([fft(row) for row in x] - dft_naive(x))))
+        if not err < 1e-9:
+            return f"n={n}: max error {err:.3e}"
+    # literal's batched selection agrees with fft_select only if every row of
+    # a batch transforms bit for bit as it does alone
+    batch = rng.normal(size=(37, 50))
+    for r, (got, row) in enumerate(zip(fft(batch), batch)):
+        if not np.array_equal(got, fft(row)):
+            return f"row {r} of a (37, 50) batch differs from its own transform"
+    return None
+
+
+def check_ks() -> str | None:
+    """The two-sample KS statistic against :func:`ecdf_distance` on integer
+    samples of size 1-8 over {0..4}; the detector's one-sample distance
+    against :func:`gaussian_ks_distance`, exactly, on 1-40 rows of 1-60
+    values with ties; and mal_test's scores under a power-of-two scaling."""
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        a = rng.integers(0, 5, rng.integers(1, 9)).astype(float)
+        b = rng.integers(0, 5, rng.integers(1, 9)).astype(float)
+        if ks_statistic(a, b) != ecdf_distance(a, b):
+            return f"a={a.tolist()} b={b.tolist()}"
+    for _ in range(20):
+        rows, n = int(rng.integers(1, 41)), int(rng.integers(1, 61))
+        batch = np.round(rng.normal(size=(rows, n)), 1)
+        mu = rng.normal(0.0, 0.3, rows)
+        sigma = rng.uniform(0.5, 2.0, rows)
+        got = gaussian_ks_statistic(batch, mu, sigma)
+        if got.shape != (rows,):
+            return f"rows={rows} n={n}: shape {got.shape}"
+        for r in range(rows):
+            if got[r] != gaussian_ks_distance(batch[r], mu[r], sigma[r]):
+                return f"rows={rows} n={n}: row {r}"
+    # the detector scores each draw at unit scale, so a power-of-two factor
+    # on every client, even one whose squares overflow or underflow, moves
+    # no score bit
+    mat = rng.normal(size=(30, 40))
+    mat[:8, ::2] += 4.0
+    scores = mal_test(_one_layer_updates(mat), DetectorConfig(), seed=1)
+    for power in (600, -600):
+        if not np.array_equal(mal_test(_one_layer_updates(mat * 2.0**power), DetectorConfig(), seed=1), scores):
+            return f"scores move when every client is scaled by 2**{power}"
+    return None
+
+
+def check_ks_band() -> str | None:
+    """mal_test's bulk pass (Floyd draws in rank space, decided by the
+    critical band) against :func:`ks_draw_scores`, every draw by its p-value."""
+    # a quarter of the clients is shifted on half of the coordinates, with
+    # tied and unanimous coordinates among them; 7 retained values at level
+    # 0.9 take the band's widest bounds
+    rng = np.random.default_rng(12)
+    for k, cfg in (
+        (8, DetectorConfig(subset_size=2, reject_level=0.5)),
+        (20, DetectorConfig(reject_level=0.2)),
+        (50, DetectorConfig()),
+        (12, DetectorConfig(reject_level=0.9)),
+    ):
+        mat = rng.normal(size=(k, 14))
+        mat[: k // 4, ::2] += rng.uniform(3.0, 8.0, 7)
+        mat[:, 3] = np.round(mat[:, 3])
+        mat[:, 5] = mat[0, 5]
+        seed = int(rng.integers(1 << 30))
+        got = mal_test(_one_layer_updates(mat), cfg, seed)
+        # a one-layer model's draws come from the stream keyed (seed, 0)
+        want = ks_draw_scores(mat, cfg, np.random.default_rng([seed, 0]))
+        case = f"K={k} s={cfg.subset_size} level={cfg.reject_level}"
+        if not np.array_equal(got, want):
+            return f"{case}: coordinates {np.nonzero(got != want)[0].tolist()}"
+        if not (got.max() > 0.0 and got.min() == 0.0):
+            return f"{case}: scores span [{got.min()}, {got.max()}], not a shifted and a clean coordinate"
+    return None
+
+
+def check_krum() -> str | None:
+    """Krum's pick against :func:`krum_scores` at K 4-7, every f in [0, K-3];
+    its distance kernel against :func:`broadcast_sq_distances`; and its
+    Gram-bounded pick against :func:`exact_krum_pick` on duplicated rows and
+    near ties."""
+    rng = np.random.default_rng(9)
+    for _ in range(100):
+        K = int(rng.integers(4, 8))
+        f = int(rng.integers(0, K - 2))
+        flat = rng.normal(size=(K, int(rng.integers(1, 5))))
+        if krum_select(_one_layer_updates(flat), f) != int(np.argmin(krum_scores(flat, f))):
+            return f"K={K} f={f} P={flat.shape[1]}"
+    # duplicates included, on row subsets of every size; 9000 values pass
+    # numpy's 8192-element einsum buffer
+    for K, P in ((1, 40), (2, 40), (3, 9000), (6, 9000), (11, 9000)):
+        rows = rng.normal(size=(K, P))
+        rows[K // 2] = rows[0]
+        want = broadcast_sq_distances(rows)
+        for which in [rng.choice(K, size, replace=False) for size in range(K + 1)]:
+            got = pairwise_sq_distances(rows, which)
+            if not np.array_equal(got[which], want[which]) or not np.array_equal(got.T[which], want.T[which]):
+                return f"distances K={K} P={P} rows {sorted(which.tolist())}"
+    for _ in range(20):
+        K = int(rng.integers(4, 13))
+        f = int(rng.integers(0, K - 2))
+        rows = rng.normal(size=(K, 9000))
+        rows[K // 2 :] = rows[rng.integers(0, K // 2)]
+        for offset, cand in (("", rows), (" near ties on 1e3", 1e3 + 1e-4 * rows)):
+            if krum_select(_one_layer_updates(cand), f) != exact_krum_pick(cand, f):
+                return f"K={K} f={f} P=9000{offset}"
+    return None
+
+
+def check_min_max() -> str | None:
+    """The min-max craft's gamma against :func:`min_max_gamma_grid`, on 2-4
+    points in 1 or 2 dimensions, scaled by 0.25-4."""
+    rng = np.random.default_rng(10)
+    for _ in range(30):
+        dim = int(rng.integers(1, 3))
+        m = int(rng.integers(2, 5))
+        pts = rng.normal(size=(m, dim)) * rng.uniform(0.25, 4.0)
+        res = min_max_craft([ModelWeights([row]) for row in pts])
+        best = min_max_gamma_grid(pts, res.perturbation_vec.flat(), max(4.0 * diameter(pts), 1.0))
+        if not abs(res.gamma - best) <= 1e-4 * max(1.0, best):
+            return f"m={m} dim={dim}: gamma {res.gamma!r}, grid {best!r}"
+    return None
+
+
+def check_gradients() -> str | None:
+    """Backprop against :func:`grad_check`'s finite differences on a 4-5-3
+    MLP at five initial weights."""
+    model = MlpModel(dim=4, hidden=5, classes=3)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(8, 4))
+        y = rng.integers(0, 3, 8)
+        err = grad_check(model, model.init_weights(seed), x, y)
+        if not err < 1e-5:
+            return f"seed={seed}: relative error {err:.2e}"
+    return None
+
+
+def check_local_sgd() -> str | None:
+    """``local_updates`` against :func:`sgd_loop` on each shard alone, bit for bit."""
+    # 23 training rows per shard: batches of 8, 8 and a short 7, over three
+    # classes, and over 2, 8 and 10 (numpy's class-axis sum turns pairwise at 8)
+    cases = [(clients, hidden, 8, 3) for clients, hidden in ((1, 4), (3, 4), (7, 4), (5, 64))]
+    cases += [(4, 8, 8, classes) for classes in (2, 8, 10)]
+    # and batches of one through a unit that no input reaches (its bias is
+    # -1e300) but whose outgoing weights overflow its gradient: the ReLU mask
+    # must give 0.0 there, where a multiply by the mask gives inf * 0 = NaN
+    cases.append((3, 8, 1, 3))
+    epochs, lr = 2, 0.1
+    for clients, hidden, batch, classes in cases:
+        task = SyntheticTask(dim=3, classes=classes, per_client=29, clients=clients, seed=clients)
+        data = gen_task(task)
+        model = MlpModel(dim=3, hidden=hidden, classes=classes)
+        start = model.init_weights(clients)
+        if batch == 1:
+            w1, b1, w2, b2 = (a.copy() for a in start.layers)
+            b1[0] = -1e300
+            w2[0] = [1.7e308, -1.7e308, 1.7e308]
+            start = ModelWeights([w1, b1, w2, b2])
+        rng = lambda k: np.random.default_rng([clients, k])  # noqa: E731
+        # gen_task's stack view, and the contiguous copy of the odd shards
+        # that run_experiment trains once the attackers drop out
+        everyone = list(range(clients))
+        inputs = [(everyone, data.train_x, data.train_y)]
+        odd = everyone[1::2]
+        if odd:
+            inputs.append((odd, data.train_x[odd], data.train_y[odd]))
+        for ids, xs, ys in inputs:
+            case = f"clients={clients} hidden={hidden} batch={batch} classes={classes} ids={ids}"
+            with np.errstate(over="ignore"):
+                try:
+                    batched = local_updates(model, start, xs, ys, epochs, batch, lr, [rng(k) for k in ids], ids)
+                except ValueError as exc:
+                    return f"{case}: {exc}"
+                for k, update in zip(ids, batched):
+                    shard = data.clients[k]
+                    want = sgd_loop(start, shard.train_x, shard.train_y, epochs, batch, lr, rng(k))
+                    got = update.weights.layers
+                    if update.client_id != k or any(a.tobytes() != b.tobytes() for a, b in zip(got, want)):
+                        return f"{case}: client {k}"
+    return None
+
+
+def check_kde() -> str | None:
+    """``kde_density`` against :func:`kde_density_direct` on normal, uniform
+    and two-cluster samples of 2-64 values, and kde's pick against
+    :func:`kde_pick` on tie-heavy and far-spread columns."""
+    rng = np.random.default_rng(11)
+    for trial in range(30):
+        n = int(rng.integers(2, 65))
+        if trial % 3 == 0:
+            s = rng.normal(0.0, rng.uniform(0.3, 3.0), n)
+        elif trial % 3 == 1:
+            s = rng.uniform(-5.0, 5.0, n)
+        else:
+            s = np.concatenate([rng.normal(-2.0, 0.4, n // 2), rng.normal(2.0, 0.4, n - n // 2)])
+        if np.all(s == s[0]):
+            continue
+        est = kde_density(s, 256)
+        ref = kde_density_direct(s, est.grid)
+        err = float(np.max(np.abs(est.density - ref) / ref))
+        if not err < 1e-6:
+            return f"n={n} sample {('normal', 'uniform', 'two-cluster')[trial % 3]}: relative error {err:.2e}"
+    # the banded pass against a double loop over the distinct values, on
+    # tie-heavy columns (repeated integers, mirrored clusters, one odd value)
+    # and on far-spread ones shaped like a random-weights attack, whose
+    # kernel terms take the guarded exp
+    checked = total = 0
+    for k in range(2, 51, 3):
+        spread = (2 * k) // 5
+        cols = np.stack(
+            [
+                rng.integers(-3, 4, k).astype(float),
+                np.resize(np.concatenate([[-1.5, 1.5], np.round(rng.normal(0.0, 0.1, 4), 1)]), k),
+                np.concatenate([np.full(k - 1, rng.normal()), [rng.normal(0.0, 5.0)]]),
+                np.concatenate([-np.abs(rng.normal(2.0, 0.2, k // 2)), np.abs(rng.normal(2.0, 0.2, k - k // 2))]),
+                np.concatenate([rng.normal(0.0, 0.3, spread), rng.normal(0.0, 0.01, k - spread)]),
+                np.concatenate([rng.normal(0.0, 0.3, spread), rng.normal(0.0, 0.01, k - spread)]),
+            ],
+            axis=1,
+        )
+        picked = fft_aggregate(_one_layer_updates(cols), FftStrategy()).layers[0]
+        for j, (col, got) in enumerate(zip(cols.T, picked)):
+            want = kde_pick(col)
+            total += 1
+            if want is not None:
+                checked += 1
+                if got != want:
+                    return f"K={k} column {j}: picked {float(got)!r}, want {float(want)!r}"
+    if checked < 0.8 * total:
+        return f"only {checked} of {total} columns have a pick to compare"
+    return None
+
+
+CHECKS = {
+    "fft-vs-naive-dft": check_fft,
+    "ks-brute-force": check_ks,
+    "ks-band-vs-exact": check_ks_band,
+    "krum-exhaustive": check_krum,
+    "minmax-gamma-grid": check_min_max,
+    "gradient-finite-difference": check_gradients,
+    "local-sgd-loop": check_local_sgd,
+    "kde-direct-sum": check_kde,
+}

@@ -331,30 +331,39 @@ def to_dump_dict(w: ModelWeights) -> dict:
 
 
 def from_dump_dict(doc: dict) -> ModelWeights:
+    """The weights of a dump document, typed as strictly as a config: a
+    shape's extents are JSON integers >= 1, the version is the integer 1, and
+    a layer's data is a flat list of JSON numbers. Every error names the layer."""
     if not isinstance(doc, dict):
         raise BadWeightDump("dump document must be a JSON object")
     version = doc.get("version")
-    if version != DUMP_VERSION:
+    if type(version) is not int or version != DUMP_VERSION:
         raise BadWeightDump(f"unsupported dump version {version!r}")
     layers_doc = doc.get("layers")
     if not isinstance(layers_doc, list) or not layers_doc:
         raise BadWeightDump("dump must contain a non-empty 'layers' list")
     layers = []
     for li, entry in enumerate(layers_doc):
-        try:
-            shape = tuple(int(d) for d in entry["shape"])
-            data = np.asarray(entry["data"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BadWeightDump(f"layer {li} is malformed: {exc}") from exc
-        if not np.all(np.isfinite(data)):
-            raise BadWeightDump(f"layer {li} contains non-finite values")
+        if not isinstance(entry, dict) or not {"shape", "data"} <= entry.keys():
+            raise BadWeightDump(f"layer {li} must be an object with 'shape' and 'data'")
+        shape, data = entry["shape"], entry["data"]
+        if not isinstance(shape, list) or any(type(d) is not int for d in shape):
+            raise BadWeightDump(f"layer {li} shape must be a list of integers, not {shape!r}")
         if any(d < 1 for d in shape):
             raise BadWeightDump(f"layer {li} has non-positive extent in shape {shape}")
-        if data.size != int(np.prod(shape)):
-            raise BadWeightDump(
-                f"layer {li} has {data.size} values for shape {shape}"
-            )
-        layers.append(data.reshape(shape))
+        if not isinstance(data, list) or any(type(v) not in (int, float) for v in data):
+            raise BadWeightDump(f"layer {li} data must be a list of numbers")
+        # Python ints: an int64 product of large extents would wrap
+        if len(data) != math.prod(shape):
+            raise BadWeightDump(f"layer {li} has {len(data)} values for shape {shape}")
+        try:
+            values = np.array(data, dtype=np.float64)
+            finite = np.all(np.isfinite(values))
+        except OverflowError:  # an integer beyond the largest float
+            finite = False
+        if not finite:
+            raise BadWeightDump(f"layer {li} contains non-finite values")
+        layers.append(values.reshape(shape))
     return ModelWeights(layers)
 
 

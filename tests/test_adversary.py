@@ -131,17 +131,6 @@ class TestMinMaxCraft:
                 )
                 assert worst_bumped > diameter
 
-    def test_matches_grid_search_oracle(self):
-        rng = np.random.default_rng(4)
-        for _ in range(60):
-            m = int(rng.integers(2, 5))
-            dim = int(rng.integers(1, 3))
-            pts = rng.normal(size=(m, dim)) * rng.uniform(0.25, 4.0)
-            res = min_max_craft([mw(p) for p in pts])
-            top = max(4.0 * oracles.diameter(pts), 1.0)
-            best = oracles.min_max_gamma_grid(pts, res.perturbation_vec.flat(), top)
-            assert res.gamma == pytest.approx(best, rel=1e-4, abs=1e-4)
-
     @staticmethod
     def _direct_bisection(pts, pvec):
         """The gamma search on direct norms: doubling from 1, cap, 60 halvings."""

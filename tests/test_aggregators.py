@@ -160,14 +160,11 @@ class TestKrum:
             with pytest.raises(ValueError, match="non-negative"):
                 krum_select(ups, f)
 
-    def test_matches_exhaustive_oracle(self):
+    def test_tie_heavy_rows_match_exhaustive_oracle(self):
+        # random rows are the krum-exhaustive check's and criterion 3's; here
+        # rows repeated from three distinct ones, and integer-rounded values
         rng = np.random.default_rng(3)
         cases = []
-        for _ in range(300):
-            k = int(rng.integers(4, 8))
-            f = int(rng.integers(0, k - 3 + 1))
-            cases.append((rng.normal(size=(k, 4)), f))
-        # tie-heavy: rows repeated from three distinct ones, integer-rounded values
         for k in (4, 20, 50):
             for _ in range(10):
                 vals = rng.normal(size=(k, 4))

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from fedfft import cli
+from fedfft import cli, oracles
 from fedfft.aggregators import KrumParam, TrimParam, coordinate_median, fed_avg, krum, trimmed_mean
 from fedfft.cli import load_config, main
 from fedfft.detector import dynamic_aggregate
@@ -380,6 +380,8 @@ class TestAggregateCommand:
         out = str(tmp_path / "out.json")
         for name, text in [
             ("version.json", '{"version": 99, "layers": []}'),
+            ("true.json", '{"version": true, "layers": [{"shape": [1], "data": [1.0]}]}'),
+            ("float.json", '{"version": 1.0, "layers": [{"shape": [1], "data": [1.0]}]}'),
             ("shape.json", '{"version": 1, "layers": [{"shape": [3], "data": [1.0, 2.0]}]}'),
             ("text.json", "not json"),
         ]:
@@ -388,6 +390,28 @@ class TestAggregateCommand:
             assert main(["aggregate", "--in", good, str(bad), "--out", out]) == 2
             err = capsys.readouterr().err
             assert str(bad) in err and good not in err
+
+    @pytest.mark.parametrize(
+        "layer",
+        [
+            {"shape": [1.5], "data": [1.0]},
+            {"shape": [True], "data": [1.0]},
+            {"shape": ["2"], "data": [1.0, 2.0]},
+            {"shape": [2**32, 2**32], "data": []},  # the extent product wraps in int64
+            {"shape": [1], "data": True},
+            {"shape": [1], "data": ["1"]},
+            {"shape": [1, 1], "data": [[1.0]]},
+            {"shape": [1], "data": [10**400]},
+            {"shape": [1]},
+            [1.0],
+        ],
+    )
+    def test_malformed_layer_exit_two(self, tmp_path, capsys, layer):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"version": 1, "layers": [{"shape": [1], "data": [1.0]}, layer]}))
+        assert main(["aggregate", "--in", str(bad), "--out", str(tmp_path / "out.json")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "layer 1" in err
 
     def test_non_finite_dump_exit_two(self, tmp_path, capsys):
         # Python's json reads NaN and Infinity, and 1e999 overflows to inf,
@@ -493,18 +517,22 @@ class TestKsTestCommand:
 
 
 class TestSelftestCommand:
-    def test_passes_and_reports_suites(self, capsys):
-        assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("PASS") >= 5
-        assert "PASS local-sgd-loop" in out
-        assert "PASS ks-band-vs-exact" in out
-        assert "FAIL" not in out
+    @pytest.mark.parametrize("name", list(oracles.CHECKS))
+    def test_check_passes(self, name):
+        assert oracles.CHECKS[name]() is None
 
-    def test_crashing_suite_exit_three(self, monkeypatch, capsys):
+    def test_failing_check_exit_one(self, monkeypatch, capsys):
+        table = {"holds": lambda: None, "breaks": lambda: "n=97"}
+        monkeypatch.setattr(oracles, "CHECKS", table)
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["PASS holds", "FAIL breaks: n=97"]
+        assert out[2].startswith("1/2 checks passed in ")
+
+    def test_crashing_check_exit_three(self, monkeypatch, capsys):
         def crash():
-            raise RuntimeError("suite crashed")
+            raise RuntimeError("check crashed")
 
-        monkeypatch.setattr(cli, "_suite_grad_check", crash)
+        monkeypatch.setattr(oracles, "CHECKS", {"crash": crash})
         assert main(["selftest"]) == 3
-        assert capsys.readouterr().err.splitlines() == ["error: suite crashed"]
+        assert capsys.readouterr().err.splitlines() == ["error: check crashed"]

