@@ -23,6 +23,7 @@ import numpy as np
 from .tensors import (
     ClientUpdate,
     ModelWeights,
+    check_layer_shapes,
     pairwise_sq_distances,
     sq_distance_bounds,
     stack_flat,
@@ -194,6 +195,7 @@ def min_max_craft(malicious: Sequence[ModelWeights], kind: str = INVERSE_UNIT_VE
     """
     if not malicious:
         raise ValueError("need at least one malicious update")
+    check_layer_shapes(malicious, lambda m: f"colluder {m}")
     stack = stack_flat(malicious)
     mean = stack.mean(axis=0)
     pvec = _direction(stack, mean, kind)

@@ -82,8 +82,9 @@ class ClientData:
 class TaskData:
     """Every client's shard, plus the global held-out test set.
 
-    ``train_x`` (K, n, d) and ``train_y`` (K, n) stack the training shards;
-    each ``clients[k]`` holds views of row k, so the stack is the one copy.
+    ``train_x`` (K, n, d) and ``train_y`` (K, n) are C-contiguous stacks of
+    the training shards; each ``clients[k]`` holds views of row k of them and
+    of test stacks of the same form, so every row has one copy.
     """
 
     clients: tuple[ClientData, ...]
@@ -100,37 +101,33 @@ def gen_task(task: SyntheticTask) -> TaskData:
     dirs = rng.normal(size=(task.classes, task.dim))
     centers = CENTER_RADIUS * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
-    x = np.empty((task.clients, task.per_client, task.dim))
-    y = np.empty((task.clients, task.per_client), dtype=np.int64)
-    for k in range(task.clients):
+    # client k draws its labels, then the noise of all its rows in one draw,
+    # and writes both straight into the stacks, split at n_train
+    K, n_train = task.clients, int(TRAIN_SPLIT * task.per_client)
+    n_test = task.per_client - n_train
+    train_x, test_x = np.empty((K, n_train, task.dim)), np.empty((K, n_test, task.dim))
+    train_y, test_y = np.empty((K, n_train), dtype=np.int64), np.empty((K, n_test), dtype=np.int64)
+    for k in range(K):
         crng = np.random.default_rng([task.seed, _SALT_CLIENT_DATA, k])
         if task.dirichlet_alpha is None:
-            y[k] = crng.integers(0, task.classes, task.per_client)
+            y = crng.integers(0, task.classes, task.per_client)
         else:
             mix = crng.dirichlet(np.full(task.classes, task.dirichlet_alpha))
-            y[k] = crng.choice(task.classes, size=task.per_client, p=mix)
-        x[k] = centers[y[k]] + crng.normal(0.0, task.noise_sigma, (task.per_client, task.dim))
-    n_train = int(TRAIN_SPLIT * task.per_client)
+            y = crng.choice(task.classes, size=task.per_client, p=mix)
+        x = crng.normal(0.0, task.noise_sigma, (task.per_client, task.dim))
+        x += centers[y]
+        train_x[k], test_x[k] = x[:n_train], x[n_train:]
+        train_y[k], test_y[k] = y[:n_train], y[n_train:]
     shards = tuple(
-        ClientData(
-            train_x=x[k, :n_train],
-            train_y=y[k, :n_train],
-            test_x=x[k, n_train:],
-            test_y=y[k, n_train:],
-        )
-        for k in range(task.clients)
+        ClientData(train_x=train_x[k], train_y=train_y[k], test_x=test_x[k], test_y=test_y[k])
+        for k in range(K)
     )
 
     grng = np.random.default_rng([task.seed, _SALT_GLOBAL_TEST])
     gy = grng.integers(0, task.classes, GLOBAL_TEST_SIZE)
     gx = centers[gy] + grng.normal(0.0, task.noise_sigma, (GLOBAL_TEST_SIZE, task.dim))
     return TaskData(
-        clients=shards,
-        train_x=x[:, :n_train],
-        train_y=y[:, :n_train],
-        global_test_x=gx,
-        global_test_y=gy,
-        centers=centers,
+        clients=shards, train_x=train_x, train_y=train_y, global_test_x=gx, global_test_y=gy, centers=centers
     )
 
 
@@ -317,21 +314,6 @@ def _one_hot(y: np.ndarray, classes: int) -> np.ndarray:
     return hot
 
 
-def _shard_rows(stack: np.ndarray) -> tuple[np.ndarray, int]:
-    """The rows of every shard of a (K, n, ...) stack as one (R, ...) view,
-    and how many of its rows lie from one shard's first row to the next's:
-    shard k's row i is row ``k * step + i``. A stack whose shards lie apart
-    by no whole, non-negative number of rows is copied once."""
-    if stack.strides[1] <= 0 or stack.strides[0] < 0 or stack.strides[0] % stack.strides[1]:
-        stack = np.ascontiguousarray(stack)
-    K, n = stack.shape[:2]
-    step = stack.strides[0] // stack.strides[1]
-    rows = np.lib.stride_tricks.as_strided(
-        stack, ((K - 1) * step + n, *stack.shape[2:]), stack.strides[1:], writeable=False
-    )
-    return rows, step
-
-
 def local_updates(
     model: MlpModel,
     weights: ModelWeights,
@@ -371,11 +353,13 @@ def local_updates(
     shapes, B, d = weights.shapes, min(block, K), train_x.shape[2]
     matrix = np.empty((K, weights.num_params))
     grad_rows = np.empty((B, weights.num_params))
-    # a block's batches are gathered by row number from one view of the
-    # inputs' rows and from one one-hot label table for the call
-    x_rows, x_step = _shard_rows(train_x)
+    # a block's batches are gathered by row number from one table of the
+    # inputs' rows and one one-hot label table for the call; client k's row i
+    # is row k * n + i of both. The input table is a view of a C-contiguous
+    # stack, and numpy's reshape copies any other layout once.
+    x_rows = train_x.reshape(K * n, d)
     hot_rows = _one_hot(train_y, model.classes).reshape(K * n, -1)
-    x_at, hot_at = np.empty((B, n), dtype=np.intp), np.empty((B, n), dtype=np.intp)
+    x_at = np.empty((B, n), dtype=np.intp)
     hot = np.empty((B, n, hot_rows.shape[1]), dtype=bool)
     inputs = np.empty(B * batch * d, dtype=train_x.dtype)
     for lo in range(0, K, block):
@@ -385,19 +369,16 @@ def local_updates(
         params[:] = weights.flat()
         layers = _layer_views(params, shapes)
         work = _StepBuffers.new(layers, batch, _layer_views(grad, shapes))
-        shards = np.arange(lo, hi)[:, None]
-        first_rows, to_hot = shards * x_step + np.arange(n), shards * (n - x_step)
+        first_rows = np.arange(lo, hi)[:, None] * n + np.arange(n)
         for _ in range(epochs):
             # client k shuffles its shard's row numbers in place, which draws
             # from rngs[k] as permutation(n) does and permutes them alike
             x_at[:b] = first_rows
             for i, k in enumerate(range(lo, hi)):
                 rngs[k].shuffle(x_at[i])
-            # the same rows' numbers in the label table, k * n + i; every
-            # index is in range, and mode "clip" spares take the copy of
-            # ``out`` that its default mode makes
-            np.add(x_at[:b], to_hot, out=hot_at[:b])
-            np.take(hot_rows, hot_at[:b], axis=0, out=hot[:b], mode="clip")
+            # every index is in range, and mode "clip" spares take the copy
+            # of ``out`` that its default mode makes
+            np.take(hot_rows, x_at[:b], axis=0, out=hot[:b], mode="clip")
             for start in range(0, n, batch):
                 m = min(batch, n - start)
                 x = inputs[: b * m * d].reshape(b, m, d)

@@ -272,11 +272,14 @@ def fft_select(v, strategy: FftStrategy = FftStrategy()) -> Selection:
     """Pick one client's value from a cross-client coordinate vector.
 
     Returns the selected value and the lowest client index holding it.
-    Unanimous vectors (including length 1) select client 0's value.
+    Unanimous vectors (including length 1) select client 0's value. A
+    non-finite value raises ValueError.
     """
     values = np.asarray(v, dtype=np.float64)
     if values.size == 0:
         raise EmptyVector("coordinate vector is empty")
+    if not np.isfinite(values).all():
+        raise ValueError("coordinate vector has non-finite values")
     picked = float(_selected_values(values[None, :], strategy)[0])
     client = int(np.nonzero(values == picked)[0][0])
     return Selection(picked, client)

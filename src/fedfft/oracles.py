@@ -455,8 +455,8 @@ def check_local_sgd() -> str | None:
             w2[0] = [1.7e308, -1.7e308, 1.7e308]
             start = ModelWeights([w1, b1, w2, b2])
         rng = lambda k: np.random.default_rng([clients, k])  # noqa: E731
-        # gen_task's stack view, and the contiguous copy of the odd shards
-        # that run_experiment trains once the attackers drop out
+        # gen_task's contiguous stack, and the copy of the odd shards that
+        # run_experiment trains once the attackers drop out
         everyone = list(range(clients))
         inputs = [(everyone, data.train_x, data.train_y)]
         odd = everyone[1::2]

@@ -158,10 +158,14 @@ def kde_density(
 
     Raises
     ------
+    ValueError
+        If a value is not finite.
     DegenerateSample
         If fewer than two values or all values identical.
     """
     sample = np.asarray(sample, dtype=np.float64).ravel()
+    if not np.isfinite(sample).all():
+        raise ValueError("sample has non-finite values")
     n = sample.size
     if n < 2 or np.all(sample == sample[0]):
         raise DegenerateSample("need >= 2 values that are not all identical")

@@ -20,7 +20,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -149,15 +149,21 @@ def validate_uniform(updates: Sequence[ClientUpdate]) -> None:
     """
     if len(updates) == 0:
         raise EmptyUpdateSet("no client updates")
-    ref = updates[0].weights.shapes
-    for u in updates[1:]:
-        shapes = u.weights.shapes
+    check_layer_shapes([u.weights for u in updates], lambda i: f"client {updates[i].client_id}")
+
+
+def check_layer_shapes(weights: Sequence[ModelWeights], name: Callable[[int], str]) -> None:
+    """Raise ShapeMismatch on the first model, and its first layer, whose
+    layer structure disagrees with ``weights[0]``'s; ``name(i)`` names model i."""
+    ref = weights[0].shapes
+    for i, w in enumerate(weights):
+        shapes = w.shapes
         if shapes == ref:
             continue
         if len(shapes) != len(ref):
-            raise ShapeMismatch(f"client {u.client_id} has {len(shapes)} layers, expected {len(ref)}")
+            raise ShapeMismatch(f"{name(i)} has {len(shapes)} layers, expected {len(ref)}")
         li = next(li for li, (got, want) in enumerate(zip(shapes, ref)) if got != want)
-        raise ShapeMismatch(f"client {u.client_id} layer {li} has shape {shapes[li]}, expected {ref[li]}")
+        raise ShapeMismatch(f"{name(i)} layer {li} has shape {shapes[li]}, expected {ref[li]}")
 
 
 _scratch = threading.local()

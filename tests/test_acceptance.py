@@ -60,11 +60,13 @@ def updates_from_matrix(mat, size=1):
 def test_criterion_01_fft_matches_naive_dft():
     rng = np.random.default_rng(2024)
     started = time.perf_counter()
+    # every fold here and below is np.maximum, which keeps a NaN case's NaN:
+    # Python's max(0.0, nan) is 0.0, and would pass it
     worst = 0.0
     for n in range(1, 301):
         inputs = rng.normal(size=(20, n))
         for x, want in zip(inputs, oracles.dft_naive(inputs)):
-            worst = max(worst, float(np.max(np.abs(fft(x) - want))))
+            worst = np.maximum(worst, np.max(np.abs(fft(x) - want)))
     elapsed = time.perf_counter() - started
     report(
         "criterion 1 (fft vs naive dft)",
@@ -134,14 +136,14 @@ def test_criterion_04_minmax_gamma_oracle():
         pts = rng.normal(size=(m, dim)) * rng.uniform(0.2, 5.0)
         res = min_max_craft([ModelWeights([p]) for p in pts])
         diameter = oracles.diameter(pts)
-        worst = max(float(np.linalg.norm(res.crafted.flat() - p)) for p in pts)
-        worst_residual = max(worst_residual, (worst - diameter) / (1.0 + diameter))
+        worst = np.max([np.linalg.norm(res.crafted.flat() - p) for p in pts])
+        worst_residual = np.maximum(worst_residual, (worst - diameter) / (1.0 + diameter))
         # the feasible gamma always lies below the diameter, so the 1e5-point
         # grid covers [0, diameter]; its own quantum is one step
         best = oracles.min_max_gamma_grid(pts, res.perturbation_vec.flat(), diameter)
         step = diameter / 99_999
-        if best > 0:
-            worst_rel = max(worst_rel, max(0.0, abs(res.gamma - best) - step) / best)
+        if best != 0:  # not best > 0, which would skip a NaN
+            worst_rel = np.maximum(worst_rel, np.maximum(0.0, abs(res.gamma - best) - step) / best)
 
     single = min_max_craft([ModelWeights([np.array([1.0, 2.0])])])
     dup = min_max_craft([ModelWeights([np.array([3.0])])] * 4)
@@ -172,7 +174,7 @@ def test_criterion_05_gradient_check_100_seeds():
         ])
         x = rng.normal(size=(8, 4))
         y = rng.integers(0, 3, 8)
-        worst = max(worst, oracles.grad_check(model, weights, x, y))
+        worst = np.maximum(worst, oracles.grad_check(model, weights, x, y))
     report(
         "criterion 5 (gradient check)",
         worst < 1e-5,

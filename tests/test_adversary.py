@@ -24,7 +24,7 @@ from fedfft.adversary import (
     min_max_craft,
     random_weights,
 )
-from fedfft.tensors import ClientUpdate, ModelWeights, pairwise_sq_distances
+from fedfft.tensors import ClientUpdate, ModelWeights, ShapeMismatch, pairwise_sq_distances
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -105,6 +105,19 @@ class TestMinMaxCraft:
         res = min_max_craft([mw([0.0]), mw([2.0])])
         assert res.gamma == pytest.approx(1.0, abs=1e-12)
         assert res.crafted.layers[0][0] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "colluders, message",
+        [
+            # one size in two layouts, two sizes, two layer counts
+            ([mw(np.ones((2, 1)))] * 2 + [mw(np.ones((1, 2)))], r"colluder 2 layer 0 has shape \(1, 2\), expected \(2, 1\)"),
+            ([mw(np.ones(2)), mw(np.ones(3))], r"colluder 1 layer 0 has shape \(3,\), expected \(2,\)"),
+            ([mw(np.ones(2)), mw(np.ones(1), np.ones(1))], "colluder 1 has 2 layers, expected 1"),
+        ],
+    )
+    def test_colluders_of_other_layer_shapes_raise(self, colluders, message):
+        with pytest.raises(ShapeMismatch, match=message):
+            min_max_craft(colluders)
 
     def _feasibility(self, points, res):
         crafted = res.crafted.flat()

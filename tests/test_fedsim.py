@@ -1,6 +1,9 @@
 import inspect
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,11 +114,17 @@ class TestGenTaskStack:
                 assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
     def test_client_shards_are_views_of_the_stack(self):
-        data = gen_task(SyntheticTask(clients=4, seed=2))
+        task = SyntheticTask(clients=4, seed=2)
+        data = gen_task(task)
+        assert data.train_x.flags.c_contiguous and data.train_y.flags.c_contiguous
+        # the stacks own their rows, and the test rows lie in stacks of their own
+        assert data.train_x.base is None and data.train_y.base is None
         for k, shard in enumerate(data.clients):
-            assert np.shares_memory(shard.train_x, data.train_x)
-            assert np.shares_memory(shard.train_y, data.train_y)
             assert np.shares_memory(shard.train_x, data.train_x[k])
+            assert np.shares_memory(shard.train_y, data.train_y[k])
+            for test, rows in ((shard.test_x, data.train_x), (shard.test_y, data.train_y)):
+                assert not np.shares_memory(test, rows)
+                assert test.base.shape == (task.clients, *test.shape)
 
     def test_stack_deterministic_per_seed(self):
         a, b = gen_task(SyntheticTask(seed=9)), gen_task(SyntheticTask(seed=9))
@@ -214,10 +223,13 @@ class TestBatchedSgd:
         assert_matches_loop(task, hidden, 2)
 
     def test_stack_view_and_subset_copy(self):
-        # gen_task's (K, n, d) stack is a view that skips each shard's test
-        # rows; run_experiment trains an honest subset from a contiguous copy
+        # gen_task's (K, n, d) stack is C-contiguous, so its rows reshape to
+        # one (K * n, d) view; run_experiment trains an honest subset from a
+        # contiguous copy
         task = SyntheticTask(per_client=60, clients=20, seed=11)
-        assert not gen_task(task).train_x.flags.c_contiguous
+        stack = gen_task(task).train_x
+        assert stack.flags.c_contiguous
+        assert np.shares_memory(stack.reshape(-1, task.dim), stack)
         assert_matches_loop(task, 16, 2)
         assert_matches_loop(task, 16, 2, ids=[0, 2, 3, 5, 8, 9, 11, 13, 14, 16, 17, 19])
 
@@ -511,6 +523,37 @@ class TestRunExperiment:
             assert ra.global_loss == rb.global_loss
             assert ra.decision == rb.decision
             assert ra.detector_score == rb.detector_score
+
+    def test_results_do_not_depend_on_blas_threads(self):
+        # a round at sim-minmax-wide's shape (a 64-256-4 model, 50 clients)
+        # under three rules: every aggregate and record must have the same
+        # bytes at one and two BLAS threads, whose products may split a sum
+        script = (
+            "import hashlib\n"
+            "from fedfft.adversary import AttackSpec\n"
+            "from fedfft.fedsim import AggregatorSpec, SyntheticTask, TrainConfig, run_experiment\n"
+            "task = SyntheticTask(dim=64, clients=50, noise_sigma=1.5)\n"
+            "rules = (('fedavg', 'none', 0.0), ('krum', 'min_max', 0.4), ('dynamic', 'random_weights', 0.4))\n"
+            "for kind, attack, share in rules:\n"
+            "    h = hashlib.sha256()\n"
+            "    cfg = TrainConfig(rounds=2, hidden=256, aggregator=AggregatorSpec(kind=kind),\n"
+            "                      attack=AttackSpec(kind=attack, attacker_fraction=share))\n"
+            "    records = run_experiment(cfg, task, lambda r, u, w: h.update(w.flat().tobytes()))\n"
+            "    h.update(repr(records).encode())\n"
+            "    print(kind, h.hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            done = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert len(outputs[0].splitlines()) == 3
+        assert outputs[0] == outputs[1]
 
     def test_default_run_converges(self):
         records = run_experiment(TrainConfig(seed=0), SyntheticTask(seed=0))

@@ -8,7 +8,7 @@ import pytest
 from fedfft import fft_aggregator, tensors
 from fedfft.fft_aggregator import EmptyVector, FftStrategy, fft_aggregate, fft_select
 from fedfft.oracles import TIE_MARGIN, dft_naive, kde_density_direct, kde_pick
-from fedfft.spectral import silverman_bandwidth
+from fedfft.spectral import kde_density, silverman_bandwidth
 from fedfft.tensors import ClientUpdate, ModelWeights
 
 LITERAL = FftStrategy(kind="literal")
@@ -30,6 +30,20 @@ class TestFftSelect:
     def test_empty_vector(self):
         with pytest.raises(EmptyVector):
             fft_select(np.array([]), KDE)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "call, what",
+        [
+            (lambda v: fft_select(v, KDE), "coordinate vector"),
+            (lambda v: fft_select(v, LITERAL), "coordinate vector"),
+            (kde_density, "sample"),
+        ],
+    )
+    def test_non_finite_values_raise(self, call, what, bad):
+        for v in ([bad, 1.0, 2.0], [1.0, 2.0, bad], [bad]):
+            with pytest.raises(ValueError, match=f"{what} has non-finite values"):
+                call(np.array(v))
 
     def test_literal_hand_case(self):
         # bins 1..3 of sorted [1,2,3,4] have magnitudes (2.828, 2, 2.828);
