@@ -25,12 +25,15 @@ from one coordinate vector is the one-row case of it.
   temporaries in per-thread scratch buffers (:func:`tensors.scratch`).
 
 No client value may set the server's time, yet numpy's vectorised ``exp``
-is about ten times slower on every lane whose result underflows, and far
-spread sets (random weights) put many kernel arguments there. So a row whose
-values span 37 bandwidths or more goes in chunks of its own, where every
-argument below -746, whose ``exp`` is exactly +0.0 anyway, is replaced by
--0.0 and its term multiplied by 0 afterwards. The terms stay bit for bit
-those of ``np.exp``.
+costs 15-167 ns on a lane whose result is subnormal or zero, against 0.7 ns
+on its fast path, and far spread sets (random weights, a shelf of attackers
+about 37 bandwidths out) put many kernel arguments there. So a row whose
+values span 37 bandwidths or more goes in chunks of its own, and these
+chunks, like any chunk that holds a run of equal values, raise every kernel
+argument to -80 at least before its ``exp``. e^-80 < 2^-110 is a normal
+float, so every lane stays on the fast path. Every score starts at 1, and
+no term at or below 2^-110 can change a score bit, so the picks are exactly
+those of plain ``np.exp``.
 
 Both strategies select an existing client value, never an interpolation.
 """
@@ -90,11 +93,12 @@ class EmptyVector(ValueError):
 _KDE_CHUNK = 1 << 18
 # A row whose values span fewer than _KDE_FAR_SPAN bandwidths keeps each
 # kernel argument above -37^2 / 2, clear of exp's subnormal and underflow
-# range below about -708. Only the other ("far") rows take the guarded exp
-# of _kernel_terms, in chunks of their own. np.exp is exactly +0.0 below
-# _EXP_ZERO.
+# range below about -708. The other ("far") rows go in chunks of their own,
+# which take the guarded exp of _kernel_terms, as does any chunk with a run
+# of equal values. The guard raises each argument to _FLOOR at least, and
+# e^_FLOOR < 2^-115 is a normal float.
 _KDE_FAR_SPAN = 37.0
-_EXP_ZERO = -746.0
+_FLOOR = -80.0
 # Each row is scaled by tensors.unit_scale, and then by 2^m with m at most
 # _KERNEL_EXPONENT. A bandwidth never falls below _H_FLOOR, so no
 # difference is divided by 0.
@@ -123,86 +127,87 @@ def _literal_values(cols: np.ndarray, include_dc: bool) -> np.ndarray:
     return sorted_cols[np.arange(n), bins]
 
 
-def _kernel_terms(diff: np.ndarray, h: np.ndarray, far: bool) -> np.ndarray | None:
+def _kernel_terms(diff: np.ndarray, h: np.ndarray, guard: bool, stop: bool = False) -> np.ndarray | None:
     """exp(-(diff / h)^2 / 2) in place, for differences of client values.
 
     ``h`` holds the bandwidths and broadcasts against ``diff``. Every kde
     term is this expression, so a term has the same bits in any chunk.
 
-    ``far`` rows may have arguments that underflow, and numpy's vectorised
-    ``exp`` leaves its fast path for such lanes (about 10x slower each). Every
-    argument below _EXP_ZERO gives exactly +0.0, so those lanes are set to
-    -0.0 (exp 1) and multiplied by 0 afterwards; the clamp first turns -inf
-    arguments into finite ones, since -inf * 0 is NaN. NaN lanes stay NaN.
-    The terms are bit for bit ``np.exp`` of the same arguments either way.
-    For ``far`` rows, None means that every argument lies below _EXP_ZERO,
-    so that every term is +0.0.
+    With ``guard``, each argument is first raised to _FLOOR at least by
+    ``np.fmax``, which also turns a NaN or -inf argument into _FLOOR. A term
+    whose argument lies above _FLOOR is then bit for bit ``np.exp``'s, and
+    every other term is e^_FLOOR, a normal float below 2^-110, so no lane
+    leaves exp's fast path. With ``stop`` as well, None means that every
+    argument lies at or below _FLOOR.
     """
     diff /= h
     diff *= diff
     diff *= -0.5
-    if not far:
-        return np.exp(diff, out=diff)
-    keep = np.greater_equal(diff, _EXP_ZERO, out=scratch("kde.keep", diff.shape, bool))
-    if not keep.any():
-        return None
-    np.maximum(diff, _EXP_ZERO, out=diff)
-    diff *= keep
-    np.exp(diff, out=diff)
-    diff *= keep
-    return diff
+    if guard:
+        np.fmax(diff, _FLOOR, out=diff)
+        if stop and diff.max() <= _FLOOR:
+            return None
+    return np.exp(diff, out=diff)
 
 
 def _kde_picks(z: np.ndarray, h: np.ndarray, far: bool) -> np.ndarray:
     """Position, in each column of a chunk, of the value of highest density.
 
     ``z`` is (K, r): column c holds one coordinate's K client values in
-    ascending order, and ``h[c]`` its bandwidth. Value i scores
-    sum_j w_j exp(-((z_i - z_j) / h)^2 / 2) over its column, with w_j 1 for
-    the first of each run of equal values and 0 for the others, so each
-    distinct value counts once; the other members of a run are not
-    candidates. The best score wins, an exact tie goes to the value more
-    clients sent, and then to the smaller value.
+    ascending order, and ``h[c]`` its bandwidth; ``z`` is overwritten. Value
+    i scores 1 + sum_j exp(-((z_i - z_j) / h)^2 / 2) over the other first
+    members j of runs of equal values, so each distinct value counts once;
+    the other members of a run are not candidates. The best score wins, an
+    exact tie goes to the value more clients sent, and then to the smaller
+    value.
 
     The terms of the pairs d apart are formed once, for d = 1 .. K-1, and
     each is added to both ends. A value takes the sum of its two terms at
-    offset d, left plus right, so that mirrored values get equal scores. On
-    a sorted column a later offset is never nearer, so once every argument
-    of an offset lies below _EXP_ZERO (checked on ``far`` chunks only) every
-    later term is +0.0 and would change no sum. A column's scores therefore
-    do not depend on the chunk it is in.
+    offset d, left plus right, so that mirrored values get equal scores.
+
+    ``far`` chunks, and chunks with runs, take the guarded terms of
+    :func:`_kernel_terms`, whose arguments are raised to _FLOOR at least. A
+    run's later members are set to NaN first, so that each of their pairs
+    gives e^_FLOOR. This changes no score bit. A score starts at 1 and only
+    grows, so half a unit in its last place is at least 2^-53. A floored
+    term t = e^_FLOOR < 2^-110 stands where plain ``np.exp``, with the
+    run's other members weighted 0, gives some t' in [0, t]. Added to a
+    term u >= 2^-56, either leaves u, as both lie below half of u's last
+    place; any other sum that holds t or t' lies below 2^-55, and leaves the
+    score as it is. So the scores, and the picks, are bit for bit those of
+    plain ``np.exp`` with run weights. On a sorted column a later offset is
+    never nearer, so a ``far`` chunk without runs stops once every argument
+    of an offset lies at or below _FLOOR: every later term is at most
+    e^_FLOOR too. A column's scores therefore do not depend on the chunk it
+    is in.
     """
     k, r = z.shape
-    w = scratch("kde.weight", (k, r))
-    w[0] = 1.0
-    np.not_equal(z[1:], z[:-1], out=w[1:])
-    runs = not w.all()
+    same = np.equal(z[1:], z[:-1], out=scratch("kde.same", (k - 1, r), bool))
+    runs = same.any()
+    if runs:
+        np.copyto(z[1:], np.nan, where=same)
     score = scratch("kde.score", (k, r))
-    np.copyto(score, w)
+    score.fill(1.0)
     for d in range(1, k):
         diff = np.subtract(z[d:], z[:-d], out=scratch("kde.diff", (k - d, r)))
-        terms = _kernel_terms(diff, h, far)
+        terms = _kernel_terms(diff, h, far or runs, far and not runs)
         if terms is None:
             break
         # terms[i] is the pair (i, i + d): the right term of i, the left of i + d
-        left, right = terms, terms
-        if runs:
-            left = np.multiply(terms, w[:-d], out=scratch("kde.left", (k - d, r)))
-            right = np.multiply(terms, w[d:], out=scratch("kde.right", (k - d, r)))
         both = k - 2 * d
         if both > 0:
-            score[d : k - d] += np.add(left[:both], right[d:], out=scratch("kde.both", (both, r)))
-            score[k - d :] += left[both:]
-            score[:d] += right[:d]
+            score[d : k - d] += np.add(terms[:both], terms[d:], out=scratch("kde.both", (both, r)))
+            score[k - d :] += terms[both:]
+            score[:d] += terms[:d]
         else:
-            score[d:] += left
-            score[: k - d] += right
+            score[d:] += terms
+            score[: k - d] += terms
     if not runs:
         return np.argmax(score, axis=0)
-    score *= w
+    np.copyto(score[1:], 0.0, where=same)
     tied = np.equal(score, score.max(axis=0), out=scratch("kde.tied", (k, r), bool))
     # a run starting at i ends where the next run starts
-    starts = np.where(w[1:] > 0, np.arange(1, k)[:, None], k)
+    starts = np.where(same, k, np.arange(1, k)[:, None])
     ends = np.minimum.accumulate(starts[::-1], axis=0)[::-1]
     count = np.subtract(np.vstack([ends, np.full((1, r), k)]), np.arange(k)[:, None])
     count *= tied
@@ -223,7 +228,8 @@ def _kde_values(cols: np.ndarray) -> np.ndarray:
     scalings are exact for rows in the normal range. The pick is the client
     value of highest density (:func:`_kde_picks`). Rows whose values span
     _KDE_FAR_SPAN bandwidths or more are moved behind the others and go in
-    chunks of their own, so only they pay for the guarded exp.
+    chunks of their own, so that near chunks without runs keep plain
+    ``np.exp``.
     """
     k = cols.shape[1]
     s = scratch("kde.sorted", cols.shape)

@@ -290,6 +290,33 @@ def _one_layer_updates(rows: np.ndarray) -> list[ClientUpdate]:
     return [ClientUpdate(k, ModelWeights([row]), 1) for k, row in enumerate(rows)]
 
 
+def shelf_rows(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """(n, k) rows of a shelf attack on the kde: k - k // 5 honest N(0, 1)
+    values and k // 5 attackers 36.6-39.6 bandwidths above the honest
+    median, so that many kernel arguments land in (-746, -708), where
+    numpy's ``exp`` leaves its fast path.
+
+    The attackers sit above the upper quartile, so they leave the IQR, and
+    with it the row's Silverman bandwidth, as it is wherever they are.
+    """
+    honest = k - k // 5
+    rows = rng.normal(0.0, 1.0, (n, k))
+    rows[:, honest:] = 1e6
+    h = silverman_bandwidth(rows, axis=1)
+    shelf = rng.uniform(36.6, 39.6, (n, k - honest)) * h[:, None]
+    rows[:, honest:] = np.median(rows[:, :honest], axis=1, keepdims=True) + shelf
+    return rows
+
+
+def far_colluder_rows(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """(n, k) rows of 2k // 5 identical colluders 50-500 standard deviations
+    from k - 2k // 5 honest N(0, 1) values: runs of equal values and far
+    spread at once."""
+    rows = rng.normal(0.0, 1.0, (n, k))
+    rows[:, : (2 * k) // 5] = rng.choice([-1.0, 1.0], (n, 1)) * rng.uniform(50.0, 500.0, (n, 1))
+    return rows
+
+
 def check_fft() -> str | None:
     """``spectral.fft`` against :func:`dft_naive`, three normal rows at every
     length 1-128 and at 257, and each row of a batch bit for bit as alone."""
@@ -481,7 +508,8 @@ def check_local_sgd() -> str | None:
 def check_kde() -> str | None:
     """``kde_density`` against :func:`kde_density_direct` on normal, uniform
     and two-cluster samples of 2-64 values, and kde's pick against
-    :func:`kde_pick` on tie-heavy and far-spread columns."""
+    :func:`kde_pick` on tie-heavy, far-spread, shelf and far-colluder
+    columns."""
     rng = np.random.default_rng(11)
     for trial in range(30):
         n = int(rng.integers(2, 65))
@@ -499,9 +527,10 @@ def check_kde() -> str | None:
         if not err < 1e-6:
             return f"n={n} sample {('normal', 'uniform', 'two-cluster')[trial % 3]}: relative error {err:.2e}"
     # the banded pass against a double loop over the distinct values, on
-    # tie-heavy columns (repeated integers, mirrored clusters, one odd value)
-    # and on far-spread ones shaped like a random-weights attack, whose
-    # kernel terms take the guarded exp
+    # tie-heavy columns (repeated integers, mirrored clusters, one odd value),
+    # on far-spread ones shaped like a random-weights attack, on a shelf of
+    # attackers about 37 bandwidths out, and on far identical colluders; the
+    # last three take the guarded exp
     checked = total = 0
     for k in range(2, 51, 3):
         spread = (2 * k) // 5
@@ -513,6 +542,8 @@ def check_kde() -> str | None:
                 np.concatenate([-np.abs(rng.normal(2.0, 0.2, k // 2)), np.abs(rng.normal(2.0, 0.2, k - k // 2))]),
                 np.concatenate([rng.normal(0.0, 0.3, spread), rng.normal(0.0, 0.01, k - spread)]),
                 np.concatenate([rng.normal(0.0, 0.3, spread), rng.normal(0.0, 0.01, k - spread)]),
+                shelf_rows(rng, 1, k)[0],
+                far_colluder_rows(rng, 1, k)[0],
             ],
             axis=1,
         )

@@ -7,7 +7,7 @@ import pytest
 
 from fedfft import fft_aggregator, tensors
 from fedfft.fft_aggregator import EmptyVector, FftStrategy, fft_aggregate, fft_select
-from fedfft.oracles import TIE_MARGIN, dft_naive, kde_density_direct, kde_pick
+from fedfft.oracles import TIE_MARGIN, dft_naive, far_colluder_rows, kde_density_direct, kde_pick, shelf_rows
 from fedfft.spectral import kde_density, silverman_bandwidth
 from fedfft.tensors import ClientUpdate, ModelWeights
 
@@ -220,7 +220,18 @@ def check_oracle(cols, got):
     return checked
 
 
-COLUMN_KINDS = ("random", "duplicates", "all_but_one_equal", "two_clusters", "integers", "far", "atoms", "unanimous")
+COLUMN_KINDS = (
+    "random",
+    "duplicates",
+    "all_but_one_equal",
+    "two_clusters",
+    "integers",
+    "far",
+    "atoms",
+    "unanimous",
+    "shelf",
+    "far_colluders",
+)
 
 
 def _columns(kind, rng, k, n=30):
@@ -254,6 +265,23 @@ def _columns(kind, rng, k, n=30):
         cols = rng.normal(0.0, 0.01, (n, k))
         cols[:, : (2 * k) // 5] = rng.normal(0.0, 0.3, (n, (2 * k) // 5))
         return cols
+    if kind == "shelf":
+        # attackers about 37 bandwidths out, where exp leaves its fast path
+        return shelf_rows(rng, n, k)
+    if kind == "far_colluders":
+        # runs of equal values and far spread at once
+        return far_colluder_rows(rng, n, k)
+    if kind == "mirrored_far":
+        # pairs mirrored around 0, whose middle values tie exactly, and two or
+        # three clients at one value 13-20 bandwidths above them: the run
+        # sends the row through the guarded terms, and the far value's terms
+        # lie below 2^-110, so they must not break the tie
+        top = 2 + k % 2
+        half = np.cumsum(rng.uniform(0.2, 1.0, (n, (k - top) // 2)), axis=1)
+        cols = np.concatenate([-half, half, np.full((n, top), 1e3)], axis=1)
+        edge = half[:, -1:] if half.size else 0.0
+        cols[:, -top:] = edge + rng.uniform(13.0, 20.0, (n, 1)) * silverman_bandwidth(cols, axis=1)[:, None]
+        return cols
     raise ValueError(kind)
 
 
@@ -264,7 +292,9 @@ def spans(cols):
 
 
 class TestKernelTerms:
-    """The guarded exp of far rows is bit for bit np.exp of the same arguments."""
+    """Plain terms are np.exp of the same arguments bit for bit. Guarded
+    terms are np.exp where the argument lies above _FLOOR, and e^_FLOOR, a
+    normal float below 2^-110, everywhere else."""
 
     @staticmethod
     def arguments(diff, h):
@@ -273,14 +303,15 @@ class TestKernelTerms:
         z *= -0.5
         return z
 
-    def test_guard_is_exp_bit_for_bit(self):
+    def test_guarded_terms_are_exp_above_the_floor(self):
         rng = np.random.default_rng(12)
+        floor = fft_aggregator._FLOOR
         targets = np.concatenate(
             [
-                [-746.0, -745.2, -745.13, -745.0, -744.4, -708.4, -708.0, -700.0, -1.0, -1e-300],
+                [-746.0, -745.2, -745.13, -708.4, -708.0, -700.0, floor - 1.0, floor, floor + 1.0, -1.0, -1e-300],
                 np.linspace(-745.5, -708.0, 400),
                 rng.uniform(-3000.0, 0.0, 400),
-                rng.uniform(-30.0, 0.0, 400),
+                rng.uniform(2.0 * floor, 0.0, 400),
             ]
         )
         # each target with its neighbours a few units in the last place away
@@ -291,18 +322,64 @@ class TestKernelTerms:
         with np.errstate(over="ignore"):
             args = self.arguments(diff, np.ones(3))
             assert np.isneginf(args).any() and np.isnan(args).any() and (args == 0.0).any()
-            for lo, hi in ((-np.inf, -746.0), (-746.0, -745.13), (-745.13, -708.0)):
+            for lo, hi in ((-np.inf, -746.0), (-746.0, -708.0), (-708.0, floor), (floor, 0.0)):
                 assert ((args >= lo) & (args < hi)).any()
             for h in (np.ones(3), np.array([0.5, 1.0, 3.0])):
-                want = np.exp(self.arguments(diff, h))
-                for far in (False, True):
-                    got = fft_aggregator._kernel_terms(diff.copy(), h[:, None, None], far)
+                args = self.arguments(diff, h)
+                plain = np.exp(args)
+                got = fft_aggregator._kernel_terms(diff.copy(), h[:, None, None], False)
+                assert got.tobytes() == plain.tobytes()
+                # a NaN argument fails the comparison and takes the floor too
+                want = np.where(args > floor, plain, np.exp(floor))
+                for stop in (False, True):
+                    got = fft_aggregator._kernel_terms(diff.copy(), h[:, None, None], True, stop)
                     assert got.tobytes() == want.tobytes()
+
+    def test_stop_once_every_argument_is_at_or_below_the_floor(self):
+        floor = fft_aggregator._FLOOR
+        h = np.ones(1)
+        below = np.sqrt(-2.0 * np.array([[floor - 0.01], [-1000.0], [-1e300], [np.nan]]))
+        with np.errstate(over="ignore"):
+            assert fft_aggregator._kernel_terms(below.copy(), h, True, True) is None
+            assert fft_aggregator._kernel_terms(below.copy(), h, True).max() == np.exp(floor)
+            above = below.copy()
+            above[1] = np.sqrt(-2.0 * (floor + 0.01))
+            assert fft_aggregator._kernel_terms(above, h, True, True)[1] > np.exp(floor)
+
+    @pytest.mark.parametrize("case", ["shelf", 1e4, 1e16, 1e150, 1e300, 1.7e308])
+    def test_no_term_reaches_exps_slow_range(self, case, monkeypatch):
+        # a work contract without a clock: whatever the clients send, every
+        # term is a normal float, and every guarded one at least e^_FLOOR
+        rng = np.random.default_rng(8)
+        cols = shelf_rows(rng, 676, 50) if case == "shelf" else one_far_client(rng, case)
+        least = {False: [], True: []}
+        kernel_terms = fft_aggregator._kernel_terms
+
+        def recorded(diff, h, guard, stop=False):
+            terms = kernel_terms(diff, h, guard, stop)
+            if terms is not None:
+                least[guard].append(terms.min())
+            return terms
+
+        monkeypatch.setattr(fft_aggregator, "_kernel_terms", recorded)
+        fft_aggregator._kde_values(cols)
+        floor = np.exp(fft_aggregator._FLOOR)
+        assert np.finfo(np.float64).tiny <= floor < 2.0**-110
+        assert least[True] and min(least[True]) >= floor
+        assert min(least[False], default=1.0) >= np.finfo(np.float64).tiny
+
+
+def one_far_client(rng, v, n=2000, k=50):
+    """(n, k) honest N(0, 0.01) columns with one client at +-v in each."""
+    cols = rng.normal(0.0, 0.01, (n, k))
+    cols[np.arange(n), rng.integers(0, k, n)] = v * rng.choice([-1.0, 1.0], n)
+    return cols
 
 
 class TestPrunedKdeSearch:
-    """The banded pass, which stops a chunk once every later term is +0.0,
-    picks what a direct double loop over the distinct values picks."""
+    """The banded pass, which stops a far chunk once every later term is
+    e^_FLOOR and so changes no score, picks what a direct double loop over
+    the distinct values picks."""
 
     @pytest.mark.parametrize("kind", COLUMN_KINDS)
     def test_matches_exhaustive_search(self, kind):
@@ -319,10 +396,7 @@ class TestPrunedKdeSearch:
     def test_one_far_client(self, v):
         # 49 honest N(0, 0.01) values and one client at +-v: the far client is
         # never picked, whatever v, and no warning is raised
-        rng = np.random.default_rng(8)
-        cols = rng.normal(0.0, 0.01, (2000, 50))
-        far = rng.integers(0, 50, 2000)
-        cols[np.arange(2000), far] = v * rng.choice([-1.0, 1.0], 2000)
+        cols = one_far_client(np.random.default_rng(8), v)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = fft_aggregator._kde_values(cols)
@@ -333,7 +407,7 @@ class TestPrunedKdeSearch:
     def test_picks_do_not_depend_on_chunk_size(self, chunk, monkeypatch):
         # near and far rows interleaved: far rows go in chunks of their own
         rng = np.random.default_rng(9)
-        kinds = ("random", "duplicates", "two_clusters", "integers", "far", "atoms", "unanimous")
+        kinds = tuple(kind for kind in COLUMN_KINDS if kind != "all_but_one_equal")
         for k in (7, 12, 50):
             cols = np.concatenate([_columns(kind, rng, k, n=8) for kind in kinds])
             cols = cols[rng.permutation(len(cols))]
@@ -346,6 +420,60 @@ class TestPrunedKdeSearch:
                 got = fft_aggregator._kde_values(cols)
             assert np.array_equal(got, want)
             assert check_oracle(cols, got) >= 0.75 * len(cols)  # two_clusters rows tie
+
+
+def plain_kde_picks(z, h, far):
+    """:func:`fft_aggregator._kde_picks` with every term plain np.exp, and
+    each term multiplied by the run weight of its other end: 1 for the first
+    member of a run of equal values, 0 for the others. ``far`` is ignored."""
+    k, r = z.shape
+    w = np.ones((k, r))
+    w[1:] = z[1:] != z[:-1]
+    score = w.copy()
+    with np.errstate(under="ignore", over="ignore"):
+        for d in range(1, k):
+            terms = (z[d:] - z[:-d]) / h
+            terms *= terms
+            terms *= -0.5
+            terms = np.exp(terms)
+            left, right = terms * w[:-d], terms * w[d:]
+            both = k - 2 * d
+            if both > 0:
+                score[d : k - d] += left[:both] + right[d:]
+                score[k - d :] += left[both:]
+                score[:d] += right[:d]
+            else:
+                score[d:] += left
+                score[: k - d] += right
+    score *= w
+    tied = score == score.max(axis=0)
+    starts = np.where(w[1:] > 0, np.arange(1, k)[:, None], k)
+    ends = np.minimum.accumulate(starts[::-1], axis=0)[::-1]
+    count = np.vstack([ends, np.full((1, r), k)]) - np.arange(k)[:, None]
+    return np.argmax(count * tied, axis=0)
+
+
+class TestFloorChangesNoPick:
+    """Raising kernel arguments to _FLOOR, and setting a run's later members
+    to NaN, changes no score bit: every pick is the one that plain np.exp
+    with run weights makes, not merely one within a tolerance."""
+
+    @pytest.mark.parametrize("chunk", [1, 3000, None])
+    @pytest.mark.parametrize("kind", COLUMN_KINDS + ("mirrored_far",))
+    def test_picks_match_plain_exp_bit_for_bit(self, kind, chunk, monkeypatch):
+        rng = np.random.default_rng(60 + len(kind))
+        for k in range(2, 51):
+            cols = _columns(kind, rng, k, n=8)
+            with monkeypatch.context() as patch:
+                patch.setattr(fft_aggregator, "_kde_picks", plain_kde_picks)
+                want = fft_aggregator._kde_values(cols)
+            with monkeypatch.context() as patch:
+                if chunk is not None:
+                    patch.setattr(fft_aggregator, "_KDE_CHUNK", chunk)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = fft_aggregator._kde_values(cols)
+            assert got.tobytes() == want.tobytes(), k
 
 
 def timed(f, repeats=5):
@@ -379,10 +507,20 @@ def extreme_columns(case, rng, n=676, k=50):
     elif case == "all_but_one_equal":
         cols[:] = cols[:, :1]
         cols[np.arange(n), rng.integers(0, k, n)] = rng.normal(0.0, 1e300, n)
+    elif case == "shelf":
+        cols = 0.01 * shelf_rows(rng, n, k)
     return cols
 
 
-EXTREME_CASES = ("one_at_max", "twenty_at_max", "subnormal", "tiny_and_subnormal", "zero_bandwidth", "all_but_one_equal")
+EXTREME_CASES = (
+    "one_at_max",
+    "twenty_at_max",
+    "subnormal",
+    "tiny_and_subnormal",
+    "zero_bandwidth",
+    "all_but_one_equal",
+    "shelf",
+)
 
 
 class TestKdeExtremeValues:
@@ -511,5 +649,5 @@ class TestWholeModelPass:
             first = fft_aggregate(updates, strategy)
             names = poison_scratch()
             assert fft_aggregate(updates, strategy) == first
-        assert {"kde.sorted", "kde.scaled", "kde.values", "kde.weight", "kde.score", "kde.diff", "kde.keep"} <= names
+        assert {"kde.sorted", "kde.scaled", "kde.values", "kde.same", "kde.score", "kde.diff"} <= names
         assert {"literal.sorted", "literal.signal", "literal.spectrum", "literal.mags"} <= names
